@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include wall times (breaks byte-identical output)")
     ap.add_argument("--config", default=None, help="key=value config file")
     ap.add_argument("--list-suites", action="store_true")
-    ap.add_argument("--pool", type=int, default=4, help="worker pool size")
     return ap
 
 
@@ -170,7 +169,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    reports = run_suites(cfg, pool_size=max(args.pool, 1))
+    reports = run_suites(cfg)
     text = render_json(cfg, reports) if cfg.report == "json" else render_text(cfg, reports)
     if cfg.out:
         with open(cfg.out, "w") as fh:

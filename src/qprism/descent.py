@@ -37,6 +37,7 @@ from .padic import (
     PadicInt,
     PrecisionError,
     TruncSeries,
+    _poly_mul,
     d_poly_t,
     howell_mod,
     teichmuller,
@@ -155,16 +156,6 @@ def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul_mod(a, b, mod):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % mod
-    return out
-
-
 def _gamma_ptilde_poly(ctx: DescentContext) -> list:
     """gamma(ptilde) = ptilde + w as a ptilde-coefficient vector."""
     mod = ctx.p**ctx.w_prec
@@ -181,7 +172,7 @@ def f_map(ctx: DescentContext, coeffs: list) -> list:
     cur = [1]
     for j, c in enumerate(coeffs):
         if j:
-            cur = _poly_mul_mod(cur, base, mod)
+            cur = _poly_mul(cur, base, mod)
         for i, x in enumerate(cur):
             if i >= len(out):
                 out.extend([0] * (i - len(out) + 1))
@@ -292,10 +283,10 @@ def f_leibniz_check(ctx: DescentContext, rng, trials: int = 100,
     for _ in range(trials):
         x = [rng.randrange(mod) for _ in range(deg + 1)]
         y = [rng.randrange(mod) for _ in range(deg + 1)]
-        lhs = f_map(ctx, _poly_mul_mod(x, y, mod))
+        lhs = f_map(ctx, _poly_mul(x, y, mod))
         fx, fy = f_map(ctx, x), f_map(ctx, y)
-        rhs = _poly_mul_mod(fx, y, mod)
-        for part in (_poly_mul_mod(x, fy, mod), _poly_mul_mod(fx, fy, mod)):
+        rhs = _poly_mul(fx, y, mod)
+        for part in (_poly_mul(x, fy, mod), _poly_mul(fx, fy, mod)):
             for i, v in enumerate(part):
                 if i >= len(rhs):
                     rhs.extend([0] * (i - len(rhs) + 1))

@@ -12,6 +12,7 @@ vanish at the certified precision, and a nonzero remainder raises.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,39 +137,53 @@ def teichmuller(p: int, e: int, prec: int) -> PadicInt:
     return PadicInt(p, prec, x)
 
 
-def binomial_padic(p: int, prec: int, u, n: int) -> int:
-    """C(u, n) mod p^prec for u an integer or PadicInt.
-
-    For a PadicInt the residue lift must carry at least
-    prec + v_p(n!) digits for the answer to be certified.
-    """
-    if n == 0:
-        return 1 % p**prec
-    if isinstance(u, PadicInt):
-        need = prec + vp_factorial(p, n)
-        if u.prec < need:
-            raise PrecisionError(
-                f"need exponent mod p^{need} to certify C(u,{n}) mod p^{prec}")
-        r = u.residue
-    else:
-        r = u
-    if r >= 0 and not isinstance(u, PadicInt) and r >= n:
-        return math.comb(r, n) % p**prec
-    ff = 1
-    for i in range(n):
-        ff *= r - i
-    q, rem = divmod(ff, math.factorial(n))
-    if rem:
-        raise ArithmeticError("falling factorial not divisible by n!")
-    return q % p**prec
-
-
 def vp_factorial(p: int, n: int) -> int:
     v, q = 0, n
     while q:
         q //= p
         v += q
     return v
+
+
+# ---------------------------------------------------------------------------
+# The polynomial product kernel over Z/p^N
+# ---------------------------------------------------------------------------
+
+
+def _poly_mul(a, b, mod: int, n: int = None) -> list:
+    """Coefficients 0..n-1 (default: all) of a*b mod `mod`, exactly.
+
+    Kronecker substitution: the reduced coefficients are packed into
+    little-endian slots of one Python int, multiplied once, and read back.
+    A product coefficient is a sum of at most min(len a, len b) products
+    of residues below `mod`, so slots of 2*bits(mod-1) + bits(min) bits
+    never carry into each other.  The inputs must be reduced first: a
+    caller may pass entries known modulo a larger power of p, or negative
+    ones, that would overflow a slot sized from `mod`.
+    """
+    if n is None:
+        n = len(a) + len(b) - 1 if a and b else 0
+    a = [x % mod for x in a[:n]]
+    b = [x % mod for x in b[:n]]
+    if not a or not b:
+        return [0] * n
+    width = 2 * (mod - 1).bit_length() + min(len(a), len(b)).bit_length()
+    slots = len(a) + len(b) - 1
+    k = min(n, slots)
+    if width <= 64:
+        prod = (int.from_bytes(struct.pack(f"<{len(a)}Q", *a), "little")
+                * int.from_bytes(struct.pack(f"<{len(b)}Q", *b), "little"))
+        out = struct.unpack_from(f"<{k}Q", prod.to_bytes(8 * slots, "little"))
+        out = [x % mod for x in out]
+    else:
+        w = (width + 7) // 8
+        prod = (int.from_bytes(b"".join(x.to_bytes(w, "little") for x in a), "little")
+                * int.from_bytes(b"".join(x.to_bytes(w, "little") for x in b), "little"))
+        buf = prod.to_bytes(w * slots, "little")
+        out = [int.from_bytes(buf[i:i + w], "little") % mod
+               for i in range(0, w * k, w)]
+    out.extend([0] * (n - k))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +321,7 @@ class TruncSeries:
             return TruncSeries(self.p, self.N, self.M,
                                [(x * other) % mod for x in self.c])
         other, N, M = self._join(other)
-        mod = self.p**N
-        out = [0] * M
-        for i, a in enumerate(self.c[:M]):
-            if a == 0:
-                continue
-            for j in range(min(M - i, len(other.c))):
-                b = other.c[j]
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % mod
-        return TruncSeries(self.p, N, M, out)
+        return TruncSeries(self.p, N, M, _poly_mul(self.c, other.c, self.p**N, M))
 
     __rmul__ = __mul__
 
@@ -346,21 +352,10 @@ class TruncSeries:
             raise PrecisionError("coefficient beyond t-precision")
         return PadicInt(self.p, self.N, self.c[n])
 
-    def t_valuation(self):
-        mod = self.p**self.N
-        for i, x in enumerate(self.c):
-            if x % mod:
-                return i
-        return None
-
     def reduce_prec(self, N=None, M=None) -> "TruncSeries":
         N = self.N if N is None else min(N, self.N)
         M = self.M if M is None else min(M, self.M)
         return TruncSeries(self.p, N, M, self.c[:M])
-
-    def lift_prec_unsafe(self, N: int, M: int) -> "TruncSeries":
-        """Reinterpret at higher stated precision (only for exact inputs)."""
-        return TruncSeries(self.p, N, M, list(self.c) + [0] * (M - len(self.c)))
 
     # -- units, substitution, derivations --------------------------------------
 
@@ -370,16 +365,15 @@ class TruncSeries:
     def unit_inverse(self) -> "TruncSeries":
         if not self.is_unit():
             raise ZeroDivisionError("constant term not a unit")
+        # Newton: g = f^(-1) mod t^k gives g(2 - f*g) = f^(-1) mod t^(2k)
         mod = self.p**self.N
-        inv0 = pow(self.c[0], -1, mod)
-        out = [inv0] + [0] * (self.M - 1)
-        for n in range(1, self.M):
-            s = 0
-            for k in range(1, n + 1):
-                if k < len(self.c) and self.c[k]:
-                    s += self.c[k] * out[n - k]
-            out[n] = (-inv0 * s) % mod
-        return TruncSeries(self.p, self.N, self.M, out)
+        g, k = [pow(self.c[0], -1, mod)], 1
+        while k < self.M:
+            k = min(2 * k, self.M)
+            e = [-x for x in _poly_mul(self.c, g, mod, k)]
+            e[0] += 2
+            g = _poly_mul(g, e, mod, k)
+        return TruncSeries(self.p, self.N, self.M, g)
 
     def subst(self, image: "TruncSeries") -> "TruncSeries":
         """Composition f(q) -> f(image); image must be 1 mod t."""
@@ -395,9 +389,6 @@ class TruncSeries:
     def phi(self) -> "TruncSeries":
         """Frobenius lift q -> q^p."""
         return self.subst(TruncSeries.q_power(self.p, self.N, self.M, self.p))
-
-    def phi_pow(self, n: int) -> "TruncSeries":
-        return self.subst(TruncSeries.q_power(self.p, self.N, self.M, self.p**n)) if n else self
 
     def gamma0(self, alpha: int) -> "TruncSeries":
         """q -> q^(p^(alpha+1)+1)."""
@@ -440,9 +431,6 @@ class TruncSeries:
         return TruncSeries(self.p, min(self.N + a, cap), self.M,
                            [x * self.p**a for x in self.c])
 
-    def divide_unit(self, u: "TruncSeries") -> "TruncSeries":
-        return self * u.unit_inverse()
-
     def weierstrass_divmod(self, P: Sequence[int]):
         """Division with remainder by a distinguished polynomial.
 
@@ -466,7 +454,7 @@ class TruncSeries:
             raise ValueError("lower coefficients must be divisible by p")
         if self.M <= r:
             raise PrecisionError("t-precision does not reach the divisor degree")
-        C = [x // p for x in P[:r]]  # P = t^r + p*C
+        minus_pC = [-x for x in P[:r]]  # -p*C, where P = t^r + p*C
         mod = p**self.N
         g = list(self.c)
         Mg = self.M
@@ -489,14 +477,7 @@ class TruncSeries:
             if k >= self.N:
                 break
             # g <- -p*C*D(g)
-            nxt = [0] * (Mg - r)
-            for i, ci in enumerate(C):
-                if ci == 0:
-                    continue
-                for j, x in enumerate(high):
-                    if i + j < len(nxt) and x:
-                        nxt[i + j] = (nxt[i + j] - p * ci * x) % mod
-            g = nxt
+            g = _poly_mul(minus_pC, high, mod, Mg - r)
             Mg = Mg - r
             k += 1
         cert = min(cert, self.N)
@@ -964,16 +945,6 @@ def d_poly_q(p: int, alpha: int) -> list:
     return cs
 
 
-def _poly_mul(a, b, mod):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % mod
-    return out
-
-
 def _poly_mod(a, modulus, mod):
     a = [x % mod for x in a]
     dm = len(modulus) - 1
@@ -1048,10 +1019,12 @@ class QuotientRing:
         return QuotElem(self, acc, min(self.N, f.N, max(tail_prec, 0) if vals else f.N))
 
     def mult_matrix(self, x: "QuotElem") -> list:
-        cols = []
-        for i in range(self.deg):
-            basis = self.q_power(i)
-            cols.append((x * basis).coeffs)
+        """Matrix of multiplication by x: column i is x*q^i, the column
+        before it shifted up by one and reduced."""
+        mod = self.p**self.N
+        cols = [x.coeffs]
+        for _ in range(self.deg - 1):
+            cols.append(_poly_mod([0] + cols[-1], self.modulus, mod))
         return [[cols[j][i] for j in range(self.deg)] for i in range(self.deg)]
 
     def endo_matrix(self, q_image_power: int) -> list:
@@ -1084,7 +1057,7 @@ class QuotElem:
     def __init__(self, ring: QuotientRing, coeffs, prec: int):
         self.ring = ring
         mod = ring.p ** ring.N
-        cs = _poly_mod([x % mod for x in coeffs], ring.modulus, mod)
+        cs = _poly_mod(coeffs, ring.modulus, mod)
         cs = cs + [0] * (ring.deg - len(cs))
         self.coeffs = cs[: ring.deg]
         self.prec = min(prec, ring.N)
@@ -1111,10 +1084,8 @@ class QuotElem:
         if isinstance(other, int):
             return QuotElem(self.ring, [a * other for a in self.coeffs], self.prec)
         other, pr = self._join(other)
-        mod = self.ring.p ** self.ring.N
-        return QuotElem(self.ring,
-                        _poly_mod(_poly_mul(self.coeffs, other.coeffs, mod),
-                                  self.ring.modulus, mod), pr)
+        return QuotElem(self.ring, _poly_mul(self.coeffs, other.coeffs,
+                                             self.ring.p ** self.ring.N), pr)
 
     __rmul__ = __mul__
 
@@ -1316,11 +1287,6 @@ class TPoly:
 
     def coeff(self, j: int) -> TruncSeries:
         return self.terms.get(j, TruncSeries.zero(self.p, self.N, self.M))
-
-    def divide_unit_series(self, u: TruncSeries) -> "TPoly":
-        inv = u.unit_inverse()
-        return TPoly(self.p, self.N, self.M, self.cap,
-                     {j: s * inv for j, s in self.terms.items()})
 
     def render(self) -> str:
         if not self.terms:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import crystal, descent, exactcore, ore, witt
 from .padic import (
+    PrecisionError,
     QuotientRing,
     TruncSeries,
     teichmuller,
@@ -95,7 +96,7 @@ DISCREPANCY_REGISTRY = {
 
 def _case(cases, case_id, ok, witness="", t0=None,
           discrepancy_key=None):
-    ms = int((time.time() - t0) * 1000) if t0 else 0
+    ms = int((time.perf_counter() - t0) * 1000) if t0 is not None else 0
     if ok:
         cases.append(SuiteCase(case_id, PASS, witness, ms))
     elif discrepancy_key and discrepancy_key in DISCREPANCY_REGISTRY:
@@ -113,19 +114,19 @@ def _case(cases, case_id, ok, witness="", t0=None,
 def suite_q_identities(cfg: RunConfig):
     p, a = cfg.p, cfg.alpha
     cases = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     mono = list(range(0, 9)) + [25, 50] + [(2, (1,)), (1, (3,))]
     rep = exactcore.verify_psi_hom(p, a, mono, m=1)
     _case(cases, "psi multiplicative + closed form (k<=50)", rep.ok,
           "; ".join(c.case_id for c in rep.cases if not c.ok) or "exact", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = all(exactcore.verify_q_factorization(p, a, n, i)
              for n in range(1, 4) for i in range(0, p))
     _case(cases, "q-analogue factorization (n<=3, i<p)", ok, "exact", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = exactcore.verify_gamma_relations(p, a, 2)
     _case(cases, "twist generator relations", rep.ok, "exact", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = exactcore.verify_phi_epsilon(p, a)
     _case(cases, "frobenius lift on eps (mod p)", rep.ok, "exact", t0)
     return cases
@@ -133,14 +134,14 @@ def suite_q_identities(cfg: RunConfig):
 
 def suite_e_beta(cfg: RunConfig):
     cases = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = exactcore.verify_e_beta(cfg.p, cfg.alpha)
     _case(cases, f"d'(q) q (q^(p^a)-1) = p^(a+1) mod d (p={cfg.p}, a={cfg.alpha})",
           ok, "exact remainder in Z[q]", t0)
     ring = QuotientRing(cfg.p, cfg.p_prec, cfg.alpha, 1)
     e = crystal.d_prime_elem(ring)
     beta = ring.q_power(cfg.p**cfg.alpha + 1) - ring.q_power(1)
-    t0 = time.time()
+    t0 = time.perf_counter()
     _case(cases, "same identity in the quotient model",
           e * beta == ring.const(cfg.p ** (cfg.alpha + 1)), "", t0)
     return cases
@@ -148,15 +149,15 @@ def suite_e_beta(cfg: RunConfig):
 
 def _construction_cases(cfg, name, builder):
     cases = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         res = builder("series")
         for check, ok in res.checks.items():
             _case(cases, f"{name}: {check}", ok, "", None)
-        cases[-1].wall_ms = int((time.time() - t0) * 1000)
+        cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
     except Exception as exc:  # pragma: no cover - surfaced as a case
         cases.append(SuiteCase(f"{name}: series construction", FAIL, repr(exc)))
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         res = builder("exact")
         _case(cases, f"{name}: exact cross-check (small instance)", res.ok, "", t0)
@@ -171,7 +172,7 @@ def suite_witt_b(cfg: RunConfig):
         cfg, "b", lambda backend: witt.construct_b(
             p, a, L if backend == "series" else min(L, 3), N, M, backend=backend))
     # unit property: invert the ghosts in the series model
-    t0 = time.time()
+    t0 = time.perf_counter()
     base = witt.EpsSeriesBase(p, N + L - 1, M, a, target_N=N)
     pres = witt._eps_pres(p, a)
     ghosts = [witt._series_of_poly(base, witt._ghost_b(pres, n)) for n in range(L)]
@@ -204,13 +205,13 @@ def suite_witt_cpsi(cfg: RunConfig):
 def suite_witt_cu(cfg: RunConfig):
     p, a, L = cfg.p, cfg.alpha, cfg.witt_len
     cases = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = witt.construct_c_u(p, a, L, 1 + p ** (a + 1), cfg.p_prec, cfg.t_prec)
     for check, ok in res.checks.items():
         _case(cases, f"u=1+p^(a+1): {check}", ok, "", None)
-    cases[-1].wall_ms = int((time.time() - t0) * 1000)
+    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
     if p > 2:
-        t0 = time.time()
+        t0 = time.perf_counter()
         u = teichmuller(p, 2, cfg.p_prec + vp_factorial(p, 3 * (p - 1) * p**a + 6))
         wit = witt.construct_c_u(p, a, L, u, cfg.p_prec, cfg.t_prec)
         ok = isinstance(wit, witt.NonexistenceWitness)
@@ -222,18 +223,18 @@ def suite_witt_cu(cfg: RunConfig):
 
 def suite_witt_dv1(cfg: RunConfig):
     cases = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = witt.d_as_V1(cfg.p, cfg.alpha, cfg.witt_len, cfg.p_prec)
     for check, ok in res.checks.items():
         _case(cases, check, ok, res.witt.render() if ok else "", None)
-    cases[-1].wall_ms = int((time.time() - t0) * 1000)
+    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
     return cases
 
 
 def suite_delta_power(cfg: RunConfig):
     cases = []
     for (n, k) in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok = witt.delta_power_membership(n, k, cfg.p, cfg.p_prec,
                                          max(cfg.t_prec, 30))
         _case(cases, f"delta^{k}((q-1)^{n}) in ((q-1)^{n})", ok, "", t0)
@@ -268,7 +269,7 @@ def suite_ore_assoc(cfg: RunConfig):
         ("absolute m=2", alg, 25),
     ]
     for label, algc, trials in configs:
-        t0 = time.time()
+        t0 = time.perf_counter()
         bad = 0
         for _ in range(trials):
             A, B, C = (_random_ore_element(algc, rng) for _ in range(3))
@@ -276,17 +277,17 @@ def suite_ore_assoc(cfg: RunConfig):
                 bad += 1
         _case(cases, f"associativity on {trials} random triples ({label})",
               bad == 0, f"{bad} failures" if bad else "all agree", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     okc = True
     for k in range(10):
         A, B = _random_ore_element(alg, rng), _random_ore_element(alg, rng)
         okc = okc and A.mul(B, order_rng=random.Random(cfg.seed + k)) == A.mul(B)
     _case(cases, "normal form independent of rule order (confluence)", okc, "", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     one = alg.one()
     A = _random_ore_element(alg, rng)
     _case(cases, "two-sided identity", one * A == A and A * one == A, "", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     okm = True
     ctx = alg.ctx
     for _ in range(10):
@@ -297,7 +298,7 @@ def suite_ore_assoc(cfg: RunConfig):
         diff = ore.base_add(alg, lhs, {k2: -v for k2, v in rhs.items()})
         okm = okm and all(ctx.is_zero(v) for v in diff.values())
     _case(cases, "act is a left-module action", okm, "", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     f = _random_ore_element(alg, rng)
     proj = ore.OreElement(alg, {k: v for k, v in f.terms.items() if k[2] == 0})
     rest = f - proj
@@ -309,13 +310,13 @@ def suite_ore_assoc(cfg: RunConfig):
 
 def suite_ore_master(cfg: RunConfig):
     cases = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = ore.verify_master_relation(cfg.p, cfg.alpha, bound=6,
                                      N=cfg.p_prec, M=max(cfg.t_prec, 48))
     _case(cases, "mixed commutation law on q^a T^b (a,b <= 6)", rep.ok,
           "; ".join(c for c, ok in rep.cases if not ok) or "two-sided evaluation",
           t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep2 = ore.verify_double_complex_rows(cfg.p, cfg.alpha, bound=2,
                                           N=cfg.p_prec, M=max(cfg.t_prec, 48))
     _case(cases, "column-map commutation identities (m=2)", rep2.ok, "", t0)
@@ -326,18 +327,18 @@ def suite_ore_akj(cfg: RunConfig):
     p, a = cfg.p, cfg.alpha
     cases = []
     k = p ** (a + 1) + 1
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = ore.akj_operator_oracle(p, a, k, nmax=8)
     _case(cases, f"coefficient recursion = operator expansion (k<={k}, n<=8)",
           ok, "exact in Z[q, T]", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     _case(cases, "mod-d table reduces to binomials", ore.akj_mod_d_binomial(p, a),
           "exact remainders", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     comm = ore.commutator_mod_residue(p, a)
     _case(cases, "mod (d, q-1): the two letters commute", comm.is_zero(),
           comm.render() if not comm.is_zero() else "", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = ore.specialize_mod_d_checks(p, a, cfg.p_prec)
     _case(cases, "mod-d specialization constants", rep.ok,
           "; ".join(c for c, ok in rep.cases if not ok), t0)
@@ -348,7 +349,7 @@ def suite_bk_twists(cfg: RunConfig):
     cases = []
     p = cfg.p
     for k in range(-30, 31):
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = crystal.normalized_twist_h1(k, p, cfg.p_prec)
         # the normalized twist is the alpha = 0 object whatever the
         # configured level, so the discrepancy registry is keyed there
@@ -357,11 +358,11 @@ def suite_bk_twists(cfg: RunConfig):
               res.status == "pass",
               f"computed p^{res.computed_exponent}, predicted p^{res.predicted_exponent}",
               t0, discrepancy_key=key if res.status == "expected-discrepancy" else None)
-    t0 = time.time()
+    t0 = time.perf_counter()
     m = crystal.bk_twist(3, p, cfg.alpha, 1, cfg.p_prec)
     _case(cases, "twist module satisfies the twisted Leibniz law",
           m.certify_leibniz(), "", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = all(crystal.sen_twist_consistency(k, p, cfg.alpha, cfg.p_prec)
              for k in (0, 1, 4))
     _case(cases, "generator action scalar matches the exponential form", ok, "", t0)
@@ -417,7 +418,7 @@ def suite_koszul(cfg: RunConfig):
     rng = random.Random(cfg.seed)
     p = cfg.p
     # d^2 = 0 on random commuting nilpotent pairs at module rank 2 and 3
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok_d2 = True
     ring = QuotientRing(p, min(cfg.p_prec, 4), cfg.alpha, 1)
     for _ in range(10):
@@ -431,7 +432,7 @@ def suite_koszul(cfg: RunConfig):
         ok_d2 = ok_d2 and cx.d_squared_zero()
     _case(cases, "d^2 = 0 on random commuting nilpotent pairs (m=2)", ok_d2, "", t0)
     # exhaustive kernel/image oracle on tiny rank-1 instances
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok_oracle = True
     N_small = 2
     ring_s = QuotientRing(p, N_small, 0, 1)
@@ -451,7 +452,7 @@ def suite_koszul(cfg: RunConfig):
           f"{ran} instances enumerated" if ran else "instances too large; skipped",
           t0)
     # rank-1 zero-operator module over A/d^n: H0 = H1 = flattened base
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring = QuotientRing(p, min(cfg.p_prec, 4), cfg.alpha, 2)
     m0 = crystal.QConnModule(ring, 1, D=[[ring.zero()]], N_list=[],
                              scalar_operators=True)
@@ -467,7 +468,7 @@ def suite_double_complex(cfg: RunConfig):
     rng = random.Random(cfg.seed)
     p, a = cfg.p, cfg.alpha
     from .ore import QuotScalars
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok_sq = ok_d2 = ok_master = ok_leib = True
     trials = 50
     for _ in range(trials):
@@ -490,26 +491,26 @@ def suite_double_complex(cfg: RunConfig):
 def suite_ht_regular_rep(cfg: RunConfig):
     cases = []
     for variables in (1, 2):
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = crystal.ht_regular_rep(cfg.dp_degree, cfg.p, cfg.alpha,
                                      cfg.p_prec, variables=variables)
         for check, ok in rep.checks.items():
             _case(cases, f"[{variables} var] {check}", ok, "", None)
-        cases[-1].wall_ms = int((time.time() - t0) * 1000)
+        cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
     return cases
 
 
 def suite_nilpotence(cfg: RunConfig):
     cases = []
     p, a = cfg.p, cfg.alpha
-    t0 = time.time()
+    t0 = time.perf_counter()
     m = crystal.bk_twist(5, p, a, 1, cfg.p_prec)
     rep = crystal.nilpotence_check(m)
     expected_zero = p > 2 or a > 0
     _case(cases, "twist operator vanishes in the residue field",
           rep["certified"] and (not expected_zero or rep["partial"] == [1]),
           str(rep), t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring = QuotientRing(p, 4, a, 1)
     upper = crystal.QConnModule(ring, 3, D=[
         [ring.zero(), ring.one(), ring.one()],
@@ -518,7 +519,7 @@ def suite_nilpotence(cfg: RunConfig):
     rep = crystal.nilpotence_check(upper)
     _case(cases, "strictly upper triangular: nilpotent with index <= rank",
           rep["certified"] and all(i <= 3 for i in rep["partial"]), str(rep), t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ident = crystal.QConnModule(ring, 1, D=[[ring.one()]], N_list=[])
     rep = crystal.nilpotence_check(ident, bound=16)
     _case(cases, "identity operator: reported not-certified",
@@ -529,12 +530,12 @@ def suite_nilpotence(cfg: RunConfig):
 def suite_wcart(cfg: RunConfig):
     cases = []
     p, K = cfg.p, cfg.descent_degree
-    t0 = time.time()
+    t0 = time.perf_counter()
     ctx = descent.build_context(p, cfg.p_prec, K)
     for check, ok in ctx.checks.items():
         _case(cases, f"context: {check}", ok, "", None)
-    cases[-1].wall_ms = int((time.time() - t0) * 1000)
-    t0 = time.time()
+    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
+    t0 = time.perf_counter()
     rep = descent.wcart_h1_structure(ctx)
     for check, ok in rep.checks.items():
         witness = ""
@@ -542,14 +543,14 @@ def suite_wcart(cfg: RunConfig):
             k = int(check.split("k=")[1].rstrip(")"))
             witness = f"residual indices/valuations: {rep.residuals[k][:6]}"
         _case(cases, check, ok, witness, None)
-    cases[-1].wall_ms = int((time.time() - t0) * 1000)
+    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
     _case(cases, "free-index report",
           rep.free_indices == [l for l in range(K * (p + 1)) if l % (p + 1) != p],
           str(rep.free_indices), None)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = descent.f_leibniz_check(ctx, random.Random(cfg.seed), trials=100)
     _case(cases, "f-Leibniz law on 100 random pairs", ok, "", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     _case(cases, "averaging projector idempotent and fixing invariants",
           descent.averaging_projector_check(p, min(cfg.p_prec, 6)), "", t0)
     return cases
@@ -557,25 +558,25 @@ def suite_wcart(cfg: RunConfig):
 
 def suite_epsilon_action(cfg: RunConfig):
     cases = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = descent.epsilon_action_suite(cfg.p, 0, cfg.p_prec, min(cfg.t_prec, 24))
     for check, ok in rep.checks.items():
         _case(cases, f"alpha=0: {check}", ok, "", None)
-    cases[-1].wall_ms = int((time.time() - t0) * 1000)
+    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
     if cfg.alpha > 0:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = descent.epsilon_action_suite(cfg.p, cfg.alpha, cfg.p_prec,
                                            min(cfg.t_prec, 24))
         for check, ok in rep.checks.items():
             _case(cases, f"alpha={cfg.alpha}: {check}", ok, "", None)
-        cases[-1].wall_ms = int((time.time() - t0) * 1000)
+        cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
     return cases
 
 
 def suite_sen_qconn(cfg: RunConfig):
     cases = []
     for k in (0, 1, 4, 9):
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok = crystal.sen_twist_consistency(k, cfg.p, cfg.alpha, cfg.p_prec)
         _case(cases, f"1 + q beta (twist scalar) = (1+p^(a+1))^k for k={k}",
               ok, "", t0)
@@ -585,7 +586,7 @@ def suite_sen_qconn(cfg: RunConfig):
 def suite_tensor(cfg: RunConfig):
     cases = []
     p, a = cfg.p, cfg.alpha
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for (j, k) in [(1, 1), (2, 5), (3, -2), (0, 7)]:
         tj = crystal.bk_twist(j, p, a, 1, cfg.p_prec)
@@ -594,12 +595,12 @@ def suite_tensor(cfg: RunConfig):
         want = crystal.bk_twist(j + k, p, a, 1, cfg.p_prec)
         ok = ok and (ts.D[0][0] == want.D[0][0])
     _case(cases, "twist(j) (x) twist(k) = twist(j+k)", ok, "", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     m1 = crystal.bk_twist(2, p, a, 1, cfg.p_prec)
     unit = crystal.bk_twist(0, p, a, 1, cfg.p_prec)
     tu = crystal.tensor(m1, unit)
     _case(cases, "tensor with the unit object", tu.D[0][0] == m1.D[0][0], "", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(cfg.seed)
     okl = True
     for _ in range(5):
@@ -617,7 +618,7 @@ FAST_SUITES_FOR_MONOTONICITY = [
 
 def suite_precision_monotonic(cfg: RunConfig):
     cases = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     base = {}
     for name in FAST_SUITES_FOR_MONOTONICITY:
         for c in REGISTRY[name].runner(cfg):
@@ -749,20 +750,31 @@ def list_suites() -> list:
             sorted(REGISTRY.values(), key=lambda s: s.name)]
 
 
-def run_suites(cfg: RunConfig, pool_size: int = 4) -> list:
-    """Run the configured suites on a worker pool; case lists are sorted
-    by id so report assembly is order independent."""
-    from concurrent.futures import ThreadPoolExecutor
-    names = cfg.suites or sorted(REGISTRY)
+def _run_guarded(name: str, cfg: RunConfig) -> list:
+    """A suite's cases; a suite that raises becomes one case saying why.
+
+    Running out of certified digits is not-certified, never a failure;
+    any other exception is a failure, with its traceback on stderr."""
+    try:
+        return REGISTRY[name].runner(cfg)
+    except PrecisionError as exc:
+        return [SuiteCase("suite run", NOT_CERTIFIED, f"PrecisionError: {exc}")]
+    except Exception as exc:
+        import traceback  # imported here, off the start-up path
+        traceback.print_exc()
+        return [SuiteCase("suite run", FAIL, repr(exc))]
+
+
+def run_suites(cfg: RunConfig) -> list:
+    """Run the configured suites in name order, each case list sorted by id.
+
+    The suites are pure-Python work that holds the interpreter lock, so
+    they run one after another."""
+    names = sorted(cfg.suites or REGISTRY)
     params = {"p": cfg.p, "alpha": cfg.alpha, "p_prec": cfg.p_prec,
               "t_prec": cfg.t_prec, "witt_len": cfg.witt_len,
               "descent_degree": cfg.descent_degree, "dp_degree": cfg.dp_degree,
               "seed": cfg.seed}
-
-    def run_one(name):
-        cases = REGISTRY[name].runner(cfg)
-        return SuiteReport(name, dict(params), sorted(cases, key=lambda c: c.case_id))
-
-    with ThreadPoolExecutor(max_workers=pool_size) as ex:
-        reports = list(ex.map(run_one, names))
-    return sorted(reports, key=lambda r: r.name)
+    return [SuiteReport(name, dict(params),
+                        sorted(_run_guarded(name, cfg), key=lambda c: c.case_id))
+            for name in names]

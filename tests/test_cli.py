@@ -1,10 +1,14 @@
 """Harness behavior: determinism, exit codes, config layering."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
+from qprism import suites
 from qprism.cli import build_parser, render_json, resolve_config
 from qprism.suites import RunConfig, list_suites, run_suites
 
@@ -37,8 +41,8 @@ class TestRegistry:
 class TestDeterminism:
     def test_byte_identical_reports(self):
         cfg = RunConfig(suites=FAST)
-        r1 = render_json(cfg, run_suites(cfg, pool_size=2))
-        r2 = render_json(cfg, run_suites(cfg, pool_size=1))
+        r1 = render_json(cfg, run_suites(cfg))
+        r2 = render_json(cfg, run_suites(cfg))
         assert r1 == r2
 
     def test_seeded_random_suites_deterministic(self):
@@ -79,6 +83,28 @@ class TestExitCodes:
         proc = run_cli(["--p", "2", "--alpha", "1", "--suite", "bk-twists"])
         assert proc.returncode == 0
         assert "disc" in proc.stdout
+
+    @pytest.mark.parametrize("args", [
+        ["--t-prec", "1", "--suite", "epsilon-action"],
+        ["--t-prec", "1", "--suite", "ore-assoc"],
+        ["--t-prec", "1", "--suite", "precision-monotonic"],
+        ["--p-prec", "1", "--suite", "witt-cu"],
+    ])
+    def test_exhausted_precision_is_not_certified(self, args):
+        proc = run_cli(args)
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "ncrt" in proc.stdout and "PrecisionError" in proc.stdout
+
+    def test_suite_exception_is_a_failing_case(self, monkeypatch):
+        def boom(cfg):
+            raise KeyError("boom")
+        spec = suites.REGISTRY["e-beta"]
+        monkeypatch.setitem(suites.REGISTRY, "e-beta",
+                            dataclasses.replace(spec, runner=boom))
+        [rep] = run_suites(RunConfig(suites=["e-beta"]))
+        assert [(c.status, c.witness) for c in rep.cases] == [
+            (suites.FAIL, "KeyError('boom')")]
 
 
 class TestConfigLayers:

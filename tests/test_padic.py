@@ -12,6 +12,7 @@ from qprism.padic import (
     PadicInt,
     QuotientRing,
     TruncSeries,
+    _poly_mul,
     coker_invariants_mod,
     d_poly_t,
     divide_by_q_power_minus_one,
@@ -315,6 +316,15 @@ class TestQuotientRing:
         assert tau2 * 2 == beta
         assert tau2.prec == 7
 
+    def test_mult_matrix_columns_are_products(self):
+        rng = random.Random(2)
+        for p, N, alpha, n in [(2, 8, 1, 2), (3, 6, 1, 1), (3, 4, 1, 3), (5, 7, 0, 2)]:
+            R = QuotientRing(p, N, alpha, n)
+            x = R.elem([rng.randrange(p**N) for _ in range(R.deg)])
+            mat = R.mult_matrix(x)
+            for i in range(R.deg):
+                assert [row[i] for row in mat] == (x * R.q_power(i)).coeffs
+
     def test_from_series_precision(self):
         R = QuotientRing(3, 8, 0, 1)
         f = TruncSeries.d_series(3, 8, 24, 0)
@@ -331,3 +341,109 @@ def test_series_ring_laws(a, b):
     assert f + g == g + f
     assert f * g == g * f
     assert (f + g) * f == f * f + g * f
+
+
+# ---------------------------------------------------------------------------
+# the packed product kernel against the schoolbook reference
+# ---------------------------------------------------------------------------
+
+
+def schoolbook_mul(a, b, mod, n=None):
+    """Reference: coefficients 0..n-1 of a*b mod `mod`, one product at a time."""
+    if n is None:
+        n = len(a) + len(b) - 1 if a and b else 0
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                if y:
+                    out[i + j] = (out[i + j] + x * y) % mod
+    return out
+
+
+def recurrence_inverse(c, mod, M):
+    """Reference: the inverse of a unit series by the coefficient recurrence."""
+    inv0 = pow(c[0], -1, mod)
+    out = [inv0] + [0] * (M - 1)
+    for n in range(1, M):
+        s = sum(c[k] * out[n - k] for k in range(1, min(n + 1, len(c))))
+        out[n] = (-inv0 * s) % mod
+    return out
+
+
+class TestPolyMulKernel:
+    @pytest.mark.parametrize("p,N,M", [(3, 6, 8), (3, 8, 48), (5, 11, 32),
+                                       (5, 8, 1), (5, 8, 64), (5, 8, 400),
+                                       (5, 8, 1720)])
+    def test_workload_sizes(self, p, N, M):
+        rng = random.Random(M)
+        mod = p**N
+        a = [rng.randrange(mod) for _ in range(M)]
+        b = [rng.randrange(mod) for _ in range(M)]
+        assert _poly_mul(a, b, mod) == schoolbook_mul(a, b, mod)
+        assert _poly_mul(a, b, mod, M) == schoolbook_mul(a, b, mod, M)
+        f, g = TruncSeries(p, N, M, a), TruncSeries(p, N, M, b)
+        assert (f * g).c == schoolbook_mul(a, b, mod, M)
+
+    def test_empty_and_unbalanced(self):
+        mod = 5**8
+        assert _poly_mul([], [1, 2], mod) == []
+        assert _poly_mul([3], [], mod, 4) == [0, 0, 0, 0]
+        assert _poly_mul([2], [3], mod) == [6]
+        assert _poly_mul([1, 2], [3, 4], mod, 0) == []
+        assert _poly_mul([1, 2], [3, 4], mod, 6) == [3, 10, 8, 0, 0, 0]
+        rng = random.Random(4)
+        a = [rng.randrange(mod) for _ in range(4)]
+        b = [rng.randrange(mod) for _ in range(1700)]
+        assert _poly_mul(a, b, mod) == schoolbook_mul(a, b, mod)
+        assert _poly_mul(b, a, mod, 1700) == schoolbook_mul(b, a, mod, 1700)
+
+    def test_largest_residues_do_not_carry(self):
+        # all entries mod - 1 fill every slot to its bound; the widths
+        # straddle the 64-bit slot and the byte slots
+        for mod in (3**6, 2**31, 2**32, 3**40, 5**30):
+            for la, lb in [(1, 1), (2, 2), (3, 4), (4, 1700), (40, 40)]:
+                a, b = [mod - 1] * la, [mod - 1] * lb
+                assert _poly_mul(a, b, mod) == schoolbook_mul(a, b, mod)
+
+    def test_negative_and_unreduced_entries(self):
+        rng = random.Random(7)
+        mod = 3**8
+        for _ in range(50):
+            a = [rng.randrange(-mod**3, mod**3) for _ in range(rng.randrange(1, 30))]
+            b = [rng.randrange(-mod**3, mod**3) for _ in range(rng.randrange(1, 30))]
+            assert _poly_mul(a, b, mod) == schoolbook_mul(a, b, mod)
+        assert _poly_mul([-1, 1], [-1, 1], mod) == [1, mod - 2, 1]
+
+    def test_mixed_precision_operands(self):
+        # the product lives at min(N, N'), but each operand is reduced only
+        # mod its own p^N: the kernel must reduce before packing
+        rng = random.Random(40)
+        M = 48
+        for _ in range(20):
+            a = [rng.randrange(3**40) for _ in range(M)]
+            b = [rng.randrange(3**2) for _ in range(M)]
+            f, g = TruncSeries(3, 40, M, a), TruncSeries(3, 2, M, b)
+            want = schoolbook_mul(a, b, 3**2, M)
+            assert (f * g).c == want and (g * f).c == want
+
+    @pytest.mark.parametrize("p,N", [(2, 4), (3, 8), (5, 11), (3, 40)])
+    def test_random_entries_across_slot_widths(self, p, N):
+        rng = random.Random(N)
+        mod = p**N
+        for M in (1, 2, 7, 33):
+            a = [rng.randrange(mod) for _ in range(M)]
+            b = [rng.randrange(mod) for _ in range(M + 3)]
+            assert _poly_mul(a, b, mod) == schoolbook_mul(a, b, mod)
+
+    @pytest.mark.parametrize("p,N,M", [(2, 4, 24), (3, 6, 8), (3, 8, 48),
+                                       (5, 8, 1), (5, 8, 2), (5, 8, 3),
+                                       (5, 11, 200), (3, 40, 17)])
+    def test_newton_inverse_matches_recurrence(self, p, N, M):
+        rng = random.Random(M)
+        mod = p**N
+        c = [rng.randrange(mod) for _ in range(M)]
+        c[0] = c[0] - c[0] % p + 1
+        f = TruncSeries(p, N, M, c)
+        assert f.unit_inverse().c == recurrence_inverse(f.c, mod, M)
+        assert f * f.unit_inverse() == TruncSeries.one(p, N, M)
