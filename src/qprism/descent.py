@@ -36,9 +36,11 @@ from dataclasses import dataclass, field
 from .padic import (
     PadicInt,
     PrecisionError,
+    QuotientRing,
     TruncSeries,
     _poly_mul,
     d_poly_t,
+    d_prime_elem,
     howell_mod,
     teichmuller,
     vp_factorial,
@@ -204,10 +206,6 @@ def to_e_coords(ctx: DescentContext, poly: list, rows: int):
     a0 = coords[0] if coords else 0
     consistent = ((poly[0] if poly else 0) + p * a0) % mod == 0
     return coords, consistent
-
-
-def e_render(coords: list) -> str:
-    return " + ".join(f"{c}*e{l}" for l, c in enumerate(coords) if c) or "0"
 
 
 @dataclass
@@ -376,8 +374,6 @@ def epsilon_action_suite(p: int, alpha: int = 0, N: int = 8,
         ok = ok and (lhs == rhs)
     checks["psi is unit-group equivariant"] = ok
 
-    from .crystal import d_prime_elem
-    from .padic import QuotientRing
     ring = QuotientRing(p, N, alpha, 1)
     e_el = d_prime_elem(ring)
     ok = True

@@ -334,10 +334,6 @@ class BigPoly:
                 out[(qe, (0,) * pres.n_eps, te)] = c
         return BigPoly(pres, out)
 
-    def eps_free_part(self) -> "BigPoly":
-        out = {k: c for k, c in self.terms.items() if not any(k[1])}
-        return BigPoly(self.pres, out)
-
     # -- canonical rendering ------------------------------------------------
 
     def render(self) -> str:

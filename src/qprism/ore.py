@@ -28,6 +28,7 @@ from .exactcore import BigPoly, RingPresentation, q_analogue
 from .padic import (
     QuotientRing,
     TruncSeries,
+    d_prime_elem,
     partial_arith,
 )
 
@@ -859,10 +860,3 @@ def specialize_mod_d_checks(p: int, alpha: int, N: int = 8, n: int = 1) -> OreRe
     rhs = (alg.partial() * alg.nabla(0)).mul(x)
     cases.append(("rule associativity spot check", lhs == rhs))
     return OreReport(f"specialize mod d^{n} p={p} alpha={alpha}", cases)
-
-
-def d_prime_elem(ring: QuotientRing):
-    """d'(q) in A/d^n."""
-    from .padic import d_poly_q
-    dq = d_poly_q(ring.p, ring.alpha)
-    return ring.from_q_poly({e - 1: c * e for e, c in enumerate(dq) if e and c})

@@ -945,6 +945,12 @@ def d_poly_q(p: int, alpha: int) -> list:
     return cs
 
 
+def d_prime_elem(ring: "QuotientRing") -> "QuotElem":
+    """d'(q) in A/d^n."""
+    dq = d_poly_q(ring.p, ring.alpha)
+    return ring.from_q_poly({e - 1: c * e for e, c in enumerate(dq) if e and c})
+
+
 def _poly_mod(a, modulus, mod):
     a = [x % mod for x in a]
     dm = len(modulus) - 1

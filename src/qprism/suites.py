@@ -354,10 +354,16 @@ def suite_bk_twists(cfg: RunConfig):
         # the normalized twist is the alpha = 0 object whatever the
         # configured level, so the discrepancy registry is keyed there
         key = ("bk-twists", f"p={p} alpha=0 k={k}")
-        _case(cases, f"H1 order of twist k={k}",
-              res.status == "pass",
-              f"computed p^{res.computed_exponent}, predicted p^{res.predicted_exponent}",
-              t0, discrepancy_key=key if res.status == "expected-discrepancy" else None)
+        witness = (f"computed p^{res.computed_exponent}, "
+                   f"predicted p^{res.predicted_exponent}")
+        if res.status == NOT_CERTIFIED:
+            cases.append(SuiteCase(
+                f"H1 order of twist k={k}", NOT_CERTIFIED,
+                f"{witness} | the cokernel order is capped at p^{cfg.p_prec} "
+                f"at this precision", int((time.perf_counter() - t0) * 1000)))
+            continue
+        _case(cases, f"H1 order of twist k={k}", res.status == PASS, witness,
+              t0, discrepancy_key=key if res.status == DISCREPANCY else None)
     t0 = time.perf_counter()
     m = crystal.bk_twist(3, p, cfg.alpha, 1, cfg.p_prec)
     _case(cases, "twist module satisfies the twisted Leibniz law",
@@ -471,10 +477,13 @@ def suite_double_complex(cfg: RunConfig):
     t0 = time.perf_counter()
     ok_sq = ok_d2 = ok_master = ok_leib = True
     trials = 50
+    N = min(cfg.p_prec, 6)
+    # every trial's module lives over this ring, so its scalars (and their
+    # cached correction coefficients) are built once
+    sc = QuotScalars(QuotientRing(p, N, a, 1))
     for _ in range(trials):
         shape = (rng.randrange(2, 4), rng.randrange(1, 3))
-        mod = crystal.graded_mixed_module(p, a, min(cfg.p_prec, 6), shape, rng)
-        sc = QuotScalars(mod.ring)
+        mod = crystal.graded_mixed_module(p, a, N, shape, rng)
         ok_leib = ok_leib and mod.certify_leibniz() and mod.certify_commuting_nablas()
         ok_master = ok_master and mod.certify_master_relation(sc)
         dc = crystal.double_complex(mod, sc)

@@ -352,12 +352,6 @@ def witt_mul(a: WittVector, b: WittVector) -> WittVector:
                       check_dwork=False)
 
 
-def witt_sub(a: WittVector, b: WittVector) -> WittVector:
-    ga, gb = a.ghost(), b.ghost()
-    return from_ghost(a.base, [_sub(a.base, x, y) for x, y in zip(ga, gb)],
-                      check_dwork=False)
-
-
 def frobenius_witt(a: WittVector) -> WittVector:
     """F: drops the first ghost component; needs one spare length."""
     ghosts = a.ghost()

@@ -84,6 +84,14 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "disc" in proc.stdout
 
+    def test_twist_orders_above_precision_not_certified(self):
+        # v_3(+-27) = 3 exceeds N = 2: the capped cokernel cannot certify
+        proc = run_cli(["--p", "3", "--p-prec", "2", "--suite", "bk-twists"])
+        assert proc.returncode == 0, proc.stderr
+        assert "FAIL" not in proc.stdout
+        assert proc.stdout.count("ncrt") == 2
+        assert "capped at p^2" in proc.stdout
+
     @pytest.mark.parametrize("args", [
         ["--t-prec", "1", "--suite", "epsilon-action"],
         ["--t-prec", "1", "--suite", "ore-assoc"],

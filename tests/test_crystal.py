@@ -23,7 +23,13 @@ from qprism.crystal import (
     twist_unit_scalar,
 )
 from qprism.ore import QuotScalars
-from qprism.padic import QuotientRing, vp_int
+from qprism.padic import (
+    QuotientRing,
+    mat_eq_mod,
+    mat_identity,
+    mat_mul_mod,
+    vp_int,
+)
 
 
 class TestTwistScalars:
@@ -46,6 +52,16 @@ class TestTwistScalars:
         for k in range(-30, 31):
             res = normalized_twist_h1(k, p, 8)
             assert res.status == "pass", (k, res)
+
+    def test_orders_above_precision_not_certified(self):
+        # at N = 2 the cokernel is capped at p^2: v_3(27) = 3 cannot be
+        # seen, while v_3(9) = v_3(18) = 2 still can
+        for k in (27, -27):
+            res = normalized_twist_h1(k, 3, 2)
+            assert res.status == "not-certified", res
+            assert (res.computed_exponent, res.predicted_exponent) == (2, 3)
+        for k in (9, -18):
+            assert normalized_twist_h1(k, 3, 2).status == "pass"
 
     def test_p2_discrepancy(self):
         res = normalized_twist_h1(2, 2, 8)
@@ -171,7 +187,6 @@ class TestMixedModules:
         mod = graded_mixed_module(3, 0, 6, (2,), rng)
         sc = QuotScalars(mod.ring)
         dc = double_complex(mod, sc)
-        from qprism.padic import mat_eq_mod
         assert mat_eq_mod(dc["columns"][()], mod.flat_partial(), 3, 6)
 
     def test_column_map_m1_formula(self):
@@ -181,7 +196,6 @@ class TestMixedModules:
         mod = graded_mixed_module(3, 0, 6, (2,), rng)
         sc = QuotScalars(mod.ring)
         dc = double_complex(mod, sc)
-        from qprism.padic import mat_eq_mod, mat_mul_mod
         p, N = 3, 6
         want = mat_mul_mod(mod.flat_scalar(sc.s0()), mod.flat_partial(), p, N)
         shift = mod.flat_scalar(sc.s0() * sc.s1())
@@ -198,6 +212,72 @@ class TestMixedModules:
         tot = dc["total"]
         h1 = tot.cohomology(1)
         assert sum(h1) == sum(fib_partial(m).h[1])
+
+
+def _correction_reference(mod, i, d_coeffs):
+    """sum_j c_j Theta_i^(j-1) Nabla_i^(j-1), every term up to max(d_coeffs)."""
+    p, N = mod.ring.p, mod.ring.N
+    n = mod.rank * mod.ring.deg
+    out = [[0] * n for _ in range(n)]
+    Np, Th = mod.flat_nabla(i), mod.flat_theta(i)
+    nab_pow = th_pow = mat_identity(n)
+    for j in range(2, max(d_coeffs) + 1):
+        nab_pow = mat_mul_mod(Np, nab_pow, p, N)
+        th_pow = mat_mul_mod(Th, th_pow, p, N)
+        cj = d_coeffs.get(j)
+        if cj is None:
+            continue
+        term = mat_mul_mod(mod.flat_scalar(cj),
+                           mat_mul_mod(th_pow, nab_pow, p, N), p, N)
+        out = [[(x + y) % p**N for x, y in zip(ro, rt)]
+               for ro, rt in zip(out, term)]
+    return out
+
+
+class TestCorrectionOperator:
+    # p = 3, alpha = 1: corrections run up to j = p^(alpha+1) + 1 = 10
+    P, ALPHA, N = 3, 1, 4
+
+    def _module(self, theta):
+        ring = QuotientRing(self.P, self.N, self.ALPHA, 1)
+        nabla = [[ring.q_power(1) + 2, ring.const(3)],
+                 [ring.q_power(2), ring.const(5)]]
+        mod = QConnModule(ring, 2, D=None, N_list=[nabla],
+                          theta_list=None if theta is None else [theta(ring)],
+                          tag="mixed")
+        return mod, QuotScalars(ring).d_coeffs()
+
+    def _check_against_reference(self, theta):
+        mod, dcs = self._module(theta)
+        got = mod.flat_correction(0, dcs)
+        assert mat_eq_mod(got, _correction_reference(mod, 0, dcs),
+                          self.P, self.N)
+        return got
+
+    def test_nilpotent_theta(self):
+        # strictly upper triangular: Theta^2 = 0, so only c_2 Theta Nabla
+        # survives, and the loop stops at j = 3
+        got = self._check_against_reference(
+            lambda r: [[r.zero(), r.q_power(1) + 1], [r.zero(), r.zero()]])
+        assert any(x for row in got for x in row)
+
+    def test_non_nilpotent_theta(self):
+        # the identity: every power is nonzero and every term is summed
+        got = self._check_against_reference(
+            lambda r: [[r.one(), r.zero()], [r.zero(), r.one()]])
+        assert any(x for row in got for x in row)
+
+    @pytest.mark.parametrize("theta", [
+        None, lambda r: [[r.zero(), r.zero()], [r.zero(), r.zero()]]])
+    def test_zero_theta(self, theta):
+        got = self._check_against_reference(theta)
+        assert not any(x for row in got for x in row)
+
+    def test_operators_flattened_once(self):
+        mod = graded_mixed_module(3, 0, 6, (2, 2), random.Random(15))
+        assert mod.flat_nabla(1) is mod.flat_nabla(1)
+        assert mod.flat_partial() is mod.flat_partial()
+        assert mod.flat_nabla(1) == mod._flat_of_blocks(mod.N_list[1])
 
 
 class TestNilpotence:
