@@ -546,220 +546,133 @@ def partial_arith(f: TruncSeries, alpha: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 # Linear algebra over Z/p^N
 # ---------------------------------------------------------------------------
+#
+# Z/p^N is a local principal ideal ring: every nonzero entry is a unit times
+# a power of p, so an entry of the lowest p-adic valuation in a block divides
+# every entry of that block.  Elimination that always pivots on such an entry
+# never leaves Z/p^N (Howell 1986; Storjohann and Mulders, ESA 1998).
 
 
-def _smith(A, track_right=False, right_mod=None):
-    """Smith normal form over Z.  Returns (diag, V) with U*A*V diagonal.
+def _pivot(M, rows, cols, p: int):
+    """(i, j, v) for the first entry M[i][j] (rows outer, cols inner) of the
+    lowest p-adic valuation v, or None when all are zero.  The entries must
+    be reduced mod p^N."""
+    best = None
+    for i in rows:
+        Mi = M[i]
+        for j in cols:
+            x = Mi[j]
+            if x:
+                if x % p:
+                    return i, j, 0
+                v = vp_int(x, p)
+                if best is None or v < best[2]:
+                    best = (i, j, v)
+    return best
 
-    Only the right transform V is tracked (enough for kernels); V is
-    reduced mod right_mod when given to keep entries small.
+
+def smith_mod(A, p: int, N: int):
+    """Smith form over Z/p^N: (exps, U, V) with U and V invertible and
+    U*A*V = diag(p^exps[0], ..., p^exps[r-1], 0, ...) mod p^N.
+
+    exps is nondecreasing and below N, so r = len(exps) is the rank.
     """
-    A = [row[:] for row in A]
+    mod = p**N
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if track_right else None
-
-    def col_op(j, k, m):  # col_j += m * col_k
-        for i in range(rows):
-            A[i][j] += m * A[i][k]
-        if track_right:
-            for i in range(cols):
-                V[i][j] += m * V[i][k]
-                if right_mod:
-                    V[i][j] %= right_mod
-
-    def col_swap(j, k):
-        for i in range(rows):
-            A[i][j], A[i][k] = A[i][k], A[i][j]
-        if track_right:
-            for i in range(cols):
-                V[i][j], V[i][k] = V[i][k], V[i][j]
-
-    def row_op(i, k, m):
-        for j in range(cols):
-            A[i][j] += m * A[k][j]
-
-    def row_swap(i, k):
-        A[i], A[k] = A[k], A[i]
-
-    diag = []
-    top = 0
-    while top < min(rows, cols):
-        # locate minimal nonzero entry in the remaining block
-        piv = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                x = A[i][j]
-                if x and (piv is None or abs(x) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
+    W = [[x % mod for x in row] for row in A]
+    U = mat_identity(rows)
+    V = mat_identity(cols)
+    exps = []
+    for top in range(min(rows, cols)):
+        piv = _pivot(W, range(top, rows), range(top, cols), p)
         if piv is None:
             break
-        while True:
-            i0, j0 = piv
-            if i0 != top:
-                row_swap(top, i0)
-            if j0 != top:
-                col_swap(top, j0)
-            dirty = False
-            for i in range(top + 1, rows):
-                m = A[i][top] // A[top][top]
-                if m:
-                    row_op(i, top, -m)
-                if A[i][top]:
-                    dirty = True
-            for j in range(top + 1, cols):
-                m = A[top][j] // A[top][top]
-                if m:
-                    col_op(j, top, -m)
-                if A[top][j]:
-                    dirty = True
-            if not dirty:
-                break
-            piv = None
-            for i in range(top, rows):
-                for j in range(top, cols):
-                    x = A[i][j]
-                    if x and (piv is None or abs(x) < abs(A[piv[0]][piv[1]])):
-                        piv = (i, j)
-        diag.append(abs(A[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b and b % a != 0:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-            elif a == 0 and b != 0:
-                diag[i], diag[i + 1] = b, 0
-                changed = True
-    if track_right:
-        # recompute the diagonal only; V columns beyond the rank are a
-        # kernel basis exactly when no row ops mixed columns -- they don't.
-        return diag, V, A
-    return diag, None, A
+        i, j, v = piv
+        W[top], W[i] = W[i], W[top]
+        U[top], U[i] = U[i], U[top]
+        if j != top:
+            for row in W[top:] + V:
+                row[top], row[j] = row[j], row[top]
+        pv = p**v
+        u = pow(W[top][top] // pv, -1, mod)
+        if u != 1:
+            W[top] = [x * u % mod for x in W[top]]
+            U[top] = [x * u % mod for x in U[top]]
+        Wt, Ut = W[top], U[top]
+        for r in range(top + 1, rows):
+            m = W[r][top] // pv
+            if m:
+                W[r] = [(x - m * y) % mod for x, y in zip(W[r], Wt)]
+                U[r] = [(x - m * y) % mod for x, y in zip(U[r], Ut)]
+        # rows above top hold only their pivots and rows below now hold 0
+        # in column top, so clearing row top by column operations changes
+        # only V (row top of W is not read again)
+        for c in range(top + 1, cols):
+            m = Wt[c] // pv
+            if m:
+                for row in V:
+                    row[c] = (row[c] - m * row[top]) % mod
+        exps.append(v)
+    return exps, U, V
 
 
-def smith_invariants(A) -> list:
-    diag, _, _ = _smith(A)
-    return [d for d in diag if d != 0]
+def _smith_solve(exps, U, b, p: int, N: int):
+    """y with diag(p^exps) y = U b mod p^N, the entries of U b past the rank
+    being zero; None when there is no such y."""
+    mod = p**N
+    c = [sum(u * x for u, x in zip(Ui, b)) % mod for Ui in U]
+    if any(c[len(exps):]) or any(c[i] % p**e for i, e in enumerate(exps)):
+        return None
+    return [c[i] // p**e for i, e in enumerate(exps)]
+
+
+def smith_invariants(A, p: int, N: int) -> list:
+    """The nondecreasing exponents of the nonzero Smith invariants of A
+    over Z/p^N."""
+    return smith_mod(A, p, N)[0]
 
 
 def coker_invariants_mod(A, p: int, N: int) -> list:
-    """Invariant factors of Z^rows / (col-span(A) + p^N), each a p-power
-    exponent; 0 exponents (trivial factors) are dropped."""
-    rows = len(A)
-    mod = p**N
-    B = [list(row) + [mod if i == j else 0 for j in range(rows)]
-         for i, row in enumerate(A)]
-    inv = smith_invariants(B)
-    out = []
-    for s in inv:
-        v = vp_int(s, p)
-        if v is None or p**v != s:
-            raise ArithmeticError("cokernel invariant is not a p-power")
-        if v > 0:
-            out.append(v)
-    # rows not reached by any invariant are full Z/p^N summands
-    out.extend([N] * (rows - len(inv)))
-    return sorted(out)
+    """Invariant factors of (Z/p^N)^rows / col-span(A), each a p-power
+    exponent, nondecreasing; 0 exponents (trivial factors) are dropped."""
+    exps = smith_invariants(A, p, N)
+    return [e for e in exps if e] + [N] * (len(A) - len(exps))
 
 
 def ker_basis_mod(A, p: int, N: int) -> list:
-    """Generators (as columns) of {x : A x = 0 mod p^N}."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if cols == 0:
-        return []
+    """Generators (as columns) of {x : A x = 0 mod p^N}: p^(N-e_i) V[:, i]
+    for each invariant p^e_i, and V[:, j] for each j past the rank."""
     mod = p**N
-    B = [list(row) + [mod if i == j else 0 for j in range(rows)]
-         for i, row in enumerate(A)]
-    diag, V, _ = _smith(B, track_right=True, right_mod=None)
-    rank = len([d for d in diag if d])
+    exps, _, V = smith_mod(A, p, N)
+    scale = [p ** (N - e) for e in exps] + [1] * (len(V) - len(exps))
     gens = []
-    total = cols + rows
-    for j in range(rank, total):
-        vec = [V[i][j] % mod for i in range(cols)]
+    for j, s in enumerate(scale):
+        vec = [row[j] * s % mod for row in V]
         if any(vec):
             gens.append(vec)
     return gens
 
 
-def hermite_col(A) -> list:
-    """Column-style Hermite normal form basis of the column lattice.
-
-    Returns an upper-triangular square matrix whose columns span the same
-    lattice; requires the lattice to have full rank (our inputs always
-    contain p^N * I).
-    """
-    rows = len(A)
-    work = [row[:] for row in A]
-    cols = len(work[0])
-    c_start = 0
-    for row in range(rows):
-        # gcd-fold all columns with nonzero entry in this row into one
-        j0 = None
-        for j in range(c_start, cols):
-            if work[row][j]:
-                j0 = j
-                break
-        if j0 is None:
-            raise ArithmeticError("column lattice not full rank")
-        for j in range(j0 + 1, cols):
-            while work[row][j]:
-                a, b = work[row][j0], work[row][j]
-                if abs(b) < abs(a) or a == 0:
-                    for i in range(rows):
-                        work[i][j0], work[i][j] = work[i][j], work[i][j0]
-                    continue
-                m = work[row][j] // work[row][j0]
-                for i in range(rows):
-                    work[i][j] -= m * work[i][j0]
-        if work[row][j0] < 0:
-            for i in range(rows):
-                work[i][j0] = -work[i][j0]
-        if j0 != c_start:
-            for i in range(rows):
-                work[i][c_start], work[i][j0] = work[i][j0], work[i][c_start]
-        c_start += 1
-    return [[work[i][j] for j in range(rows)] for i in range(rows)]
-
-
 def subquotient_invariants(ker_gens, im_gens, ambient: int, p: int, N: int) -> list:
-    """Invariants of (span(K)+p^N) / (span(B)+p^N) inside Z^ambient.
+    """Invariants of span(K) / span(B) inside (Z/p^N)^ambient.
 
     K and B are lists of generator columns with span(B) contained in
-    span(K) mod p^N.
+    span(K).  In the Smith coordinates U of K, span(K) is the sum of the
+    p^e_i Z/p^N, one Z/p^(N-e_i) each; B maps to the columns X of
+    U b / p^e, and the quotient is the cokernel of [X | diag(p^(N-e_i))].
     """
-    mod = p**N
-    K = [[g[i] for g in ker_gens] + [mod if i == j else 0 for j in range(ambient)]
-         for i in range(ambient)]
-    H = hermite_col(K)
-    B = [[g[i] for g in im_gens] + [mod if i == j else 0 for j in range(ambient)]
-         for i in range(ambient)]
-    ncolsB = len(im_gens) + ambient
-    # solve H * X = B column by column (H upper triangular, full rank)
-    X = [[0] * ncolsB for _ in range(ambient)]
-    for j in range(ncolsB):
-        rhs = [B[i][j] for i in range(ambient)]
-        for i in range(ambient - 1, -1, -1):
-            s = rhs[i] - sum(H[i][k] * X[k][j] for k in range(i + 1, ambient))
-            q, r = divmod(s, H[i][i])
-            if r:
-                raise ArithmeticError("image generators not inside the kernel lattice")
-            X[i][j] = q
-    inv = smith_invariants(X)
-    out = []
-    for s in inv:
-        v = vp_int(s, p)
-        if v is None:
-            raise ArithmeticError("subquotient invariant is not a p-power")
-        if v > 0:
-            out.append(v)
-    return sorted(out)
+    K = [[g[i] for g in ker_gens] for i in range(ambient)]
+    exps, U, _ = smith_mod(K, p, N)
+    X = [[0] * len(im_gens) + [p ** (N - e) if k == i else 0 for k in range(len(exps))]
+         for i, e in enumerate(exps)]
+    for j, b in enumerate(im_gens):
+        y = _smith_solve(exps, U, b, p, N)
+        if y is None:
+            raise ArithmeticError("image generators not inside the kernel span")
+        for i, yi in enumerate(y):
+            X[i][j] = yi
+    return coker_invariants_mod(X, p, N)
 
 
 def howell_mod(A, p: int, N: int) -> list:
@@ -772,35 +685,28 @@ def howell_mod(A, p: int, N: int) -> list:
     """
     mod = p**N
     work = [[x % mod for x in row] for row in A]
-    work = [row for row in work if any(row)]
     cols = len(A[0]) if A else 0
 
     def rowred(rows_in):
-        rows_in = [r[:] for r in rows_in if any(x % mod for x in r)]
+        rows_in = [r[:] for r in rows_in if any(r)]
         out = []
         col = 0
         while rows_in and col < cols:
-            best = None
-            for idx, r in enumerate(rows_in):
-                x = r[col] % mod
-                if x:
-                    v = vp_int(x, p)
-                    if best is None or v < best[1]:
-                        best = (idx, v)
+            best = _pivot(rows_in, range(len(rows_in)), (col,), p)
             if best is None:
                 col += 1
                 continue
-            idx, v = best
+            idx, _, v = best
             row = rows_in.pop(idx)
             u = pow(row[col] // p**v, -1, mod)
             row = [(x * u) % mod for x in row]
             for r in rows_in:
-                if r[col] % mod:
+                if r[col]:
                     m = r[col] // p**v
                     for j in range(cols):
                         r[j] = (r[j] - m * row[j]) % mod
             out.append((col, v, row))
-            rows_in = [r for r in rows_in if any(x % mod for x in r)]
+            rows_in = [r for r in rows_in if any(r)]
             col += 1
         return out
 
@@ -832,82 +738,36 @@ def solve_mod(A, b, p: int, N: int):
     """One solution x of A x = b over Z/p^N plus its certified precision.
 
     Returns (x, prec) where any two solutions agree mod p^prec, or None
-    when the system is inconsistent at full precision.
+    when the system is inconsistent.  Solutions differ by the kernel, whose
+    generators p^(N-e_i) V[:, i] and V[:, j] (j past the rank) have
+    valuations N - e_i and 0; so prec is 0 below full column rank.
     """
-    mod = p**N
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    aug = [[A[i][j] % mod for j in range(cols)] + [b[i] % mod] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for _ in range(cols):
-        best = None
-        for i in range(r, rows):
-            for j in range(cols):
-                if j in piv_cols:
-                    continue
-                x = aug[i][j] % mod
-                if x:
-                    v = vp_int(x, p)
-                    if best is None or v < best[2]:
-                        best = (i, j, v)
-        if best is None:
-            break
-        i0, j0, v = best
-        aug[r], aug[i0] = aug[i0], aug[r]
-        u = pow(aug[r][j0] // p**v, -1, mod)
-        aug[r] = [(x * u) % mod for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][j0] % mod:
-                if vp_int(aug[i][j0], p) < v:
-                    continue  # cannot eliminate; handled as inconsistency later
-                m = aug[i][j0] // p**v
-                aug[i] = [(x - m * y) % mod for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(j0)
-        r += 1
-    x = [0] * cols
-    prec = N
-    for k in range(r - 1, -1, -1):
-        j0 = piv_cols[k]
-        v = vp_int(aug[k][j0], p)
-        rhs = (aug[k][cols] - sum(aug[k][j] * x[j] for j in range(cols) if j != j0)) % mod
-        if rhs % p**v:
-            return None
-        x[j0] = (rhs // p**v) % p ** (N - v)
-        prec = min(prec, N - v)
-    # rows without pivots must have zero rhs
-    for i in range(r, rows):
-        if aug[i][cols] % mod:
-            return None
-    return x, prec
+    cols = len(A[0]) if A else 0
+    exps, U, V = smith_mod(A, p, N)
+    y = _smith_solve(exps, U, b, p, N)
+    if y is None:
+        return None
+    # the coordinates of y past the rank are free: take them 0
+    x = [sum(v * t for v, t in zip(Vi, y)) % p**N for Vi in V]
+    if len(exps) < cols:
+        return x, 0
+    return x, N - exps[-1] if exps else N
 
 
 def inv_mod(A, p: int, N: int) -> list:
-    """Inverse of a unit matrix over Z/p^N (Gaussian, unit pivots)."""
-    mod = p**N
-    n = len(A)
-    aug = [[A[i][j] % mod for j in range(n)] + [1 if i == j else 0 for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is not invertible over Z/p^N")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        u = pow(aug[col][col], -1, mod)
-        aug[col] = [(x * u) % mod for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                m = aug[i][col]
-                aug[i] = [(x - m * y) % mod for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    """Inverse of a unit matrix over Z/p^N: V*U when U*A*V = I."""
+    exps, U, V = smith_mod(A, p, N)
+    if len(exps) < len(A) or any(exps):
+        raise ZeroDivisionError("matrix is not invertible over Z/p^N")
+    return _mat_mul(V, U, p**N)
 
 
 def mat_mul_mod(A, B, p: int, N: int) -> list:
-    mod = p**N
+    return _mat_mul(A, B, p**N)
+
+
+def _mat_mul(A, B, mod: int) -> list:
+    """A*B mod `mod`, skipping the zero entries of A."""
     rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
@@ -928,7 +788,10 @@ def mat_eq_mod(A, B, p: int, N: int) -> bool:
 
 
 def mat_identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1141,6 +1004,8 @@ class QuotElem:
         if sol is None:
             raise DivisionCertificateError("quotient-ring division has no solution")
         x, prec = sol
+        if prec == 0:
+            raise PrecisionError("quotient-ring division carries no certified digits")
         return QuotElem(self.ring, x, prec)
 
     def divide_p_pow(self, a: int) -> "QuotElem":

@@ -13,11 +13,13 @@ from qprism.cli import build_parser, render_json, resolve_config
 from qprism.suites import RunConfig, list_suites, run_suites
 
 FAST = ["e-beta", "witt-dv1", "sen-qconn"]
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def run_cli(args, env=None):
     e = dict(os.environ)
     e.update(env or {})
+    e["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, e.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "qprism.cli"] + args,
                           capture_output=True, text=True, env=e)
     return proc
@@ -85,11 +87,12 @@ class TestExitCodes:
         assert "disc" in proc.stdout
 
     def test_twist_orders_above_precision_not_certified(self):
-        # v_3(+-27) = 3 exceeds N = 2: the capped cokernel cannot certify
+        # at N = 2 the cokernel is capped at p^2: a computed p^2 cannot
+        # certify v_3(+-9) = v_3(+-18) = 2, nor v_3(+-27) = 3
         proc = run_cli(["--p", "3", "--p-prec", "2", "--suite", "bk-twists"])
         assert proc.returncode == 0, proc.stderr
         assert "FAIL" not in proc.stdout
-        assert proc.stdout.count("ncrt") == 2
+        assert proc.stdout.count("ncrt") == 6
         assert "capped at p^2" in proc.stdout
 
     @pytest.mark.parametrize("args", [

@@ -54,14 +54,27 @@ class TestTwistScalars:
             assert res.status == "pass", (k, res)
 
     def test_orders_above_precision_not_certified(self):
-        # at N = 2 the cokernel is capped at p^2: v_3(27) = 3 cannot be
-        # seen, while v_3(9) = v_3(18) = 2 still can
+        # at N = 2 the cokernel is capped at p^2, so a computed p^2 only
+        # bounds the order from below: v_3(27) = 3 cannot be seen, and
+        # v_3(9) = v_3(18) = 2 cannot be told from a larger order
         for k in (27, -27):
             res = normalized_twist_h1(k, 3, 2)
             assert res.status == "not-certified", res
             assert (res.computed_exponent, res.predicted_exponent) == (2, 3)
         for k in (9, -18):
-            assert normalized_twist_h1(k, 3, 2).status == "pass"
+            assert normalized_twist_h1(k, 3, 2).status == "not-certified"
+        assert normalized_twist_h1(3, 3, 2).status == "pass"
+
+    def test_capped_orders_at_p2_boundary_not_certified(self):
+        # at p = 2, N = 3 the true order of k = +-8, +-24 is 2^4 (the
+        # boundary adds one factor 2 to v_2(k) = 3); the capped 2^3 must
+        # not pass as the prediction.  k = 4 expects exactly 2^3 at the
+        # boundary, also at the cap, while k = 2 and k = 1 stay below it.
+        for k in (8, -8, 24, -24, 4):
+            res = normalized_twist_h1(k, 2, 3)
+            assert res.status == "not-certified", res
+        assert normalized_twist_h1(2, 2, 3).status == "expected-discrepancy"
+        assert normalized_twist_h1(1, 2, 3).status == "pass"
 
     def test_p2_discrepancy(self):
         res = normalized_twist_h1(2, 2, 8)

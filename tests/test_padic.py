@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qprism.padic import (
     DivisionCertificateError,
     PadicInt,
+    PrecisionError,
     QuotientRing,
     TruncSeries,
     _poly_mul,
@@ -19,7 +20,10 @@ from qprism.padic import (
     howell_mod,
     inv_mod,
     ker_basis_mod,
+    mat_identity,
+    mat_mul_mod,
     partial_arith,
+    smith_mod,
     solve_mod,
     subquotient_invariants,
     teichmuller,
@@ -294,6 +298,153 @@ class TestLinearAlgebra:
         assert inv == [1, 1]
 
 
+# -- exhaustive oracles over (Z/p^N)^n, p^N <= 9, shapes up to 3x3 --------
+
+ORACLE_PRECS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+def _vectors(n, mod):
+    return itertools.product(range(mod), repeat=n)
+
+
+def _span(gens, n, mod):
+    out = {(0,) * n}
+    for g in gens:
+        out = {tuple((s + k * x) % mod for s, x in zip(v, g))
+               for v in out for k in range(mod)}
+    return out
+
+
+def _apply(A, x, mod):
+    return tuple(sum(a * y for a, y in zip(row, x)) % mod for row in A)
+
+
+def _killed_counts(S, B, p, N):
+    """|{x in S/B : p^j x = 0}| for j = 0..N, which fixes the structure."""
+    mod = p**N
+    return [sum(1 for x in S if tuple(p**j * y % mod for y in x) in B) // len(B)
+            for j in range(N + 1)]
+
+
+def _counts_of(exps, p, N):
+    """The same counts for the sum of the Z/p^e, e in exps."""
+    return [p ** sum(min(e, j) for e in exps) for j in range(N + 1)]
+
+
+def _valuation_vec(x, p, N):
+    return min((vp_int(y, p) for y in x if y), default=N)
+
+
+def _random_matrix(rng, rows, cols, p, N):
+    # entries u * p^k with k spread over 0..N, so that every valuation and
+    # many rank deficiencies occur
+    return [[rng.randrange(p**N) * p ** rng.randrange(N + 1) % p**N
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _oracle_cases(seed):
+    rng = random.Random(seed)
+    for p, N in ORACLE_PRECS:
+        for rows, cols in itertools.product((1, 2, 3), repeat=2):
+            for _ in range(10):
+                yield p, N, _random_matrix(rng, rows, cols, p, N)
+
+
+class TestExhaustiveOracles:
+    def test_smith_mod_transforms(self):
+        for p, N, A in _oracle_cases(1):
+            mod = p**N
+            exps, U, V = smith_mod(A, p, N)
+            assert exps == sorted(exps) and all(0 <= e < N for e in exps)
+            D = mat_mul_mod(mat_mul_mod(U, A, p, N), V, p, N)
+            want = [[p ** exps[i] if i == j and i < len(exps) else 0
+                     for j in range(len(V))] for i in range(len(U))]
+            assert D == want, (p, N, A)
+            for T in (U, V):  # invertible: the columns span everything
+                assert len(_span([list(c) for c in zip(*T)], len(T), mod)) \
+                    == mod ** len(T)
+
+    def test_coker_invariants(self):
+        for p, N, A in _oracle_cases(2):
+            mod = p**N
+            full = set(_vectors(len(A), mod))
+            image = _span([list(c) for c in zip(*A)], len(A), mod)
+            inv = coker_invariants_mod(A, p, N)
+            assert inv == sorted(inv) and all(0 < e <= N for e in inv)
+            assert _counts_of(inv, p, N) == _killed_counts(full, image, p, N), \
+                (p, N, A)
+
+    def test_ker_basis_spans_kernel(self):
+        for p, N, A in _oracle_cases(3):
+            mod = p**N
+            cols = len(A[0])
+            brute = {x for x in _vectors(cols, mod)
+                     if not any(_apply(A, x, mod))}
+            assert _span(ker_basis_mod(A, p, N), cols, mod) == brute, (p, N, A)
+
+    def test_subquotient_structure(self):
+        rng = random.Random(4)
+        for p, N, A in _oracle_cases(4):
+            mod = p**N
+            n = len(A)
+            kgens = [list(c) for c in zip(*A)]
+            S = _span(kgens, n, mod)
+            pool = sorted(S)
+            bgens = [list(rng.choice(pool)) for _ in range(rng.randrange(3))]
+            B = _span(bgens, n, mod)
+            inv = subquotient_invariants(kgens, bgens, n, p, N)
+            assert inv == sorted(inv)
+            assert _counts_of(inv, p, N) == _killed_counts(S, B, p, N), \
+                (p, N, kgens, bgens)
+
+    @pytest.mark.parametrize("K,B,p,N,want", [
+        # span{(4, 3)} in (Z/8)^2 is cyclic of order 8
+        ([[4, 3]], [], 2, 3, [3]),
+        # span{(1, 1)} / span{(1, 1)} over Z/2 is zero
+        ([[1, 1], [0, 0]], [[0, 0], [1, 1]], 2, 1, []),
+    ])
+    def test_subquotient_named_cases(self, K, B, p, N, want):
+        assert subquotient_invariants(K, B, 2, p, N) == want
+
+    def test_solve_mod_against_solution_sets(self):
+        rng = random.Random(5)
+        for p, N, A in _oracle_cases(6):
+            mod = p**N
+            cols = len(A[0])
+            b = [rng.randrange(mod) for _ in A]
+            if rng.randrange(2):  # half the right-hand sides are consistent
+                b = list(_apply(A, [rng.randrange(mod) for _ in range(cols)], mod))
+            sols = [x for x in _vectors(cols, mod) if list(_apply(A, x, mod)) == b]
+            got = solve_mod(A, b, p, N)
+            if not sols:
+                assert got is None, (p, N, A, b)
+                continue
+            x, prec = got
+            assert tuple(x) in sols
+            # the digits on which every solution agrees, exactly
+            agree = min(_valuation_vec([(s - t) % mod for s, t in zip(sols[0], y)], p, N)
+                        for y in sols)
+            assert prec == agree, (p, N, A, b)
+
+    def test_solve_mod_rank_deficient_has_no_digits(self):
+        # [1, 1] solves the system as well as [1, 0]
+        x, prec = solve_mod([[1, 0], [0, 0]], [1, 0], 3, 4)
+        assert x[0] == 1 and prec == 0
+
+    def test_inv_mod_against_units(self):
+        for p, N, A in _oracle_cases(7):
+            if len(A) != len(A[0]):
+                continue
+            n = len(A)
+            mod = p**N
+            invertible = len(_span([list(c) for c in zip(*A)], n, mod)) == mod**n
+            if not invertible:
+                with pytest.raises(ZeroDivisionError):
+                    inv_mod(A, p, N)
+                continue
+            assert mat_mul_mod(A, inv_mod(A, p, N), p, N) == mat_identity(n)
+
+
 class TestQuotientRing:
     def test_q_power_reduction(self):
         R = QuotientRing(3, 8, 0, 1)
@@ -315,6 +466,12 @@ class TestQuotientRing:
         tau2 = beta.divide_exact(R.const(2))
         assert tau2 * 2 == beta
         assert tau2.prec == 7
+
+    def test_divide_exact_without_digits_raises(self):
+        # over Z/3 multiplication by 3 is zero, so every y solves 3 y = 0
+        R = QuotientRing(3, 1, 0, 1)
+        with pytest.raises(PrecisionError):
+            R.const(0).divide_exact(R.const(3))
 
     def test_mult_matrix_columns_are_products(self):
         rng = random.Random(2)
