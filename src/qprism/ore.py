@@ -38,22 +38,95 @@ from .padic import (
 # ---------------------------------------------------------------------------
 
 
-class SeriesScalars:
-    """Scalars in the truncated series ring A = (Z/p^N)[[t]]/(t^M)."""
+class _QScalars:
+    """The mixed-law scalars, written once over a ring of scalars.
 
-    kind = "series"
+    A subclass supplies the ring: ``zero``, ``one``, ``const``, ``q_pow``,
+    ``q_analogue(n, base)`` ([n]_{q^base}), ``droppable``, ``gamma0`` and
+    ``partial``.
+    """
 
-    def __init__(self, p, N, M, alpha, convention="absolute"):
-        self.p, self.N, self.M, self.alpha = p, N, M, alpha
+    def __init__(self, p, alpha, convention):
+        self.p, self.alpha = p, alpha
         self.convention = convention
         self.tw = p ** (alpha + 1) if convention == "absolute" else p
         self.beta_alpha = alpha if convention == "absolute" else 0
         self.k = self.tw + 1
-        self._gamma_img = TruncSeries.q_power(p, N, M, self.k)
-        self.beta = (TruncSeries.q_power(p, N, M, p**self.beta_alpha)
-                     - TruncSeries.one(p, N, M))
-        self.q = TruncSeries.q_power(p, N, M, 1)
-        self._scalar_cache = {}
+        self.beta = self.q_pow(p**self.beta_alpha) - self.one()
+        self._cache = {}
+
+    def is_zero(self, s):
+        return s.is_zero()
+
+    def nabla_factor(self, j: int):
+        """nabla(T^j) / T^(j-1) = [jp]_{q^(p^alpha_eff)}."""
+        key = ("nf", j)
+        if key not in self._cache:
+            self._cache[key] = self.q_analogue(j * self.p, self.p**self.beta_alpha)
+        return self._cache[key]
+
+    def gamma_t_factor(self, j: int):
+        return self.q_pow(j * self.tw)
+
+    def s0(self):
+        if "s0" not in self._cache:
+            ka = self.q_analogue(self.k, self.p**self.alpha)
+            kb = self.q_analogue(self.k, self.p ** (self.alpha + 1))
+            self._cache["s0"] = ka * kb.unit_inverse()
+        return self._cache["s0"]
+
+    def s0_inv(self):
+        if "s0i" not in self._cache:
+            self._cache["s0i"] = self.s0().unit_inverse()
+        return self._cache["s0i"]
+
+    def s1(self):
+        """-partial(d)/d = -sum_i [i p^alpha]_{q^(p^(alpha+1))} q^(i p^alpha - 1)."""
+        if "s1" not in self._cache:
+            p, alpha = self.p, self.alpha
+            acc = self.zero()
+            qinv = self.q_pow(1).unit_inverse()
+            for i in range(1, p):
+                acc = acc + (self.q_analogue(i * p**alpha, p ** (alpha + 1))
+                             * self.q_pow(i * p**alpha) * qinv)
+            self._cache["s1"] = -acc
+        return self._cache["s1"]
+
+    def akj_table(self, kmax: int) -> dict:
+        """a_{k,j}: a_{k+1,j} = a_{k,j}(1 + beta d [j]) + a_{k,j-1}."""
+        bd = self.q_pow(self.tw) - self.one()  # beta * d
+        table = {(1, 1): self.one()}
+        for k in range(1, kmax):
+            for j in range(1, k + 2):
+                prev = table.get((k, j), self.zero())
+                prev_lower = table.get((k, j - 1), self.one() if j == 1 else self.zero())
+                bracket = self.q_analogue(j, self.tw)
+                table[(k + 1, j)] = prev * (self.one() + bd * bracket) + prev_lower
+        return table
+
+    def d_coeffs(self) -> dict:
+        """Coefficients c_j of D = sum_j c_j T^(j-1) nabla^(j-1), j = 2..k."""
+        if "dc" not in self._cache:
+            k = self.k
+            table = self.akj_table(k)
+            kb_inv = self.q_analogue(k, self.p ** (self.alpha + 1)).unit_inverse()
+            qinv = self.q_pow(1).unit_inverse()
+            out = {}
+            for j in range(2, k + 1):
+                out[j] = (table[(k, j)] * kb_inv * qinv
+                          * self.q_pow(j * (j - 1) // 2 * self.tw)
+                          * self.beta ** (j - 2))
+            self._cache["dc"] = out
+        return self._cache["dc"]
+
+
+class SeriesScalars(_QScalars):
+    """Scalars in the truncated series ring A = (Z/p^N)[[t]]/(t^M)."""
+
+    def __init__(self, p, N, M, alpha, convention="absolute"):
+        self.N, self.M = N, M
+        super().__init__(p, alpha, convention)
+        self._gamma_img = self.q_pow(self.k)
 
     def zero(self):
         return TruncSeries.zero(self.p, self.N, self.M)
@@ -67,8 +140,8 @@ class SeriesScalars:
     def q_pow(self, k):
         return TruncSeries.q_power(self.p, self.N, self.M, k)
 
-    def is_zero(self, s):
-        return s.is_zero()
+    def q_analogue(self, n, base):
+        return TruncSeries.q_analogue(self.p, self.N, self.M, n, base)
 
     def droppable(self, s):
         # only a full-precision zero may be discarded; a reduced-precision
@@ -81,94 +154,15 @@ class SeriesScalars:
     def partial(self, s):
         return partial_arith(s, self.beta_alpha)
 
-    def nabla_factor(self, j: int):
-        """nabla(T^j) / T^(j-1) = [jp]_{q^(p^alpha_eff)}."""
-        key = ("nf", j)
-        if key not in self._scalar_cache:
-            self._scalar_cache[key] = TruncSeries.q_analogue(
-                self.p, self.N, self.M, j * self.p, self.p**self.beta_alpha)
-        return self._scalar_cache[key]
 
-    def gamma_t_factor(self, j: int):
-        return self.q_pow(j * self.tw)
-
-    # -- mixed-law scalars ---------------------------------------------------
-
-    def _k_series(self, base):
-        return TruncSeries.q_analogue(self.p, self.N, self.M, self.k, base)
-
-    def s0(self):
-        if "s0" not in self._scalar_cache:
-            ka = self._k_series(self.p**self.alpha)
-            kb = self._k_series(self.p ** (self.alpha + 1))
-            self._scalar_cache["s0"] = ka * kb.unit_inverse()
-        return self._scalar_cache["s0"]
-
-    def s0_inv(self):
-        if "s0i" not in self._scalar_cache:
-            self._scalar_cache["s0i"] = self.s0().unit_inverse()
-        return self._scalar_cache["s0i"]
-
-    def s1(self):
-        """-partial(d)/d = -sum_i [i p^alpha]_{q^(p^(alpha+1))} q^(i p^alpha - 1)."""
-        if "s1" not in self._scalar_cache:
-            p, alpha = self.p, self.alpha
-            acc = self.zero()
-            qinv = self.q_pow(1).unit_inverse()
-            for i in range(1, p):
-                acc = acc + (TruncSeries.q_analogue(p, self.N, self.M,
-                                                    i * p**alpha, p ** (alpha + 1))
-                             * self.q_pow(i * p**alpha) * qinv)
-            self._scalar_cache["s1"] = -acc
-        return self._scalar_cache["s1"]
-
-    def akj_table(self, kmax: int) -> dict:
-        """a_{k,j} over A: a_{k+1,j} = a_{k,j}(1 + beta d [j]) + a_{k,j-1}."""
-        p = self.p
-        bd = self.q_pow(self.tw) - self.one()  # beta * d
-        table = {(1, 1): self.one()}
-        for k in range(1, kmax):
-            for j in range(1, k + 2):
-                prev = table.get((k, j), self.zero())
-                prev_lower = table.get((k, j - 1), self.one() if j == 1 else self.zero())
-                bracket = TruncSeries.q_analogue(p, self.N, self.M, j,
-                                                 self.tw)
-                table[(k + 1, j)] = prev * (self.one() + bd * bracket) + prev_lower
-        return table
-
-    def d_coeffs(self) -> dict:
-        """Coefficients c_j of D = sum_j c_j T^(j-1) nabla^(j-1), j = 2..k."""
-        if "dc" not in self._scalar_cache:
-            k = self.k
-            table = self.akj_table(k)
-            kb_inv = self._k_series(self.p ** (self.alpha + 1)).unit_inverse()
-            qinv = self.q_pow(1).unit_inverse()
-            out = {}
-            for j in range(2, k + 1):
-                a_j = table[(k, j)]
-                out[j] = (a_j * kb_inv * qinv
-                          * self.q_pow(j * (j - 1) // 2 * self.tw)
-                          * self.beta ** (j - 2))
-            self._scalar_cache["dc"] = out
-        return self._scalar_cache["dc"]
-
-
-class QuotScalars:
+class QuotScalars(_QScalars):
     """Scalars in A/d^n; the twisted maps descend since they preserve (d)."""
 
-    kind = "quot"
-
-    def __init__(self, ring: QuotientRing, convention="absolute"):
+    def __init__(self, ring: QuotientRing):
         self.ring = ring
-        self.p, self.alpha = ring.p, ring.alpha
-        self.convention = convention
-        self.tw = self.p ** (self.alpha + 1) if convention == "absolute" else self.p
-        self.beta_alpha = self.alpha if convention == "absolute" else 0
-        self.k = self.tw + 1
+        super().__init__(ring.p, ring.alpha, "absolute")
         self._gamma_mat = ring.endo_matrix(self.k)
         self._partial_mat = ring.partial_matrix()
-        self.beta = ring.q_power(self.p**self.beta_alpha) - ring.one()
-        self._cache = {}
 
     def zero(self):
         return self.ring.zero()
@@ -182,8 +176,11 @@ class QuotScalars:
     def q_pow(self, k):
         return self.ring.q_power(k)
 
-    def is_zero(self, s):
-        return s.is_zero()
+    def q_analogue(self, n, base):
+        out = self.ring.zero()
+        for i in range(n):
+            out = out + self.ring.q_power(base * i)
+        return out
 
     def droppable(self, s):
         return s.is_zero() and s.prec >= self.ring.N
@@ -194,73 +191,16 @@ class QuotScalars:
     def partial(self, s):
         return s.apply_matrix(self._partial_mat)
 
-    def _qan(self, n, base):
-        out = self.ring.zero()
-        for i in range(n):
-            out = out + self.ring.q_power(base * i)
-        return out
-
-    def nabla_factor(self, j):
-        return self._qan(j * self.p, self.p**self.beta_alpha)
-
-    def gamma_t_factor(self, j):
-        return self.ring.q_power(j * self.tw)
-
-    def s0(self):
-        if "s0" not in self._cache:
-            self._cache["s0"] = (self._qan(self.k, self.p**self.alpha)
-                                 * self._qan(self.k, self.p ** (self.alpha + 1)).unit_inverse())
-        return self._cache["s0"]
-
-    def s0_inv(self):
-        if "s0i" not in self._cache:
-            self._cache["s0i"] = self.s0().unit_inverse()
-        return self._cache["s0i"]
-
-    def s1(self):
-        if "s1" not in self._cache:
-            acc = self.zero()
-            qinv = self.ring.q_power(1).unit_inverse()
-            for i in range(1, self.p):
-                acc = acc + (self._qan(i * self.p**self.alpha, self.p ** (self.alpha + 1))
-                             * self.ring.q_power(i * self.p**self.alpha) * qinv)
-            self._cache["s1"] = -acc
-        return self._cache["s1"]
-
-    def akj_table(self, kmax):
-        bd = self.ring.q_power(self.tw) - self.one()
-        table = {(1, 1): self.one()}
-        for k in range(1, kmax):
-            for j in range(1, k + 2):
-                prev = table.get((k, j), self.zero())
-                prev_lower = table.get((k, j - 1), self.one() if j == 1 else self.zero())
-                table[(k + 1, j)] = prev * (self.one() + bd * self._qan(j, self.tw)) + prev_lower
-        return table
-
-    def d_coeffs(self):
-        if "dc" not in self._cache:
-            k = self.k
-            table = self.akj_table(k)
-            kb_inv = self._qan(k, self.p ** (self.alpha + 1)).unit_inverse()
-            qinv = self.ring.q_power(1).unit_inverse()
-            out = {}
-            for j in range(2, k + 1):
-                out[j] = (table[(k, j)] * kb_inv * qinv
-                          * self.ring.q_power(j * (j - 1) // 2 * self.tw)
-                          * self.beta ** (j - 2))
-            self._cache["dc"] = out
-        return self._cache["dc"]
-
 
 class ResidueScalars:
     """Scalars in the residue field A/(p, d, q-1); all twists trivialize."""
 
-    kind = "residue"
+    convention = "absolute"
+    beta = 0
 
-    def __init__(self, p, alpha, convention="absolute"):
+    def __init__(self, p, alpha):
         self.p, self.alpha = p, alpha
-        self.convention = convention
-        self.tw = p ** (alpha + 1) if convention == "absolute" else p
+        self.tw = p ** (alpha + 1)
         self.k = self.tw + 1
 
     def zero(self):
@@ -380,7 +320,7 @@ class OreAlgebra:
         ctx = self.ctx
         s0i = ctx.s0_inv()
         s1 = ctx.s1()
-        bq = ctx.beta * ctx.q_pow(1) if ctx.kind != "residue" else 0
+        bq = ctx.beta * ctx.q_pow(1)
         dcs = ctx.d_coeffs()
         terms = {}
         z = (0,) * self.m
@@ -392,7 +332,8 @@ class OreAlgebra:
         ne1 = [0] * self.m
         ne1[i] = 1
         put(z, ne1, 1, s0i)                       # s0^-1 nabla_i partial
-        put(z, ne1, 0, (-s1) if ctx.kind != "residue" else (-s1) % ctx.p)
+        # const(-1) keeps residue-field coefficients reduced mod p
+        put(z, ne1, 0, ctx.const(-1) * s1)
         for j, cj in dcs.items():
             if ctx.is_zero(cj):
                 continue
@@ -585,7 +526,8 @@ def _partial_times(alg: OreAlgebra, x: OreElement, order_rng=None) -> OreElement
             out = out + moved
         else:
             out = out + OreElement(alg, {(te, ne, b + 1): gs})
-        if not ctx.is_zero(ds):
+        # partial costs a t-digit: only a full-precision zero may go
+        if not ctx.droppable(ds):
             out = out + OreElement(alg, {(te, ne, b): ds})
     return out
 

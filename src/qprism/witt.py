@@ -94,12 +94,40 @@ class SeriesBase:
         return x.reduce_prec(N=self.target_N)
 
 
-@dataclass(frozen=True)
 class EpsPair:
-    """f + eps*g in the rank-2 module over the scalar ring."""
+    """f + eps*g in the rank-2 module over the scalar ring; ``base``
+    supplies the rule for eps^2: ``base.eps_sq(g, h)`` is the
+    eps-coefficient of (eps*g)*(eps*h)."""
 
-    f: object
-    g: object
+    __slots__ = ("f", "g", "base")
+
+    def __init__(self, f, g, base):
+        self.f, self.g, self.base = f, g, base
+
+    def __repr__(self):
+        return f"EpsPair({self.f!r}, {self.g!r})"
+
+    def __add__(self, other):
+        return EpsPair(self.f + other.f, self.g + other.g, self.base)
+
+    def __sub__(self, other):
+        return EpsPair(self.f - other.f, self.g - other.g, self.base)
+
+    def __mul__(self, other):
+        return EpsPair(self.f * other.f,
+                       self.f * other.g + self.g * other.f
+                       + self.base.eps_sq(self.g, other.g), self.base)
+
+    def __pow__(self, k: int):
+        out = self.base.const(1)
+        x = self
+        while k:
+            if k & 1:
+                out = out * x
+            k >>= 1
+            if k:
+                x = x * x
+        return out
 
 
 class EpsSeriesBase(SeriesBase):
@@ -118,47 +146,25 @@ class EpsSeriesBase(SeriesBase):
     def _certify_frobenius(self):
         """phi(eps) - eps^p must vanish mod p: phi really lifts the
         p-power map (certified at construction)."""
-        eps = EpsPair(TruncSeries.zero(self.p, self.N, self.M),
-                      TruncSeries.one(self.p, self.N, self.M))
-        diff = self.sub(self.phi(eps), self.pow(eps, self.p))
-        if not self.congruent_mod_p_pow(diff, 1):
+        eps = EpsPair(self.const(0).f, self.const(1).f, self)
+        if not self.congruent_mod_p_pow(self.phi(eps) - eps**self.p, 1):
             raise ArithmeticError("frobenius lift fails the mod-p congruence")
 
     def const(self, c):
         return EpsPair(TruncSeries.const(self.p, self.N, self.M, c),
-                       TruncSeries.zero(self.p, self.N, self.M))
+                       TruncSeries.zero(self.p, self.N, self.M), self)
 
-    def pair(self, f, g):
-        return EpsPair(f, g)
-
-    def add(self, x, y):
-        return EpsPair(x.f + y.f, x.g + y.g)
-
-    def sub(self, x, y):
-        return EpsPair(x.f - y.f, x.g - y.g)
-
-    def mul(self, x, y):
-        return EpsPair(x.f * y.f, x.f * y.g + x.g * y.f + self.sq * x.g * y.g)
-
-    def pow(self, x, k):
-        out = self.const(1)
-        base = x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return out
+    def eps_sq(self, g, h):
+        return self.sq * g * h
 
     def phi(self, x):
-        return EpsPair(x.f.phi(), self.phi_unit * x.g.phi())
+        return EpsPair(x.f.phi(), self.phi_unit * x.g.phi(), self)
 
     def divide_p_pow(self, x, a):
-        return EpsPair(x.f.divide_p_pow(a), x.g.divide_p_pow(a))
+        return EpsPair(x.f.divide_p_pow(a), x.g.divide_p_pow(a), self)
 
     def times_p_pow(self, x, a):
-        return EpsPair(x.f.times_p_pow(a, self.N), x.g.times_p_pow(a, self.N))
+        return EpsPair(x.f.times_p_pow(a, self.N), x.g.times_p_pow(a, self.N), self)
 
     def is_zero(self, x):
         return x.f.is_zero() and x.g.is_zero()
@@ -168,7 +174,8 @@ class EpsSeriesBase(SeriesBase):
                 and x.g.reduce_prec(N=min(a, x.g.N)).is_zero())
 
     def reduce_target(self, x):
-        return EpsPair(x.f.reduce_prec(N=self.target_N), x.g.reduce_prec(N=self.target_N))
+        return EpsPair(x.f.reduce_prec(N=self.target_N),
+                       x.g.reduce_prec(N=self.target_N), self)
 
 
 class TEpsSeriesBase(EpsSeriesBase):
@@ -181,25 +188,19 @@ class TEpsSeriesBase(EpsSeriesBase):
         self.beta = (TruncSeries.q_power(p, N_work, M, p**alpha)
                      - TruncSeries.one(p, N_work, M))
         self.d = TruncSeries.d_series(p, N_work, M, alpha)
-        eps = EpsPair(TPoly.zero(p, N_work, M, tcap),
-                      TPoly.one(p, N_work, M, tcap))
-        diff = self.sub(self.phi(eps), self.pow(eps, p))
-        if not self.congruent_mod_p_pow(diff, 1):
-            raise ArithmeticError("frobenius lift fails the mod-p congruence")
+        self._certify_frobenius()
 
     def const(self, c):
         z = TPoly.zero(self.p, self.N, self.M, self.tcap)
-        return EpsPair(TPoly.const(self.p, self.N, self.M, self.tcap, c), z)
+        return EpsPair(TPoly.const(self.p, self.N, self.M, self.tcap, c), z, self)
 
-    def mul(self, x, y):
-        cross = x.g * y.g
-        cross = cross.map_terms(lambda j, s: (j + 1, s * self.beta))
-        return EpsPair(x.f * y.f, x.f * y.g + x.g * y.f + cross)
+    def eps_sq(self, g, h):
+        return (g * h).map_terms(lambda j, s: (j + 1, s * self.beta))
 
     def phi(self, x):
         fr = x.f.map_terms(lambda j, s: (j * self.p, s.phi()))
         gr = x.g.map_terms(lambda j, s: (j * self.p + self.p - 1, s.phi() * self.d))
-        return EpsPair(fr, gr)
+        return EpsPair(fr, gr, self)
 
     def congruent_mod_p_pow(self, x, a):
         def ok(tp):
@@ -209,7 +210,7 @@ class TEpsSeriesBase(EpsSeriesBase):
 
     def reduce_target(self, x):
         red = lambda tp: tp.map_terms(lambda j, s: (j, s.reduce_prec(N=self.target_N)))
-        return EpsPair(red(x.f), red(x.g))
+        return EpsPair(red(x.f), red(x.g), self)
 
 
 class QuotBase:
@@ -237,22 +238,6 @@ class QuotBase:
         return x
 
 
-def _mul(base, x, y):
-    return base.mul(x, y) if hasattr(base, "mul") else x * y
-
-
-def _add(base, x, y):
-    return base.add(x, y) if hasattr(base, "add") else x + y
-
-
-def _sub(base, x, y):
-    return base.sub(x, y) if hasattr(base, "sub") else x - y
-
-
-def _pow(base, x, k):
-    return base.pow(x, k) if hasattr(base, "pow") else x**k
-
-
 # ---------------------------------------------------------------------------
 # WittVector
 # ---------------------------------------------------------------------------
@@ -275,8 +260,7 @@ class WittVector:
         for n in range(len(self.coords)):
             acc = base.const(0)
             for i in range(n + 1):
-                term = _pow(base, self.coords[i], p ** (n - i))
-                acc = _add(base, acc, base.times_p_pow(term, i))
+                acc = acc + base.times_p_pow(self.coords[i] ** (p ** (n - i)), i)
             out.append(acc)
         return out
 
@@ -284,7 +268,7 @@ class WittVector:
         return WittVector(self.base, (self.base.const(0),) + self.coords[:-1])
 
     def __eq__(self, other):
-        return all(self.base.is_zero(_sub(self.base, a, b))
+        return all(self.base.is_zero(a - b)
                    for a, b in zip(self.coords, other.coords))
 
     def reduce_target(self) -> "WittVector":
@@ -310,7 +294,7 @@ def dwork_check(base, ghosts, strict=False) -> bool:
     if not base.has_phi:
         return True
     for n in range(len(ghosts) - 1):
-        diff = _sub(base, base.phi(ghosts[n]), ghosts[n + 1])
+        diff = base.phi(ghosts[n]) - ghosts[n + 1]
         if strict:
             if not base.is_zero(diff):
                 return False
@@ -332,8 +316,7 @@ def from_ghost(base, ghosts, check_dwork=True, strict_dwork=False) -> WittVector
     for n, r in enumerate(ghosts):
         acc = r
         for i in range(n):
-            term = _pow(base, coords[i], p ** (n - i))
-            acc = _sub(base, acc, base.times_p_pow(term, i))
+            acc = acc - base.times_p_pow(coords[i] ** (p ** (n - i)), i)
         try:
             coords.append(base.divide_p_pow(acc, n) if n else acc)
         except DivisionCertificateError as exc:
@@ -343,12 +326,12 @@ def from_ghost(base, ghosts, check_dwork=True, strict_dwork=False) -> WittVector
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
     ga, gb = a.ghost(), b.ghost()
-    return from_ghost(a.base, [_add(a.base, x, y) for x, y in zip(ga, gb)],
+    return from_ghost(a.base, [x + y for x, y in zip(ga, gb)],
                       check_dwork=False)
 
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     ga, gb = a.ghost(), b.ghost()
-    return from_ghost(a.base, [_mul(a.base, x, y) for x, y in zip(ga, gb)],
+    return from_ghost(a.base, [x * y for x, y in zip(ga, gb)],
                       check_dwork=False)
 
 
@@ -364,7 +347,7 @@ def delta_witt(a: WittVector) -> WittVector:
     ghosts = a.ghost()
     out = []
     for n in range(len(ghosts) - 1):
-        num = _sub(base, ghosts[n + 1], _pow(base, ghosts[n], p))
+        num = ghosts[n + 1] - ghosts[n] ** p
         out.append(base.divide_p_pow(num, 1))
     return from_ghost(base, out, check_dwork=False)
 
@@ -425,7 +408,7 @@ def _series_of_poly(base, poly: BigPoly):
                 gr = gr + tp
             else:
                 fr = fr + tp
-        return EpsPair(fr, gr)
+        return EpsPair(fr, gr, base)
     fr = TruncSeries.zero(p, N, M)
     gr = TruncSeries.zero(p, N, M)
     for (qe, ee, te), cval in poly.terms.items():
@@ -435,7 +418,7 @@ def _series_of_poly(base, poly: BigPoly):
         else:
             fr = fr + s
     if isinstance(base, EpsSeriesBase):
-        return EpsPair(fr, gr)
+        return EpsPair(fr, gr, base)
     if any(any(k[1]) for k in poly.terms):
         raise ValueError("eps term in a plain series base")
     return fr

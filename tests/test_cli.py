@@ -118,6 +118,20 @@ class TestExitCodes:
             (suites.FAIL, "KeyError('boom')")]
 
 
+SWEEP_SUITES = ["nilpotence", "ore-akj", "ore-assoc", "ore-master-relation"]
+
+
+@pytest.mark.parametrize("N,M", [(1, 2), (2, 4)])
+@pytest.mark.parametrize("p,alpha", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_low_precision_sweep_has_no_unregistered_failure(p, alpha, N, M):
+    # a true identity may only pass or be not-certified at any precision;
+    # the p=2, alpha=0 boundary cases report expected-discrepancy
+    cfg = RunConfig(p=p, alpha=alpha, p_prec=N, t_prec=M, suites=SWEEP_SUITES)
+    failed = [(r.name, c.case_id, c.witness)
+              for r in run_suites(cfg) for c in r.failed]
+    assert failed == []
+
+
 class TestConfigLayers:
     def test_env_override(self):
         proc = run_cli(["--suite", "e-beta"], env={"QPRISM_P": "5"})

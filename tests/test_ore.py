@@ -183,6 +183,16 @@ class TestAkj:
                 sv = TruncSeries.from_q_poly(p, 8, 24, v.q_coefficients())
                 assert st[(k, j)] == sv
 
+    @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (2, 0)])
+    def test_quot_table_matches_exact(self, p, a):
+        # the same recursion over A/d, read through the quotient map
+        ring = QuotientRing(p, 8, a, 1)
+        qt = QuotScalars(ring).akj_table(4)
+        et = akj_exact(p, a, 4)
+        assert set(qt) == set(et)
+        for key, v in et.items():
+            assert qt[key] == ring.from_q_poly(v.q_coefficients())
+
 
 class TestMasterRelation:
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1)])
@@ -231,6 +241,12 @@ class TestSpecialize:
         # p=2, alpha=0 is the excluded boundary: the correction term
         # C(3,2) = 3 is odd and the letters genuinely fail to commute
         assert not commutator_mod_residue(2, 0).is_zero()
+
+    def test_commutator_boundary_value(self):
+        # the value the p=2, alpha=0 discrepancy is registered for; the
+        # residue coefficients stay reduced mod 2
+        assert (commutator_mod_residue(2, 0).render()
+                == "(1)*nabla1^1 + (1)*T1^1*nabla1^2")
 
     def test_mod_d_algebra_products(self):
         ring = QuotientRing(3, 8, 0, 1)

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from qprism.exactcore import RingPresentation, q_analogue
-from qprism.padic import TruncSeries, teichmuller, vp_factorial
+from qprism.padic import TPoly, TruncSeries, teichmuller, vp_factorial
 from qprism.witt import (
+    EpsPair,
+    EpsSeriesBase,
     ExactPolyBase,
     GhostSolveError,
     NonexistenceWitness,
     SeriesBase,
+    TEpsSeriesBase,
     WittVector,
     construct_b,
     construct_c,
@@ -252,6 +255,71 @@ class TestWittOps:
 
 
 ACCEPT_TRIPLES = [(3, 0), (2, 1), (5, 0)]
+
+
+def _eps_base(kind, p, a):
+    if kind == "eps":
+        return EpsSeriesBase(p, 6, 12, a)
+    return TEpsSeriesBase(p, 6, 12, a, tcap=24)
+
+
+def _rand_pair(base, rng):
+    def series():
+        return TruncSeries(base.p, base.N, base.M,
+                           [rng.randrange(base.p**base.N) for _ in range(base.M)])
+
+    def part():
+        if isinstance(base, TEpsSeriesBase):
+            return TPoly(base.p, base.N, base.M, base.tcap,
+                         {j: series() for j in range(2)})
+        return series()
+
+    return EpsPair(part(), part(), base)
+
+
+EPS_BASES = [(kind, p, a) for kind in ("eps", "teps") for p, a in ((3, 0), (2, 1))]
+
+
+class TestEpsPair:
+    """Ring laws of f + eps*g, and eps^2 against each base's rule."""
+
+    @pytest.mark.parametrize("kind,p,a", EPS_BASES)
+    def test_ring_laws(self, kind, p, a):
+        base = _eps_base(kind, p, a)
+        rng = random.Random(11)
+        for _ in range(4):
+            x, y, z = (_rand_pair(base, rng) for _ in range(3))
+            assert base.is_zero((x * y) * z - x * (y * z))
+            assert base.is_zero(x * (y + z) - (x * y + x * z))
+            assert base.is_zero((x + y) * z - (x * z + y * z))
+            assert base.is_zero(x * y - y * x)
+
+    @pytest.mark.parametrize("kind,p,a", EPS_BASES)
+    def test_eps_squared(self, kind, p, a):
+        base = _eps_base(kind, p, a)
+        N, M = base.N, base.M
+        q = TruncSeries.q_power(p, N, M, 1)
+        beta = TruncSeries.q_power(p, N, M, p**a) - TruncSeries.one(p, N, M)
+        if kind == "eps":
+            # eps^2 = q (q^(p^alpha) - 1) eps
+            eps = EpsPair(TruncSeries.zero(p, N, M), TruncSeries.one(p, N, M), base)
+            want = q * beta
+        else:
+            # (eps dT)^2 = (q^(p^alpha) - 1) T eps dT
+            eps = EpsPair(TPoly.zero(p, N, M, base.tcap),
+                          TPoly.one(p, N, M, base.tcap), base)
+            want = TPoly.t_power(p, N, M, base.tcap, 1, beta)
+        sq = eps * eps
+        assert sq.f.is_zero() and (sq.g - want).is_zero()
+
+    @pytest.mark.parametrize("kind,p,a", EPS_BASES)
+    def test_pow_is_repeated_product(self, kind, p, a):
+        base = _eps_base(kind, p, a)
+        x = _rand_pair(base, random.Random(5))
+        prod = base.const(1)
+        for k in range(p + 2):
+            assert base.is_zero(x**k - prod)
+            prod = prod * x
 
 
 class TestConstructions:
