@@ -16,7 +16,11 @@ fixed per presentation.
 
 from __future__ import annotations
 
+import functools
+import math
+import re
 from dataclasses import dataclass, field
+from operator import add, itemgetter
 from typing import Iterable
 
 DEFAULT_MAX_QDEG = 4096
@@ -104,8 +108,9 @@ class RingPresentation:
         """q^(p^alpha) - 1, the square factor shared by all eps rules."""
         return self.q_pow(self.p**self.alpha) - self.one()
 
+    @functools.cache
     def eps_square_factor(self, idx: int) -> "BigPoly":
-        """F with eps_idx^2 -> F * eps_idx."""
+        """F with eps_idx^2 -> F * eps_idx, built once per (presentation, idx)."""
         if self.has_eps0 and idx == 0:
             return self.q_pow(1) * self.beta()
         i = self.t_index(idx)
@@ -128,7 +133,8 @@ class BigPoly:
 
     Terms map (q-exponent, eps-exponents, T-exponents) to a nonzero int;
     after reduction every eps exponent is 0 or 1 and at most one eps is
-    present per term.
+    present per term.  The product kernel relies on this: it files each
+    term under its one eps, or none.
     """
 
     __slots__ = ("pres", "terms")
@@ -180,39 +186,15 @@ class BigPoly:
                 return self.pres.zero()
             return BigPoly(self.pres, {k: c * other for k, c in self.terms.items()})
         other = self._coerce(other)
-        pres = self.pres
-        out: dict = {}
-        pending = []
-        for (q1, e1, t1), c1 in self.terms.items():
-            for (q2, e2, t2), c2 in other.terms.items():
-                qe = q1 + q2
-                te = tuple(a + b for a, b in zip(t1, t2))
-                ee = tuple(a + b for a, b in zip(e1, e2))
-                pending.append((qe, ee, te, c1 * c2))
-        while pending:
-            qe, ee, te, c = pending.pop()
-            live = [i for i, e in enumerate(ee) if e > 0]
-            if len(live) > 1:
-                continue  # eps_i * eps_j = 0
-            if live and ee[live[0]] > 1:
-                idx = live[0]
-                fac = pres.eps_square_factor(idx)
-                red = [0] * pres.n_eps
-                red[idx] = ee[idx] - 1
-                for (fq, fe, ft), fc in fac.terms.items():
-                    pending.append(
-                        (qe + fq, tuple(a + b for a, b in zip(red, fe)),
-                         tuple(a + b for a, b in zip(te, ft)), c * fc)
-                    )
-                continue
-            self._check_key(pres, qe, te)
-            key = (qe, ee, te)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return BigPoly(pres, out)
+        a, b = self.terms, other.terms
+        if not (a and b):
+            return self.pres.zero()
+        for one, many in ((b, a), (a, b)):
+            if len(one) == 1:
+                [(key, c)] = one.items()
+                if not any(key[1]):
+                    return BigPoly(self.pres, _mul_by_term(self.pres, many, key, c))
+        return BigPoly(self.pres, _packed_mul(self.pres, a, b))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -362,6 +344,175 @@ class BigPoly:
         return f"BigPoly({self.render()})"
 
 
+# -- the product kernel -----------------------------------------------------
+#
+# A general product splits each operand by eps sector (no eps, eps_0,
+# eps_1, ...), packs each sector of Z[q, T] into one integer (Kronecker
+# substitution over the product's exponent box in mixed radix, one signed
+# slot per monomial), multiplies each sector pair once and decodes each
+# target sector once.  The rewrite eps_i^2 -> F_i * eps_i is one shifted
+# add per term of F_i; eps_i * eps_j (i != j) pairs are never formed.
+
+
+@functools.cache
+def _eps_sectors(n_eps: int):
+    """The eps exponents of each sector (0 = none, 1 + idx = eps_idx),
+    and the map back from eps exponents to sector."""
+    keys = [(0,) * n_eps] + [tuple(int(j == i) for j in range(n_eps))
+                             for i in range(n_eps)]
+    return keys, {k: s for s, k in enumerate(keys)}
+
+
+@functools.cache
+def _zero_run(width: int):
+    """Matches, from a slot boundary, the slots that hold 0 after the
+    2^(8*width-1) bias: width-1 zero bytes, then 0x80 (little-endian)."""
+    return re.compile(b"(?:" + re.escape(bytes(width - 1) + b"\x80") + b")*").match
+
+
+def _mul_by_term(pres, terms, key, c0):
+    """``terms`` times the eps-free term c0 * q^q0 * T^t0: a shift, no
+    collision and no eps rewrite."""
+    q0, _, t0 = key
+    if any(t0):
+        out = {(qe + q0, ee, tuple(map(add, te, t0))): c * c0
+               for (qe, ee, te), c in terms.items()}
+    else:
+        out = {(qe + q0, ee, te): c * c0 for (qe, ee, te), c in terms.items()}
+    # Keys sort by q-exponent first.  Checking the extreme exponents
+    # checks every key.
+    t_max = (max(map(max, map(itemgetter(2), out))),) if pres.m else ()
+    BigPoly._check_key(pres, min(out)[0], t_max)
+    BigPoly._check_key(pres, max(out)[0], ())
+    return out
+
+
+def _split(terms, sector_of):
+    """Sector -> (exponent columns (q, T_1..T_m), coefficients, lo, hi)."""
+    secs = {}
+    for (qe, ee, te), c in terms.items():
+        sec = secs.setdefault(sector_of[ee], ([], []))
+        sec[0].append((qe, *te))
+        sec[1].append(c)
+    out = {}
+    for s, (vecs, coeffs) in secs.items():
+        cols = list(zip(*vecs))
+        out[s] = (cols, coeffs, [min(x) for x in cols], [max(x) for x in cols])
+    return out
+
+
+def _pack(sec, strides, width):
+    """One sector as a signed integer: the coefficient of the monomial at
+    mixed-radix index k, counted from the sector's own corner, sits in
+    slot k of ``width`` bytes."""
+    cols, coeffs, slo, shi = sec
+    offs = [0] * len(coeffs)
+    for col, l, s in zip(cols, slo, strides):
+        s *= width
+        offs = [k + (x - l) * s for k, x in zip(offs, col)]
+    top = sum((h - l) * s for h, l, s in zip(shi, slo, strides))
+    size = (top + 1) * width
+    pos = bytearray(size)
+    neg = None
+    for k, c in zip(offs, coeffs):
+        if c > 0:
+            pos[k:k + width] = c.to_bytes(width, "little")
+        else:
+            if neg is None:
+                neg = bytearray(size)
+            neg[k:k + width] = (-c).to_bytes(width, "little")
+    val = int.from_bytes(pos, "little")
+    return val - int.from_bytes(neg, "little") if neg else val
+
+
+def _unpack(x, ee, lo, dims, width, out):
+    """Add the nonzero slots of the packed sector ``x`` to ``out``, as
+    terms with eps exponents ``ee``; ``lo`` is the box's corner."""
+    slots = math.prod(dims)
+    nbytes = slots * width
+    half = 1 << (8 * width - 1)
+    # Bias every slot by 2^(8*width-1) so that each reads as unsigned;
+    # then one bytes object holds every slot, and a zero slot reads as
+    # the bias.  Only the biased sum and its bytes are full-size copies.
+    x += int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = x.to_bytes(nbytes, "little")
+    del x
+    skip = _zero_run(width)
+    lo0, t_lo, d0, t_dims = lo[0], lo[1:], dims[0], dims[1:]
+    pos = skip(raw, 0).end()
+    while pos < nbytes:
+        c = int.from_bytes(raw[pos:pos + width], "little") - half
+        k = pos // width
+        if t_dims:
+            k, qe = divmod(k, d0)
+            te = []
+            for d, l in zip(t_dims, t_lo):
+                k, t = divmod(k, d)
+                te.append(t + l)
+            out[(qe + lo0, ee, tuple(te))] = c
+        else:
+            out[(k + lo0, ee, ())] = c
+        pos = skip(raw, pos + width).end()
+
+
+def _packed_mul(pres, a, b):
+    """The reduced terms of a * b, for nonempty term dicts a and b."""
+    keys, sector_of = _eps_sectors(pres.n_eps)
+    sa_all, sb_all = _split(a, sector_of), _split(b, sector_of)
+    # (a sector, b sector, target sector, [(exponent shift, coefficient)])
+    pairs = []
+    for sa in sa_all:
+        for sb in sb_all:
+            if not (sa and sb):
+                pairs.append((sa, sb, sa or sb, [((0,) * (pres.m + 1), 1)]))
+            elif sa == sb:
+                fac = pres.eps_square_factor(sa - 1)
+                pairs.append((sa, sb, sa, [((fq, *ft), fc)
+                                           for (fq, _, ft), fc in fac.terms.items()]))
+    if not pairs:
+        return {}
+    # The exponent box of the product.  Each of its extremes is attained
+    # by a real term pair (after the eps^2 rewrite, before cancellation),
+    # so checking the extremes checks every term.
+    lo = hi = None
+    for sa, sb, _, shifts in pairs:
+        A, B = sa_all[sa], sb_all[sb]
+        cols = list(zip(*(f for f, _ in shifts)))
+        plo = [x + y + min(f) for x, y, f in zip(A[2], B[2], cols)]
+        phi = [x + y + max(f) for x, y, f in zip(A[3], B[3], cols)]
+        lo = plo if lo is None else list(map(min, lo, plo))
+        hi = phi if hi is None else list(map(max, hi, phi))
+    BigPoly._check_key(pres, lo[0], hi[1:])
+    BigPoly._check_key(pres, hi[0], ())
+    dims = [h - l + 1 for h, l in zip(hi, lo)]
+    strides = [1]
+    for d in dims[:-1]:
+        strides.append(strides[-1] * d)
+    # Slot width: an output slot takes at most one product per term of a
+    # when no eps^2 is rewritten and at most 1 + |F| with one, so no
+    # output coefficient exceeds the bound; two spare bits keep each
+    # signed slot exact under the bias.
+    per_term = 1 + max((sum(abs(c) for _, c in shifts)
+                        for sa, sb, _, shifts in pairs if sa and sb), default=0)
+    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+             * min(len(a), len(b)) * per_term)
+    width = (bound.bit_length() + 2 + 7) // 8
+    bits = 8 * width
+    packed_a = {sa: _pack(sa_all[sa], strides, width) for sa in {p[0] for p in pairs}}
+    packed_b = {sb: _pack(sb_all[sb], strides, width) for sb in {p[1] for p in pairs}}
+    acc = {}
+    for sa, sb, target, shifts in pairs:
+        prod = packed_a[sa] * packed_b[sb]
+        base = [x + y - l for x, y, l in zip(sa_all[sa][2], sb_all[sb][2], lo)]
+        for f, fc in shifts:
+            k = sum((x + y) * s for x, y, s in zip(base, f, strides))
+            acc[target] = acc.get(target, 0) + ((fc * prod) << (bits * k))
+    out = {}
+    for target in list(acc):
+        _unpack(acc.pop(target), keys[target], lo, dims, width, out)
+    return out
+
+
 # -- q-analogues and identity checks ---------------------------------------
 
 
@@ -369,10 +520,12 @@ def q_analogue(pres: RingPresentation, n: int, base_exp: int = 1) -> BigPoly:
     """[n]_{q^base_exp} = 1 + q^b + ... + q^(b(n-1)), with [0] = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = pres.zero()
-    for i in range(n):
-        out = out + pres.q_pow(base_exp * i)
-    return out
+    if n == 0 or base_exp == 0:
+        return pres.const(n)
+    # the keys run from q^0 to q^(b(n-1)), so only the last can fail
+    BigPoly._check_key(pres, base_exp * (n - 1), ())
+    _, ee, te = pres._key(0, (), ())
+    return BigPoly(pres, {(base_exp * i, ee, te): 1 for i in range(n)})
 
 
 def psi_q_power(pres: RingPresentation, k: int) -> BigPoly:

@@ -158,6 +158,9 @@ def suite_e_beta(cfg: RunConfig):
 
 
 def _construction_cases(cfg, name, builder):
+    """The series construction's checks and the exact cross-check.  A
+    builder that runs out of precision gives a not-certified case; any
+    other exception is a failing case."""
     cases = []
     t0 = time.perf_counter()
     try:
@@ -165,13 +168,19 @@ def _construction_cases(cfg, name, builder):
         for check, ok in res.checks.items():
             _case(cases, f"{name}: {check}", ok, "", None)
         cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
-    except Exception as exc:  # pragma: no cover - surfaced as a case
+    except PrecisionError as exc:
+        cases.append(SuiteCase(f"{name}: series construction", NOT_CERTIFIED,
+                               f"PrecisionError: {exc}"))
+    except Exception as exc:
         cases.append(SuiteCase(f"{name}: series construction", FAIL, repr(exc)))
     t0 = time.perf_counter()
     try:
         res = builder("exact")
         _case(cases, f"{name}: exact cross-check (small instance)", res.ok, "", t0)
-    except Exception as exc:  # pragma: no cover
+    except PrecisionError as exc:
+        cases.append(SuiteCase(f"{name}: exact cross-check", NOT_CERTIFIED,
+                               f"PrecisionError: {exc}"))
+    except Exception as exc:
         cases.append(SuiteCase(f"{name}: exact cross-check", FAIL, repr(exc)))
     return cases
 

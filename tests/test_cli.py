@@ -118,6 +118,45 @@ class TestExitCodes:
             (suites.FAIL, "KeyError('boom')")]
 
 
+class TestConstructionCases:
+    """``suites._construction_cases`` with stub builders: a precision
+    shortfall is not-certified, any other exception fails."""
+
+    class Built:
+        checks = {"first": True, "second": False}
+        ok = True
+
+    def run(self, series, exact):
+        def builder(backend):
+            outcome = series if backend == "series" else exact
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+        return [(c.case_id, c.status, c.witness)
+                for c in suites._construction_cases(RunConfig(), "x", builder)]
+
+    def test_both_builders_succeed(self):
+        assert self.run(self.Built(), self.Built()) == [
+            ("x: first", suites.PASS, ""),
+            ("x: second", suites.FAIL, ""),
+            ("x: exact cross-check (small instance)", suites.PASS, "")]
+
+    def test_precision_error_is_not_certified(self):
+        lost = suites.PrecisionError("no t-digits left")
+        assert self.run(lost, lost) == [
+            ("x: series construction", suites.NOT_CERTIFIED,
+             "PrecisionError: no t-digits left"),
+            ("x: exact cross-check", suites.NOT_CERTIFIED,
+             "PrecisionError: no t-digits left")]
+
+    def test_other_exception_fails(self):
+        assert self.run(ValueError("bad"), self.Built()) == [
+            ("x: series construction", suites.FAIL, "ValueError('bad')"),
+            ("x: exact cross-check (small instance)", suites.PASS, "")]
+        assert self.run(self.Built(), KeyError("k"))[-1] == (
+            "x: exact cross-check", suites.FAIL, "KeyError('k')")
+
+
 SWEEP_SUITES = ["nilpotence", "ore-akj", "ore-assoc", "ore-master-relation"]
 
 

@@ -1,12 +1,16 @@
 """Exact polynomial layer: identities checked by literal term equality."""
 
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qprism.exactcore import (
+    DEFAULT_MAX_QDEG,
+    BigPoly,
+    ExponentOverflow,
     NegativeQPower,
     RingPresentation,
     divides_exactly,
@@ -58,6 +62,23 @@ class TestQAnalogue:
         P = pres(5, 1)
         for n in (0, 1, 4, 9):
             assert q_analogue(P, n).eval_q_one() == n
+
+    def test_one_pass_equals_sum_of_powers(self):
+        P = pres(3, 0, m=1)
+        for b in (0, 1, 3, 7):
+            for n in range(12):
+                total = P.zero()
+                for i in range(n):
+                    total = total + P.q_pow(b * i)
+                assert q_analogue(P, n, b).terms == total.terms
+
+    def test_keys_checked(self):
+        P = pres(3, 0, max_qdeg=10)
+        assert q_analogue(P, 6, 2) == q_analogue(P, 3, 4) * q_analogue(P, 2, 2)
+        with pytest.raises(ExponentOverflow):
+            q_analogue(P, 7, 2)
+        with pytest.raises(NegativeQPower):
+            q_analogue(P, 2, -1)
 
 
 class TestPsi:
@@ -234,3 +255,176 @@ def test_render_canonical_order():
     P = pres(3, 0, m=1)
     x = P.t_pow(0) * P.q_pow(2) + P.eps(0) + P.const(5)
     assert x.render() == "5 + e0 + q^2*T1"
+
+
+# -- the packed product kernel against the term-pair reference ---------------
+
+
+def reference_square_rule(P, idx):
+    """eps_idx^2 -> F * eps_idx, as (q shift, T shift, coefficient) terms,
+    written from the rules in the exactcore docstring."""
+    b = P.p**P.alpha
+    if P.has_eps0 and idx == 0:
+        return [(1 + b, (0,) * P.m, 1), (1, (0,) * P.m, -1)]
+    t = tuple(int(j == P.t_index(idx)) for j in range(P.m))
+    return [(b, t, 1), (0, t, -1)]
+
+
+def reference_mul(x, y):
+    """Every term pair expanded, eps rewrites driven by a pending list,
+    every resulting key checked before it is summed."""
+    P = x.pres
+    out = {}
+    pending = []
+    for (q1, e1, t1), c1 in x.terms.items():
+        for (q2, e2, t2), c2 in y.terms.items():
+            pending.append((q1 + q2, tuple(map(add, e1, e2)),
+                            tuple(map(add, t1, t2)), c1 * c2))
+    while pending:
+        qe, ee, te, c = pending.pop()
+        live = [i for i, e in enumerate(ee) if e > 0]
+        if len(live) > 1:
+            continue  # eps_i * eps_j = 0
+        if live and ee[live[0]] > 1:
+            idx = live[0]
+            red = list(ee)
+            red[idx] -= 1
+            for fq, ft, fc in reference_square_rule(P, idx):
+                pending.append((qe + fq, tuple(red), tuple(map(add, te, ft)), c * fc))
+            continue
+        BigPoly._check_key(P, qe, te)
+        key = (qe, ee, te)
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (NegativeQPower, ExponentOverflow) as exc:
+        return type(exc)
+    return result.terms if isinstance(result, BigPoly) else result
+
+
+def random_poly(P, rng, nterms, coeff_bits, qmin=0, qmax=8, tmax=4):
+    terms = {}
+    for _ in range(nterms):
+        ee = [0] * P.n_eps
+        if P.n_eps and rng.random() < 0.5:
+            ee[rng.randrange(P.n_eps)] = 1
+        te = tuple(rng.randint(0, tmax) for _ in range(P.m))
+        c = rng.randint(1, 1 << coeff_bits) * rng.choice((1, -1))
+        terms[(rng.randint(qmin, qmax), tuple(ee), te)] = c
+    return BigPoly(P, terms)
+
+
+class TestBigPolyKernel:
+    """``BigPoly.__mul__`` equals the term-pair reference, in the terms it
+    returns and in the exception it raises."""
+
+    PRESENTATIONS = [
+        dict(p=3, alpha=0, m=0, has_eps0=True),
+        dict(p=2, alpha=1, m=0, has_eps0=True, q_invertible=True),
+        dict(p=3, alpha=1, m=1, has_eps0=False),
+        dict(p=5, alpha=0, m=1, has_eps0=True, q_invertible=True),
+        dict(p=2, alpha=0, m=2, has_eps0=False, q_invertible=True),
+        dict(p=3, alpha=0, m=2, has_eps0=True),
+    ]
+
+    @pytest.mark.parametrize("kw", PRESENTATIONS)
+    def test_random_products_match_reference(self, kw):
+        rng = random.Random(repr(sorted(kw.items())))
+        for bound in (DEFAULT_MAX_QDEG, 14):
+            P = RingPresentation(max_qdeg=bound, max_tdeg=bound // 2 + 1, **kw)
+            qmin = -6 if P.q_invertible else 0
+            for _ in range(60):
+                x = random_poly(P, rng, rng.randint(1, 7), rng.choice((3, 40, 130)), qmin)
+                y = random_poly(P, rng, rng.randint(1, 7), rng.choice((3, 40, 130)), qmin)
+                assert outcome(BigPoly.__mul__, x, y) == outcome(reference_mul, x, y)
+
+    def test_every_sector_pair(self):
+        P = pres(3, 1, m=2, has_eps0=True)
+        parts = [P.const(2) + P.q_pow(3) * P.t_pow(1)] + [
+            P.eps(i) * (P.q_pow(i) - P.t_pow(0, 2)) for i in range(P.n_eps)]
+        for x in parts:
+            for y in parts:
+                assert (x * y).terms == reference_mul(x, y)
+        # eps_i * eps_j = 0, eps_i^2 = F_i * eps_i
+        assert not P.eps(1) * P.eps(2)
+        assert not (P.eps(0) + P.const(1)) * P.eps(1) * P.eps(2)
+        for i in range(P.n_eps):
+            assert P.eps(i) * P.eps(i) == P.eps_square_factor(i) * P.eps(i)
+        total = sum(parts, P.zero())
+        assert (total * total).terms == reference_mul(total, total)
+
+    def test_product_cancels_to_zero(self):
+        P = pres(3, 0)
+        # eps0 * (eps0 - F) = F eps0 - F eps0
+        x = P.eps(0)
+        y = P.eps(0) - P.eps_square_factor(0)
+        assert reference_mul(x, y) == {}
+        assert (x * y).terms == {}
+        Q = pres(2, 0, m=2, has_eps0=False)
+        assert (Q.eps(0) * (Q.eps(1) + Q.eps(1) * Q.q_pow(4))).terms == {}
+
+    def test_large_and_negative_coefficients(self):
+        P = pres(3, 0, m=1)
+        big = (1 << 200) + 12345
+        x = P.const(big) - P.q_pow(2) * (big * 7) + P.eps(0) * P.t_pow(0) * (-big)
+        y = P.q_pow(1) * (-(big ** 2)) + P.eps(0) * 3 + P.t_pow(0, 2) * (big - 1)
+        assert (x * y).terms == reference_mul(x, y)
+        assert any(abs(c) > 1 << 600 for c in (x * y).terms.values())
+
+    def test_slot_width_at_the_coefficient_bound(self):
+        # (c [3]_q) * (+-c [3]_q) has middle coefficient +-3c^2, which is
+        # exactly the slot bound; sweep c so that the bound's bit length
+        # takes every residue mod 8
+        P = pres(3, 0)
+        for k in range(40):
+            c = (1 << k) + (k % 3)
+            x = q_analogue(P, 3) * c
+            for sign in (1, -1):
+                y = x * sign
+                assert (x * y).terms == reference_mul(x, y)
+
+    def test_single_term_operand(self):
+        P = pres(3, 0, m=2)
+        poly = (P.const(4) + P.eps(0) * P.q_pow(2) - P.eps(2) * P.t_pow(1, 3)
+                + P.t_pow(0) * P.q_pow(5) * 9)
+        for term in (P.q_pow(3) * P.t_pow(0, 2) * -5, P.t_pow(1), P.const(7),
+                     P.eps(0) * P.q_pow(1), P.eps(1) * P.t_pow(1) * 2):
+            assert (poly * term).terms == reference_mul(poly, term)
+            assert (term * poly).terms == reference_mul(term, poly)
+
+    def test_sparse_high_degree(self):
+        P = pres(3, 0, max_qdeg=1 << 30)
+        x = P.one() + P.q_pow(1 << 20)
+        assert x * x == P.one() + P.q_pow(1 << 20) * 2 + P.q_pow(1 << 21)
+
+    def test_exceptions_match_reference(self):
+        P = pres(3, 0, m=1, max_qdeg=20, max_tdeg=5)
+        Pinv = pres(3, 0, m=1, max_qdeg=20, max_tdeg=5, q_invertible=True)
+        cases = [
+            (P.q_pow(-1), P.one() + P.q_pow(3)),            # negative q
+            (P.q_pow(-2) + P.q_pow(4), P.q_pow(1) + P.one()),
+            (P.q_pow(15) + P.one(), P.q_pow(6) + P.one()),  # q above bound
+            (P.q_pow(10) + P.one(), P.q_pow(10) + P.one()),  # q at bound
+            (P.t_pow(0, 3) + P.one(), P.t_pow(0, 3) + P.one()),  # T above bound
+            (P.eps(0) * P.q_pow(9), P.eps(0) * P.q_pow(9)),  # eps^2 pushes q over
+            (P.eps(1) * P.t_pow(0, 2), P.eps(1) * P.t_pow(0, 2)),  # and T over
+            (P.eps(0) * P.q_pow(19), P.eps(1) * P.q_pow(19)),  # dropped pair
+            (P.q_pow(20), P.q_pow(1)),                       # single term
+            (Pinv.q_pow(-15) + Pinv.one(), Pinv.q_pow(-6) + Pinv.one()),
+            (Pinv.q_pow(-15), Pinv.q_pow(-6)),
+        ]
+        seen = set()
+        for x, y in cases:
+            got = outcome(BigPoly.__mul__, x, y)
+            assert got == outcome(reference_mul, x, y)
+            assert got == outcome(BigPoly.__mul__, y, x)
+            seen.add(got if isinstance(got, type) else dict)
+        assert seen == {NegativeQPower, ExponentOverflow, dict}
