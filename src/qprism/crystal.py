@@ -77,6 +77,8 @@ class QConnModule:
         out = [[0] * (r * d) for _ in range(r * d)]
         for i in range(r):
             for j in range(r):
+                if not any(B[i][j].coeffs):
+                    continue
                 blk = self.ring.mult_matrix(B[i][j])
                 for a in range(d):
                     for b in range(d):
@@ -434,6 +436,14 @@ def double_complex(mod: QConnModule, scalars) -> dict:
     bq = scalars.beta * mod.ring.q_power(1)
     dcs = scalars.d_coeffs()
     corr = [mod.flat_correction(i, dcs) for i in range(m)]
+    bq_flat = mod.flat_scalar(bq)
+    # (1 + beta q D_i)^(-1), shared by every column map over an S holding i
+    inv_one_plus = []
+    for i in range(m):
+        one_plus = mat_mul_mod(bq_flat, corr[i], p, N)
+        for a in range(n):
+            one_plus[a][a] = (one_plus[a][a] + 1) % p**N
+        inv_one_plus.append(inv_mod(one_plus, p, N))
     subsets = _subsets(m)
 
     def column_map(S: tuple) -> list:
@@ -446,7 +456,6 @@ def double_complex(mod: QConnModule, scalars) -> dict:
                 acc[a][b] = (acc[a][b] + shift[a][b]) % p**N
         # - sum_i (beta q)^(i-1) P^i_t(corrections over S)
         elem = _elementary_symmetric([corr[i] for i in S], p, N, n)
-        bq_flat = mod.flat_scalar(bq)
         bq_pow = mat_identity(n)
         for i in range(1, t + 1):
             term = mat_mul_mod(bq_pow, elem[i], p, N)
@@ -456,10 +465,7 @@ def double_complex(mod: QConnModule, scalars) -> dict:
             bq_pow = mat_mul_mod(bq_pow, bq_flat, p, N)
         # invert prod (1 + beta q D_i)
         for i in S:
-            one_plus = mat_mul_mod(bq_flat, corr[i], p, N)
-            for a in range(n):
-                one_plus[a][a] = (one_plus[a][a] + 1) % p**N
-            acc = mat_mul_mod(inv_mod(one_plus, p, N), acc, p, N)
+            acc = mat_mul_mod(inv_one_plus[i], acc, p, N)
         return acc
 
     columns = {S: column_map(S) for S in subsets}
@@ -613,27 +619,32 @@ def random_unit_matrix(ring: QuotientRing, r: int, rng) -> list:
 
 def conjugate_module(mod: QConnModule, P: list) -> QConnModule:
     """Change of basis; over A/d the base maps are trivial so ordinary
-    similarity preserves all the operator relations."""
+    similarity preserves all the operator relations.
+
+    Flattening is a ring map on A-linear operators, so P^-1 B P is
+    computed on the flattenings.  Only the first column of each block is
+    read back (a block applied to 1 is its entry's coefficient vector),
+    so B's flattening is multiplied by those columns of P's alone.  Entry
+    (i, j) combines all of B with column j of P, and carries the smallest
+    precision among those entries."""
     ring = mod.ring
-    r = mod.rank
-    Pm = [[ring.mult_matrix(P[i][j]) for j in range(r)] for i in range(r)]
-    # invert P over the flattening, then read back block columns
+    p, N = ring.p, ring.N
+    r, d = mod.rank, ring.deg
     flatP = mod._flat_of_blocks(P)
-    inv_flat = inv_mod(flatP, ring.p, ring.N)
-    d = ring.deg
+    inv_flat = inv_mod(flatP, p, N)
+    P_ones = [[row[j * d] for j in range(r)] for row in flatP]
+    P_prec = [min(P[k][j].prec for k in range(r)) for j in range(r)]
 
-    def block_elem(F, i, j):
-        # the (i,j) block applied to 1 in the power basis
-        col = [F[i * d + a][j * d] for a in range(d)]
-        return ring.elem(col)
-
-    Pinv = [[block_elem(inv_flat, i, j) for j in range(r)] for i in range(r)]
+    def block_elem(F, i, j, prec):
+        # the (i,j) block applied to 1: rows i*d .. i*d + d - 1 of column j
+        return ring.elem([F[i * d + a][j] for a in range(d)], prec)
 
     def conj(B):
-        tmp = [[sum((B[i][k] * P[k][j] for k in range(r)), ring.zero())
-                for j in range(r)] for i in range(r)]
-        return [[sum((Pinv[i][k] * tmp[k][j] for k in range(r)), ring.zero())
-                 for j in range(r)] for i in range(r)]
+        B_prec = min((x.prec for row in B for x in row), default=N)
+        F = mat_mul_mod(inv_flat, mat_mul_mod(mod._flat_of_blocks(B), P_ones, p, N),
+                        p, N)
+        return [[block_elem(F, i, j, min(B_prec, P_prec[j])) for j in range(r)]
+                for i in range(r)]
 
     return QConnModule(ring, r,
                        D=conj(mod.D) if mod.D is not None else None,

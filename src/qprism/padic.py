@@ -767,22 +767,29 @@ def mat_mul_mod(A, B, p: int, N: int) -> list:
 
 
 def _mat_mul(A, B, mod: int) -> list:
-    """A*B mod `mod`, skipping the zero entries of A."""
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k] % mod
+    """A*B mod `mod`, entries in [0, mod).
+
+    The operands of the cohomology layer are mostly zero, so each row of
+    B is compressed once to its nonzero (column, entry) pairs and only
+    the nonzero entries of A are visited.  Each output row accumulates
+    plain integers and is reduced once: a multiple of `mod` left in an
+    unreduced or negative operand changes no residue."""
+    cols = len(B[0]) if B else 0
+    sparse = [[(j, b) for j, b in enumerate(Bk) if b] for Bk in B]
+    out = []
+    for Ai in A:
+        row = [0] * cols
+        for a, Bk in zip(Ai, sparse):
             if a:
-                Bk = B[k]
-                row = out[i]
-                for j in range(cols):
-                    row[j] = (row[j] + a * Bk[j]) % mod
+                for j, b in Bk:
+                    row[j] += a * b
+        out.append([x % mod for x in row])
     return out
 
 
 def mat_eq_mod(A, B, p: int, N: int) -> bool:
+    if A == B:
+        return True
     mod = p**N
     return all((x - y) % mod == 0 for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 
@@ -931,6 +938,17 @@ class QuotElem:
         self.coeffs = cs[: ring.deg]
         self.prec = min(prec, ring.N)
 
+    def _linear(self, coeffs, prec) -> "QuotElem":
+        """An element of this ring from `deg` coefficients: a linear
+        combination of reduced elements has degree < deg already, so
+        `% p^N` reduces it, as the general constructor would."""
+        out = QuotElem.__new__(QuotElem)
+        ring = out.ring = self.ring
+        mod = ring.p ** ring.N
+        out.coeffs = [c % mod for c in coeffs]
+        out.prec = min(prec, ring.N)
+        return out
+
     def _join(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
@@ -938,20 +956,20 @@ class QuotElem:
 
     def __add__(self, other):
         other, pr = self._join(other)
-        return QuotElem(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)], pr)
+        return self._linear([a + b for a, b in zip(self.coeffs, other.coeffs)], pr)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuotElem(self.ring, [-a for a in self.coeffs], self.prec)
+        return self._linear([-a for a in self.coeffs], self.prec)
 
     def __sub__(self, other):
         other, pr = self._join(other)
-        return QuotElem(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)], pr)
+        return self._linear([a - b for a, b in zip(self.coeffs, other.coeffs)], pr)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QuotElem(self.ring, [a * other for a in self.coeffs], self.prec)
+            return self._linear([a * other for a in self.coeffs], self.prec)
         other, pr = self._join(other)
         return QuotElem(self.ring, _poly_mul(self.coeffs, other.coeffs,
                                              self.ring.p ** self.ring.N), pr)

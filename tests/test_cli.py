@@ -1,6 +1,8 @@
 """Harness behavior: determinism, exit codes, config layering."""
 
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 from qprism import suites
-from qprism.cli import build_parser, render_json, resolve_config
+from qprism.cli import build_parser, main, render_json, resolve_config
 from qprism.suites import RunConfig, list_suites, run_suites
 
 FAST = ["e-beta", "witt-dv1", "sen-qconn"]
@@ -215,3 +217,21 @@ def test_list_suites_cli():
     proc = run_cli(["--list-suites"])
     assert proc.returncode == 0
     assert "ore-master-relation" in proc.stdout
+
+
+def test_cohomology_workload_matches_benchmark_golden(capsys):
+    """The cohomology-a1 benchmark workload at CLI seed 0, run in-process,
+    prints the report recorded in perfbench/golden.json."""
+    bench = os.path.join(os.path.dirname(SRC), "perfbench")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(bench, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    with open(os.path.join(bench, "golden.json")) as fh:
+        golden = json.load(fh)["cohomology-a1"]["0"]
+    flags = run.WORKLOADS["cohomology-a1"][0]
+    capsys.readouterr()
+    code = main([*flags, "--seed", "0"])
+    report = capsys.readouterr().out.encode()
+    assert code == golden["exit"]
+    assert hashlib.sha256(report).hexdigest() == golden["sha256"]

@@ -9,6 +9,7 @@ from qprism.crystal import (
     DividedPowerAlgebra,
     QConnModule,
     bk_twist,
+    conjugate_module,
     d_prime_elem,
     divided_beta_powers,
     double_complex,
@@ -18,6 +19,7 @@ from qprism.crystal import (
     nilpotence_check,
     normalized_twist_h1,
     qdr_complex,
+    random_unit_matrix,
     sen_twist_consistency,
     tensor,
     twist_unit_scalar,
@@ -25,6 +27,7 @@ from qprism.crystal import (
 from qprism.ore import QuotScalars
 from qprism.padic import (
     QuotientRing,
+    inv_mod,
     mat_eq_mod,
     mat_identity,
     mat_mul_mod,
@@ -291,6 +294,59 @@ class TestCorrectionOperator:
         assert mod.flat_nabla(1) is mod.flat_nabla(1)
         assert mod.flat_partial() is mod.flat_partial()
         assert mod.flat_nabla(1) == mod._flat_of_blocks(mod.N_list[1])
+
+
+def _conjugate_reference(mod, P):
+    """P^-1 B P for every operator B, as sums of QuotElem products; P^-1
+    is read back from the inverse of P's flattening."""
+    ring, r, d = mod.ring, mod.rank, mod.ring.deg
+    inv_flat = inv_mod(mod._flat_of_blocks(P), ring.p, ring.N)
+    Pinv = [[ring.elem([inv_flat[i * d + a][j * d] for a in range(d)])
+             for j in range(r)] for i in range(r)]
+
+    def conj(B):
+        tmp = [[sum((B[i][k] * P[k][j] for k in range(r)), ring.zero())
+                for j in range(r)] for i in range(r)]
+        return [[sum((Pinv[i][k] * tmp[k][j] for k in range(r)), ring.zero())
+                 for j in range(r)] for i in range(r)]
+
+    return conj(mod.D), [conj(Nm) for Nm in mod.N_list]
+
+
+def _entries(B):
+    return [[(x.coeffs, x.prec) for x in row] for row in B]
+
+
+class TestConjugateModule:
+    def _graded(self, p, alpha, N, shape, seed):
+        """A graded mixed module and a random change of basis for it."""
+        rng = random.Random(seed)
+        mod = graded_mixed_module(p, alpha, N, shape, rng)
+        return mod, random_unit_matrix(mod.ring, mod.rank, rng)
+
+    @pytest.mark.parametrize("p,alpha,N,shape", [(3, 0, 6, (3, 2)), (2, 1, 6, (2, 2)),
+                                                 (3, 1, 8, (2, 3)), (5, 0, 4, (2,))])
+    def test_matches_quotelem_formula(self, p, alpha, N, shape):
+        mod, P = self._graded(p, alpha, N, shape, 20 + p + N)
+        got = conjugate_module(mod, P)
+        D, N_list = _conjugate_reference(mod, P)
+        assert _entries(got.D) == _entries(D)
+        assert [_entries(B) for B in got.N_list] == [_entries(B) for B in N_list]
+        # every entry of the operators the callers build is at full precision
+        assert {x.prec for B in [got.D, *got.N_list] for row in B for x in row} == {N}
+
+    def test_reduced_precision_entries(self):
+        mod, P = self._graded(3, 1, 6, (2, 2), 31)
+        ring = mod.ring
+        P = [row[:] for row in P]
+        P[1][2] = ring.elem(P[1][2].coeffs, 4)
+        mod.N_list[0][3][0] = ring.elem(mod.N_list[0][3][0].coeffs, 5)
+        got = conjugate_module(mod, P)
+        D, N_list = _conjugate_reference(mod, P)
+        assert _entries(got.D) == _entries(D)
+        assert [_entries(B) for B in got.N_list] == [_entries(B) for B in N_list]
+        assert {x.prec for row in got.D for x in row} == {4, 6}
+        assert {x.prec for row in got.N_list[0] for x in row} == {4, 5}
 
 
 class TestNilpotence:

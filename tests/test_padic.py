@@ -12,7 +12,9 @@ from qprism.padic import (
     PadicInt,
     PrecisionError,
     QuotientRing,
+    QuotElem,
     TruncSeries,
+    _mat_mul,
     _poly_mul,
     coker_invariants_mod,
     d_poly_t,
@@ -20,6 +22,7 @@ from qprism.padic import (
     howell_mod,
     inv_mod,
     ker_basis_mod,
+    mat_eq_mod,
     mat_identity,
     mat_mul_mod,
     partial_arith,
@@ -604,3 +607,108 @@ class TestPolyMulKernel:
         f = TruncSeries(p, N, M, c)
         assert f.unit_inverse().c == recurrence_inverse(f.c, mod, M)
         assert f * f.unit_inverse() == TruncSeries.one(p, N, M)
+
+
+# ---------------------------------------------------------------------------
+# the sparse-row matrix kernel against the triple loop
+# ---------------------------------------------------------------------------
+
+
+def loop_mat_mul(A, B, mod):
+    """Reference: A*B mod `mod` by the triple loop, reducing every sum."""
+    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        Ai = A[i]
+        for k in range(inner):
+            a = Ai[k] % mod
+            if a:
+                Bk = B[k]
+                row = out[i]
+                for j in range(cols):
+                    row[j] = (row[j] + a * Bk[j]) % mod
+    return out
+
+
+def _sparse_matrix(rng, rows, cols, mod, density, lo=0, hi=None):
+    hi = mod if hi is None else hi
+    return [[rng.randrange(lo, hi) if rng.random() < density else 0
+             for _ in range(cols)] for _ in range(rows)]
+
+
+class TestMatMulKernel:
+    SHAPES = [(1, 1, 1), (3, 5, 2), (12, 12, 12), (36, 36, 36),
+              (24, 72, 24), (72, 24, 1), (1, 24, 72)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("N", [1, 4, 8])
+    def test_random_against_loop(self, p, N):
+        rng = random.Random(100 * p + N)
+        mod = p**N
+        for rows, inner, cols in self.SHAPES:
+            for density in (0.0, 0.1, 0.5, 1.0):
+                A = _sparse_matrix(rng, rows, inner, mod, density)
+                B = _sparse_matrix(rng, inner, cols, mod, density)
+                got = _mat_mul(A, B, mod)
+                assert got == loop_mat_mul(A, B, mod), (rows, inner, cols, density)
+                assert mat_mul_mod(A, B, p, N) == got
+
+    def test_empty_operands(self):
+        mod = 3**8
+        assert _mat_mul([], [], mod) == loop_mat_mul([], [], mod) == []
+        assert _mat_mul([], [[1, 2]], mod) == []
+        assert _mat_mul([[], []], [], mod) == loop_mat_mul([[], []], [], mod) == [[], []]
+        zero = [[0] * 4 for _ in range(3)]
+        assert _mat_mul(zero, [[5] * 2 for _ in range(4)], mod) == [[0, 0]] * 3
+
+    def test_negative_and_unreduced_entries(self):
+        rng = random.Random(8)
+        for p, N in [(2, 4), (3, 8), (5, 1)]:
+            mod = p**N
+            for rows, inner, cols in self.SHAPES:
+                for density in (0.1, 1.0):
+                    A = _sparse_matrix(rng, rows, inner, mod, density,
+                                       -mod**3, mod**3)
+                    B = _sparse_matrix(rng, inner, cols, mod, density,
+                                       -mod**3, mod**3)
+                    assert _mat_mul(A, B, mod) == loop_mat_mul(A, B, mod)
+            # nonzero multiples of mod are zero residues
+            A = [[mod, -mod], [2 * mod, 1]]
+            B = [[1, -mod], [mod - 1, 3 * mod]]
+            assert _mat_mul(A, B, mod) == loop_mat_mul(A, B, mod) == [[0, 0], [mod - 1, 0]]
+
+    def test_mat_eq_mod(self):
+        A = [[1, 2], [3, 4]]
+        assert mat_eq_mod(A, [row[:] for row in A], 3, 2)
+        assert mat_eq_mod(A, [[10, 11], [3, -5]], 3, 2)
+        assert not mat_eq_mod(A, [[1, 2], [3, 5]], 3, 2)
+
+
+class TestQuotElemLinearOps:
+    """Sums, differences, negation and integer multiples skip the
+    polynomial reduction; they must equal the general constructor."""
+
+    @pytest.mark.parametrize("p,N,alpha,n", [(2, 8, 1, 2), (3, 6, 1, 1),
+                                             (3, 4, 0, 3), (5, 7, 0, 2)])
+    def test_match_general_constructor(self, p, N, alpha, n):
+        rng = random.Random(p * N + n)
+        R = QuotientRing(p, N, alpha, n)
+        mod = p**N
+        for _ in range(30):
+            x = R.elem([rng.randrange(mod) for _ in range(R.deg)], rng.randrange(1, N + 1))
+            y = R.elem([rng.randrange(mod) for _ in range(R.deg)], rng.randrange(1, N + 1))
+            k = rng.randrange(-mod**2, mod**2)
+            pr = min(x.prec, y.prec)
+            cases = [
+                (x + y, [a + b for a, b in zip(x.coeffs, y.coeffs)], pr),
+                (x - y, [a - b for a, b in zip(x.coeffs, y.coeffs)], pr),
+                (-x, [-a for a in x.coeffs], x.prec),
+                (x * k, [a * k for a in x.coeffs], x.prec),
+                (k * x, [a * k for a in x.coeffs], x.prec),
+                (x + k, [x.coeffs[0] + k] + x.coeffs[1:], x.prec),
+                (x - k, [x.coeffs[0] - k] + x.coeffs[1:], x.prec),
+            ]
+            for got, raw, prec in cases:
+                want = QuotElem(R, raw, prec)
+                assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+                assert len(got.coeffs) == R.deg
