@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .exactcore import BigPoly, RingPresentation, q_analogue
 from .padic import (
@@ -66,7 +67,11 @@ class _QScalars:
         return self._cache[key]
 
     def gamma_t_factor(self, j: int):
-        return self.q_pow(j * self.tw)
+        """gamma(T^j) / T^j = q^(j tw)."""
+        key = ("gt", j)
+        if key not in self._cache:
+            self._cache[key] = self.q_pow(j * self.tw)
+        return self._cache[key]
 
     def s0(self):
         if "s0" not in self._cache:
@@ -126,7 +131,6 @@ class SeriesScalars(_QScalars):
     def __init__(self, p, N, M, alpha, convention="absolute"):
         self.N, self.M = N, M
         super().__init__(p, alpha, convention)
-        self._gamma_img = self.q_pow(self.k)
 
     def zero(self):
         return TruncSeries.zero(self.p, self.N, self.M)
@@ -149,7 +153,8 @@ class SeriesScalars(_QScalars):
         return s.is_zero() and s.N >= self.N and s.M >= self.M
 
     def gamma0(self, s):
-        return s.subst(self._gamma_img)
+        # q -> q^k with k = p^(beta_alpha+1)+1, through the cached table
+        return s.gamma0(self.beta_alpha)
 
     def partial(self, s):
         return partial_arith(s, self.beta_alpha)
@@ -362,23 +367,22 @@ class OreAlgebra:
         rest = list(nexps)
         rest[i] -= 1
         rest = tuple(rest)
-        out = self.zero()
+        acc: dict = {}
         for (te, ne, b), s in self.rule_partial_nabla(i).terms.items():
             if b == 0:
                 # pure nabla letters commute with the remaining nablas
-                combined_ne = tuple(a + c for a, c in zip(ne, rest))
-                out = out + OreElement(self, {(te, combined_ne, 0): s})
-            else:
-                # s T^te nabla^ne partial * nabla^rest: resolve the inner
-                # partial first, then push the nabla letters through the
-                # T-monomials of the tail with the proper twist rule
-                tail = self.partial_past_nablas(rest, order_rng)
-                piece = tail
-                for idx in range(self.m):
-                    for _ in range(ne[idx]):
-                        piece = _nabla_times(self, idx, piece)
-                piece = _tmono_times(self, te, piece)
-                out = out + piece.scalar_mul(s)
+                key = (te, tuple(map(add, ne, rest)), 0)
+                acc[key] = acc[key] + s if key in acc else s
+                continue
+            # s T^te nabla^ne partial * nabla^rest: resolve the inner
+            # partial first, then push the nabla letters through the
+            # T-monomials of the tail with the proper twist rule
+            piece = self.partial_past_nablas(rest, order_rng)
+            for idx in range(self.m):
+                for _ in range(ne[idx]):
+                    piece = _nabla_times(self, idx, piece)
+            _add_terms(acc, s, te, 0, piece.terms)
+        out = OreElement(self, acc)
         if order_rng is None:
             self._past_cache[nexps] = out
         return out
@@ -414,9 +418,6 @@ class OreElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def scalar_mul(self, s):
-        return OreElement(self.alg, {k: s * v for k, v in self.terms.items()})
-
     def is_zero(self) -> bool:
         return all(self.alg.ctx.is_zero(s) for s in self.terms.values())
 
@@ -430,7 +431,7 @@ class OreElement:
 
     def mul(self, other: "OreElement", order_rng=None) -> "OreElement":
         alg = self.alg
-        out = alg.zero()
+        acc: dict = {}
         for (te, ne, b), s in self.terms.items():
             piece = other
             for _ in range(b):
@@ -438,9 +439,8 @@ class OreElement:
             for i in range(alg.m):
                 for _ in range(ne[i]):
                     piece = _nabla_times(alg, i, piece)
-            piece = _tmono_times(alg, te, piece)
-            out = out + piece.scalar_mul(s)
-        return out
+            _add_terms(acc, s, te, 0, piece.terms)
+        return OreElement(alg, acc)
 
     def __pow__(self, n: int):
         out = self.alg.one()
@@ -466,7 +466,8 @@ class OreElement:
                 key = tuple(x + y for x, y in zip(mono, te))
                 val = s * c
                 out[key] = out[key] + val if key in out else val
-        return {k: v for k, v in out.items() if not alg.ctx.is_zero(v)}
+        # a reduced-precision zero still states which digits are known
+        return {k: v for k, v in out.items() if not alg.ctx.droppable(v)}
 
     def render(self) -> str:
         if not self.terms:
@@ -514,29 +515,36 @@ def _nabla_times(alg: OreAlgebra, i: int, x: OreElement) -> OreElement:
 def _partial_times(alg: OreAlgebra, x: OreElement, order_rng=None) -> OreElement:
     """partial * x for x in normal form."""
     ctx = alg.ctx
-    out = alg.zero()
+    acc: dict = {}
     for (te, ne, b), s in x.terms.items():
         gs, ds = ctx.gamma0(s), ctx.partial(s)
         # partial commutes with T-monomials (gamma0 fixes T, partial(T) = 0)
         if any(ne):
-            past = alg.partial_past_nablas(ne, order_rng)
-            moved = OreElement(
-                alg, {(tuple(a + c for a, c in zip(te, t2)), n2, b2 + b): gs * s2
-                      for (t2, n2, b2), s2 in past.terms.items()})
-            out = out + moved
+            _add_terms(acc, gs, te, b, alg.partial_past_nablas(ne, order_rng).terms)
         else:
-            out = out + OreElement(alg, {(te, ne, b + 1): gs})
-        # partial costs a t-digit: only a full-precision zero may go
-        if not ctx.droppable(ds):
-            out = out + OreElement(alg, {(te, ne, b): ds})
-    return out
+            key = (te, ne, b + 1)
+            acc[key] = acc[key] + gs if key in acc else gs
+        # partial costs a t-digit: ds may be a reduced-precision zero,
+        # which the one filter in OreElement keeps
+        key = (te, ne, b)
+        acc[key] = acc[key] + ds if key in acc else ds
+    return OreElement(alg, acc)
 
 
-def _tmono_times(alg: OreAlgebra, te: tuple, x: OreElement) -> OreElement:
-    if not any(te):
-        return x
-    return OreElement(alg, {(tuple(a + b for a, b in zip(te, t2)), n2, b2): s
-                            for (t2, n2, b2), s in x.terms.items()})
+def _add_terms(acc: dict, s, te: tuple, b: int, terms: dict) -> None:
+    """acc += s * T^te * x * partial^b, for x given by its normal-form terms.
+
+    Each product in the engine has this shape: the scalar and the
+    T-monomial on the left commute with the scalars of x, and partial^b
+    on the right only raises the partial exponent.  Nothing is filtered
+    here; the one ``OreElement`` built from ``acc`` drops what is
+    droppable.
+    """
+    shift = any(te)
+    for (t2, n2, b2), v in terms.items():
+        key = (tuple(map(add, te, t2)) if shift else t2, n2, b2 + b)
+        val = s * v
+        acc[key] = acc[key] + val if key in acc else val
 
 
 # -- base-ring operators -----------------------------------------------------
@@ -718,6 +726,23 @@ def akj_exact(p: int, alpha: int, kmax: int) -> dict:
     return table
 
 
+def akj_nabla(pres: RingPresentation, f: BigPoly) -> BigPoly:
+    """nabla on Z[q, T]: c q^e T^j -> sum_{i < jp} c q^(e + i p^alpha) T^(j-1),
+    that is T^j -> [jp]_{q^(p^alpha)} T^(j-1), filled into one dict."""
+    p, step = pres.p, pres.p**pres.alpha
+    out: dict = {}
+    for (qe, ee, te), c in f.terms.items():
+        j = te[0]
+        if not j:
+            continue
+        BigPoly._check_key(pres, qe, (j - 1,))
+        BigPoly._check_key(pres, qe + (j * p - 1) * step, ())
+        for e in range(qe, qe + j * p * step, step):
+            key = (e, ee, (j - 1,))
+            out[key] = out.get(key, 0) + c
+    return BigPoly(pres, {k: c for k, c in out.items() if c})
+
+
 def akj_operator_oracle(p: int, alpha: int, kmax: int, nmax: int = 8) -> bool:
     """Check the recursion against brute operator expansion over Z[q, T]:
     (Id + T beta nabla)^k T^n = T^n + sum_j a_{k,j} beta^j q^(j(j-1)tw/2)
@@ -726,37 +751,27 @@ def akj_operator_oracle(p: int, alpha: int, kmax: int, nmax: int = 8) -> bool:
                             max_qdeg=1 << 30, max_tdeg=1 << 30)
     tw = p ** (alpha + 1)
     beta = pres.q_pow(p**alpha) - pres.one()
-
-    def nabla(f: BigPoly) -> BigPoly:
-        out = pres.zero()
-        for (qe, ee, te), c in f.terms.items():
-            j = te[0]
-            if j:
-                out = out + (pres.q_pow(qe) * c * pres.t_pow(0, j - 1)
-                             * q_analogue(pres, j * p, p**alpha))
-        return out
-
-    def step(f):
-        return f + pres.t_pow(0) * beta * nabla(f)
+    t_beta = pres.t_pow(0) * beta
 
     table = akj_exact(p, alpha, kmax)
-    for k in range(1, kmax + 1):
-        for n in range(1, nmax + 1):
-            actual = pres.t_pow(0, n)
-            for _ in range(k):
-                actual = step(actual)
-            expected = pres.t_pow(0, n)
-            nabla_pow = pres.t_pow(0, n)
+    # a_{k,j} beta^j q^(j(j-1)tw/2) T^j, once per (k, j); a_{k,j} lives
+    # in Z[q] with the plain-eps presentation
+    lead = {}
+    for (k, j), a in table.items():
+        a_here = BigPoly(pres, {pres._key(e, (), ()): c
+                                for e, c in a.q_coefficients().items()})
+        lead[(k, j)] = (a_here * beta**j * pres.q_pow(j * (j - 1) // 2 * tw)
+                        * pres.t_pow(0, j))
+    for n in range(1, nmax + 1):
+        t_n = pres.t_pow(0, n)
+        nabla_pows = [t_n]  # nabla^j (T^n)
+        actual = t_n
+        for k in range(1, kmax + 1):
+            actual = actual + t_beta * akj_nabla(pres, actual)
+            nabla_pows.append(akj_nabla(pres, nabla_pows[-1]))
+            expected = t_n
             for j in range(1, k + 1):
-                nabla_pow = nabla(nabla_pow)
-                a = table[(k, j)]
-                # a_{k,j} lives in Z[q] with the plain-eps presentation
-                a_here = pres.zero()
-                for e, c in a.q_coefficients().items():
-                    a_here = a_here + pres.q_pow(e) * c
-                expected = expected + (a_here * beta**j
-                                       * pres.q_pow(j * (j - 1) // 2 * tw)
-                                       * pres.t_pow(0, j) * nabla_pow)
+                expected = expected + lead[(k, j)] * nabla_pows[j]
             if actual != expected:
                 return False
     return True

@@ -11,9 +11,11 @@ vanish at the certified precision, and a nonzero remainder raises.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 
@@ -186,6 +188,23 @@ def _poly_mul(a, b, mod: int, n: int = None) -> list:
     return out
 
 
+@functools.cache
+def _q_subst_cols(p: int, N: int, M: int, k: int) -> tuple:
+    """The matrix of f(q) -> f(q^k) on t-coefficients mod (p^N, t^M).
+
+    Column n is (q^k - 1)^n.  As t divides q^k - 1, the matrix is lower
+    triangular, and it is stored by rows: row i holds the t^i coefficients
+    of columns 0..i.  Building it takes M - 1 packed multiplies, the cost
+    of one Horner substitution.
+    """
+    mod = p**N
+    s = [0] + [math.comb(k, n) % mod for n in range(1, min(M, k + 1))]
+    cols = [[1 % mod] + [0] * (M - 1)]
+    for _ in range(M - 1):
+        cols.append(_poly_mul(cols[-1], s, mod, M))
+    return tuple(tuple(col[i] for col in cols[:i + 1]) for i in range(M))
+
+
 # ---------------------------------------------------------------------------
 # TruncSeries: (Z/p^N)[[t]] / (t^M), with q = 1 + t
 # ---------------------------------------------------------------------------
@@ -206,6 +225,13 @@ class TruncSeries:
         cs = [x % mod for x in coeffs[:M]]
         cs.extend([0] * (M - len(cs)))
         self.c = cs
+
+    @staticmethod
+    def _of_reduced(p, N, M, cs: list) -> "TruncSeries":
+        """Wrap M coefficients already reduced mod p^N, without a copy."""
+        out = TruncSeries.__new__(TruncSeries)
+        out.p, out.N, out.M, out.c = p, N, M, cs
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -376,7 +402,13 @@ class TruncSeries:
         return TruncSeries(self.p, self.N, self.M, g)
 
     def subst(self, image: "TruncSeries") -> "TruncSeries":
-        """Composition f(q) -> f(image); image must be 1 mod t."""
+        """Composition f(q) -> f(image); image must be 1 mod t.
+
+        Horner over M - 1 packed multiplies.  It serves ``phi`` and
+        ``gamma_u`` (also with a PadicInt exponent), whose few calls per
+        image would not repay an M x M table.  ``gamma0`` goes through
+        ``_subst_q_power`` and its cached table.
+        """
         image, N, M = self._join(image)
         if image.c[0] % self.p**N != 1 % self.p**N:
             raise ValueError("substitution image must be congruent to 1 mod t")
@@ -390,10 +422,19 @@ class TruncSeries:
         """Frobenius lift q -> q^p."""
         return self.subst(TruncSeries.q_power(self.p, self.N, self.M, self.p))
 
+    def _subst_q_power(self, k: int) -> "TruncSeries":
+        """f(q) -> f(q^k) for an integer k >= 0: one triangular
+        matrix-vector product with the cached table, one reduction per
+        entry."""
+        p, N, M = self.p, self.N, self.M
+        mod, c = p**N, self.c
+        return TruncSeries._of_reduced(
+            p, N, M, [sum(map(mul, c, row)) % mod
+                      for row in _q_subst_cols(p, N, M, k)])
+
     def gamma0(self, alpha: int) -> "TruncSeries":
         """q -> q^(p^(alpha+1)+1)."""
-        return self.subst(TruncSeries.q_power(self.p, self.N, self.M,
-                                              self.p ** (alpha + 1) + 1))
+        return self._subst_q_power(self.p ** (alpha + 1) + 1)
 
     def gamma_u(self, u) -> "TruncSeries":
         """q -> q^u for a unit exponent (int or PadicInt)."""
@@ -539,7 +580,7 @@ def divide_by_q_power_minus_one(f: TruncSeries, alpha: int) -> TruncSeries:
 def partial_arith(f: TruncSeries, alpha: int) -> TruncSeries:
     """The twisted derivation (gamma0(f) - f) / (q * (q^(p^alpha) - 1))."""
     num = f.gamma0(alpha) - f
-    qinv = TruncSeries.q_power(f.p, f.N, f.M, 1).unit_inverse()
+    qinv = TruncSeries.q_power(f.p, f.N, f.M, -1)
     return divide_by_q_power_minus_one(num * qinv, alpha)
 
 

@@ -219,17 +219,19 @@ def test_list_suites_cli():
     assert "ore-master-relation" in proc.stdout
 
 
-def test_cohomology_workload_matches_benchmark_golden(capsys):
-    """The cohomology-a1 benchmark workload at CLI seed 0, run in-process,
-    prints the report recorded in perfbench/golden.json."""
+@pytest.mark.parametrize("workload", ["cohomology-a1", "construction-p5-lite",
+                                      "ore-relations"])
+def test_workload_matches_benchmark_golden(capsys, workload):
+    """Each gated benchmark workload at CLI seed 0, run in-process, prints
+    the report recorded in perfbench/golden.json."""
     bench = os.path.join(os.path.dirname(SRC), "perfbench")
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", os.path.join(bench, "run.py"))
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     with open(os.path.join(bench, "golden.json")) as fh:
-        golden = json.load(fh)["cohomology-a1"]["0"]
-    flags = run.WORKLOADS["cohomology-a1"][0]
+        golden = json.load(fh)[workload]["0"]
+    flags = run.WORKLOADS[workload][0]
     capsys.readouterr()
     code = main([*flags, "--seed", "0"])
     report = capsys.readouterr().out.encode()

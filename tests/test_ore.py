@@ -1,16 +1,26 @@
 """Twisted Ore algebras: rewriting, the mixed law, specializations."""
 
+import functools
 import random
 
 import pytest
 
-from qprism.padic import QuotientRing, TruncSeries
+from qprism.exactcore import (
+    BigPoly,
+    ExponentOverflow,
+    RingPresentation,
+    q_analogue,
+)
+from qprism.padic import QuotElem, QuotientRing, TruncSeries
 from qprism.ore import (
     OreAlgebra,
     OreElement,
     QuotScalars,
+    ResidueScalars,
+    _nabla_times,
     akj_exact,
     akj_mod_d_binomial,
+    akj_nabla,
     akj_operator_oracle,
     base_add,
     base_eq,
@@ -34,6 +44,93 @@ def rnd_elem(alg, rng, nterms=2):
         c = alg.ctx.q_pow(rng.randrange(3)) * rng.randrange(1, 7)
         terms[key] = terms.get(key, alg.ctx.zero()) + c
     return OreElement(alg, terms)
+
+
+# ---------------------------------------------------------------------------
+# the recursive product, filtered after every sum: the reference that the
+# one-dict product must equal term by term
+# ---------------------------------------------------------------------------
+
+
+def ref_tmono_times(alg, te, x):
+    if not any(te):
+        return x
+    return OreElement(alg, {(tuple(a + b for a, b in zip(te, t2)), n2, b2): s
+                            for (t2, n2, b2), s in x.terms.items()})
+
+
+def ref_scalar_mul(alg, x, s):
+    return OreElement(alg, {k: s * v for k, v in x.terms.items()})
+
+
+@functools.cache
+def ref_partial_past_nablas(alg, nexps):
+    if not any(nexps):
+        return alg.partial()
+    i = next(i for i, e in enumerate(nexps) if e > 0)
+    rest = list(nexps)
+    rest[i] -= 1
+    rest = tuple(rest)
+    out = alg.zero()
+    for (te, ne, b), s in alg.rule_partial_nabla(i).terms.items():
+        if b == 0:
+            combined_ne = tuple(a + c for a, c in zip(ne, rest))
+            out = out + OreElement(alg, {(te, combined_ne, 0): s})
+        else:
+            piece = ref_partial_past_nablas(alg, rest)
+            for idx in range(alg.m):
+                for _ in range(ne[idx]):
+                    piece = _nabla_times(alg, idx, piece)
+            piece = ref_tmono_times(alg, te, piece)
+            out = out + ref_scalar_mul(alg, piece, s)
+    return out
+
+
+def ref_partial_times(alg, x):
+    ctx = alg.ctx
+    out = alg.zero()
+    for (te, ne, b), s in x.terms.items():
+        gs, ds = ctx.gamma0(s), ctx.partial(s)
+        if any(ne):
+            past = ref_partial_past_nablas(alg, ne)
+            moved = OreElement(
+                alg, {(tuple(a + c for a, c in zip(te, t2)), n2, b2 + b): gs * s2
+                      for (t2, n2, b2), s2 in past.terms.items()})
+            out = out + moved
+        else:
+            out = out + OreElement(alg, {(te, ne, b + 1): gs})
+        if not ctx.droppable(ds):
+            out = out + OreElement(alg, {(te, ne, b): ds})
+    return out
+
+
+def ref_mul(x, y):
+    alg = x.alg
+    out = alg.zero()
+    for (te, ne, b), s in x.terms.items():
+        piece = y
+        for _ in range(b):
+            piece = ref_partial_times(alg, piece)
+        for i in range(alg.m):
+            for _ in range(ne[i]):
+                piece = _nabla_times(alg, i, piece)
+        piece = ref_tmono_times(alg, te, piece)
+        out = out + ref_scalar_mul(alg, piece, s)
+    return out
+
+
+def scalar_state(s):
+    """A scalar's residues together with the precision it states."""
+    if isinstance(s, TruncSeries):
+        return (s.N, s.M, tuple(s.c))
+    if isinstance(s, QuotElem):
+        return (s.prec, tuple(s.coeffs))
+    return s
+
+
+def same_terms(x, y):
+    return ({k: scalar_state(v) for k, v in x.terms.items()}
+            == {k: scalar_state(v) for k, v in y.terms.items()})
 
 
 class TestGeneratorRules:
@@ -70,8 +167,11 @@ class TestGeneratorRules:
 
 class TestAction:
     def test_partial_kills_one(self):
+        # partial(1) = 0, known only to t^31: the lost t-digit is stated
         alg = make_absolute_algebra(3, 0, m=1)
-        assert alg.partial().act({(0,): alg.ctx.one()}) == {}
+        out = alg.partial().act({(0,): alg.ctx.one()})
+        assert list(out) == [(0,)]
+        assert out[(0,)].is_zero() and out[(0,)].M == 31
 
     def test_nabla_on_T_gives_d(self):
         alg = make_absolute_algebra(3, 0, m=1)
@@ -122,6 +222,54 @@ class TestAssociativity:
             a, b, c = (rnd_elem(alg, rng) for _ in range(3))
             assert (a * b) * c == a * (b * c)
 
+    @pytest.mark.parametrize("maker", [
+        lambda: make_absolute_algebra(3, 0, m=1, N=6, M=8),
+        lambda: make_absolute_algebra(2, 1, m=1, N=4, M=20),
+        lambda: make_relative_algebra(3, m=2, N=6, M=8),
+    ])
+    def test_one_dict_product_equals_recursive_reference(self, maker):
+        # operands at reduced precision too, so that the products hold
+        # reduced-precision zeros: every sum, every filter and every
+        # stated (N, M) must come out as in the reference
+        alg = maker()
+        ctx = alg.ctx
+        rng = random.Random(11)
+
+        def operand():
+            x = rnd_elem(alg, rng, nterms=rng.randrange(1, 4))
+            return OreElement(alg, {
+                k: v.reduce_prec(N=ctx.N - rng.randrange(2),
+                                 M=ctx.M - rng.randrange(3))
+                if rng.randrange(2) else v
+                for k, v in x.terms.items()})
+
+        for _ in range(20):
+            a, b, c = operand(), operand(), operand()
+            for x, y in ((a, b), (b, c)):
+                fast, ref = x.mul(y), ref_mul(x, y)
+                assert same_terms(fast, ref)
+                assert same_terms(fast.mul(c), ref_mul(ref, c))
+
+    def test_one_dict_product_other_scalars(self):
+        # over A/d^n and over the residue field, the same agreement
+        ring = QuotientRing(3, 8, 0, 2)
+        quot = OreAlgebra(QuotScalars(ring), m=1, with_partial=True, tcap=24)
+        rng = random.Random(12)
+        for _ in range(10):
+            x, y = (OreElement(quot, {
+                ((rng.randrange(2),), (rng.randrange(3),), rng.randrange(2)):
+                ring.q_power(rng.randrange(3)) * rng.randrange(1, 9)})
+                for _ in range(2))
+            assert same_terms(x.mul(y), ref_mul(x, y))
+        for p, a in [(2, 0), (3, 0), (2, 1), (3, 1)]:
+            res = OreAlgebra(ResidueScalars(p, a), m=1, with_partial=True, tcap=16)
+            gens = [res.partial(), res.nabla(0), res.T(0), res.const(p - 1)]
+            for x in gens:
+                for y in gens:
+                    assert same_terms(x.mul(y), ref_mul(x, y))
+                    z = x.mul(y)
+                    assert same_terms(z.mul(x), ref_mul(ref_mul(x, y), x))
+
     def test_identity_two_sided(self):
         alg = make_absolute_algebra(3, 0, m=2, N=6, M=8)
         rng = random.Random(1)
@@ -167,6 +315,38 @@ class TestAkj:
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (2, 0)])
     def test_operator_expansion_oracle(self, p, a):
         assert akj_operator_oracle(p, a, p ** (a + 1) + 1, nmax=8)
+
+    @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (2, 0), (5, 1)])
+    def test_dict_nabla_equals_product_form(self, p, a):
+        def product_form(pres, f):
+            out = pres.zero()
+            for (qe, ee, te), c in f.terms.items():
+                j = te[0]
+                if j:
+                    out = out + (pres.q_pow(qe) * c * pres.t_pow(0, j - 1)
+                                 * q_analogue(pres, j * p, p**a))
+            return out
+
+        pres = RingPresentation(p, a, m=1, has_eps0=False,
+                                max_qdeg=1 << 30, max_tdeg=1 << 30)
+        rng = random.Random(p + 10 * a)
+        for _ in range(30):
+            f = pres.zero()
+            for _ in range(rng.randrange(0, 6)):
+                f = f + (pres.q_pow(rng.randrange(12)) * pres.t_pow(0, rng.randrange(6))
+                         * rng.randrange(-50, 50))
+            for _ in range(3):
+                want = product_form(pres, f)
+                got = akj_nabla(pres, f)
+                assert got.terms == want.terms
+                f = got + f * pres.q_pow(1)  # overlapping keys next round
+        # the exponent bound is checked as the product form checks it
+        small = RingPresentation(p, a, m=1, has_eps0=False, max_qdeg=20)
+        f = BigPoly(small, {(18, (0,), (2,)): 1})
+        with pytest.raises(ExponentOverflow):
+            product_form(small, f)
+        with pytest.raises(ExponentOverflow):
+            akj_nabla(small, f)
 
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (5, 0)])
     def test_mod_d_binomials(self, p, a):

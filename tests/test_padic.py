@@ -145,6 +145,55 @@ class TestSubstitution:
             assert ptilde.gamma_u(u) == ptilde
 
 
+def _same_series(f, g):
+    """Equal residues and equal stated precision (N, M)."""
+    return (f.p, f.N, f.M, f.c) == (g.p, g.N, g.M, g.c)
+
+
+class TestSubstTable:
+    """The cached table of f(q) -> f(q^k) against Horner substitution."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("N", [1, 4, 8])
+    @pytest.mark.parametrize("M", [1, 2, 8, 48])
+    def test_table_equals_horner(self, p, N, M):
+        rng = random.Random(p * 1000 + N * 100 + M)
+        mod = p**N
+        inputs = [
+            TruncSeries.zero(p, N, M),
+            TruncSeries.one(p, N, M),
+            TruncSeries(p, N, M, [rng.randrange(mod) for _ in range(M)]),
+            # unreduced: negative and far above p^N, and fewer than M entries
+            TruncSeries(p, N, M, [rng.randrange(-mod**3, mod**3)
+                                  for _ in range(max(M // 2, 1))]),
+        ]
+        for k in (2, 4, 10, 28):
+            image = TruncSeries.q_power(p, N, M, k)
+            for f in inputs:
+                assert _same_series(f._subst_q_power(k), f.subst(image))
+
+    @pytest.mark.parametrize("p,a", [(2, 0), (2, 1), (3, 0), (3, 1), (5, 0)])
+    def test_gamma0_equals_horner(self, p, a):
+        rng = random.Random(7)
+        for N, M in [(1, 1), (4, 9), (8, 48)]:
+            f = TruncSeries(p, N, M, [rng.randrange(p**N) for _ in range(M)])
+            image = TruncSeries.q_power(p, N, M, p ** (a + 1) + 1)
+            assert _same_series(f.gamma0(a), f.subst(image))
+
+    def test_reduced_precision_input(self):
+        # the table is the one of the input's own (N, M)
+        f = TruncSeries(3, 8, 48, list(range(1, 49))).reduce_prec(N=5, M=20)
+        g = f.gamma0(1)
+        assert (g.N, g.M) == (5, 20)
+        assert _same_series(g, f.subst(TruncSeries.q_power(3, 5, 20, 10)))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("N,M", [(1, 1), (1, 5), (4, 8), (8, 48), (8, 64)])
+    def test_q_inverse_is_binomial_series(self, p, N, M):
+        assert _same_series(TruncSeries.q_power(p, N, M, -1),
+                            TruncSeries.q_power(p, N, M, 1).unit_inverse())
+
+
 class TestCertifiedDivision:
     def test_self_division(self):
         d = TruncSeries.d_series(3, 8, 20, 0)
