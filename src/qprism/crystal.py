@@ -11,6 +11,7 @@ kernels and cokernels off integer lattice normal forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,29 +72,26 @@ class QConnModule:
     # -- flattening ---------------------------------------------------------
 
     def _flat_of_blocks(self, B: list) -> list:
-        """Matrix of QuotElem entries -> Z/p^N block matrix."""
-        d = self.ring.deg
-        r = self.rank
-        out = [[0] * (r * d) for _ in range(r * d)]
-        for i in range(r):
-            for j in range(r):
-                if not any(B[i][j].coeffs):
-                    continue
-                blk = self.ring.mult_matrix(B[i][j])
-                for a in range(d):
-                    for b in range(d):
-                        out[i * d + a][j * d + b] = blk[a][b]
+        """Matrix of QuotElem entries -> Z/p^N block matrix, built a row at
+        a time from the rows of each entry's multiplication matrix."""
+        zero = [0] * self.ring.deg
+        out = []
+        for row in B:
+            blks = [self.ring.mult_matrix(x) if any(x.coeffs) else None
+                    for x in row]
+            for a in range(self.ring.deg):
+                line = []
+                for blk in blks:
+                    line.extend(zero if blk is None else blk[a])
+                out.append(line)
         return out
 
-    def _kron_base(self, base_mat: list) -> list:
+    def _kron_base(self, base_mat) -> list:
+        """The block diagonal matrix with `rank` copies of base_mat."""
         d = self.ring.deg
         r = self.rank
-        out = [[0] * (r * d) for _ in range(r * d)]
-        for i in range(r):
-            for a in range(d):
-                for b in range(d):
-                    out[i * d + a][i * d + b] = base_mat[a][b]
-        return out
+        return [[0] * (i * d) + list(row) + [0] * ((r - 1 - i) * d)
+                for i in range(r) for row in base_mat]
 
     def flat_partial(self) -> list:
         """The gamma_0-semilinear arithmetic operator, flattened."""
@@ -110,11 +108,7 @@ class QConnModule:
             return Dm
         g0 = self._kron_base(self.ring.endo_matrix(p ** (self.ring.alpha + 1) + 1))
         der = self._kron_base(self.ring.partial_matrix())
-        out = mat_mul_mod(Dm, g0, p, N)
-        for i in range(len(out)):
-            for j in range(len(out)):
-                out[i][j] = (out[i][j] + der[i][j]) % p**N
-        return out
+        return _mat_add(mat_mul_mod(Dm, g0, p, N), der, p**N)
 
     def flat_nabla(self, i: int) -> list:
         key = ("nabla", i)
@@ -137,29 +131,29 @@ class QConnModule:
 
         The sum stops at the first power of Theta_i that is zero mod p^N,
         since every later term has it as a factor; at the fiber T = 0
-        (Theta_i = 0) the operator is zero.  A non-nilpotent Theta_i gets
-        every term up to j = max(d_coeffs)."""
+        (Theta_i = 0) the operator is zero, before any product.  A
+        non-nilpotent Theta_i gets every term up to j = max(d_coeffs)."""
         p, N = self.ring.p, self.ring.N
         n = self.rank * self.ring.deg
         out = [[0] * n for _ in range(n)]
-        Np = self.flat_nabla(i)
         Th = self.flat_theta(i)
-        nab_pow = mat_identity(n)
-        th_pow = mat_identity(n)
+        # flattenings and products are reduced, so a zero is a literal 0
+        if not any(map(any, Th)):
+            return out
+        Np = self.flat_nabla(i)
+        th_pow, nab_pow = Th, Np
         for j in range(2, max(d_coeffs) + 1):
-            th_pow = mat_mul_mod(Th, th_pow, p, N)
-            # mat_mul_mod reduces mod p^N, so zero entries are exact zeros
-            if not any(x for row in th_pow for x in row):
-                break
-            nab_pow = mat_mul_mod(Np, nab_pow, p, N)
+            if j > 2:
+                th_pow = mat_mul_mod(Th, th_pow, p, N)
+                if not any(map(any, th_pow)):
+                    break
+                nab_pow = mat_mul_mod(Np, nab_pow, p, N)
             cj = d_coeffs.get(j)
             if cj is None or cj.is_zero():
                 continue
             term = mat_mul_mod(self.flat_scalar(cj),
                                mat_mul_mod(th_pow, nab_pow, p, N), p, N)
-            for a in range(n):
-                for b in range(n):
-                    out[a][b] = (out[a][b] + term[a][b]) % p**N
+            out = _mat_add(out, term, p**N)
         return out
 
     # -- invariant certification ---------------------------------------------
@@ -178,10 +172,7 @@ class QConnModule:
                 gS = self.flat_scalar(s.apply_matrix(g0))
                 dS = self.flat_scalar(s.apply_matrix(dm))
                 lhs = mat_mul_mod(P, S, p, N)
-                rhs = mat_mul_mod(gS, P, p, N)
-                for i in range(len(rhs)):
-                    for j in range(len(rhs)):
-                        rhs[i][j] = (rhs[i][j] + dS[i][j]) % p**N
+                rhs = _mat_add(mat_mul_mod(gS, P, p, N), dS, p**N)
                 ok = ok and mat_eq_mod(lhs, rhs, p, N)
         for i in range(self.m):
             Ni = self.flat_nabla(i)
@@ -203,7 +194,8 @@ class QConnModule:
 
     def certify_master_relation(self, scalars) -> bool:
         """(1 + beta q D_i) Nabla_i Partial = s0 (Partial + s1) Nabla_i
-        - D_i Nabla_i as flat matrices (mixed tag)."""
+        - D_i Nabla_i as flat matrices (mixed tag).  A zero D_i adds
+        nothing to either side, so its two products are skipped."""
         p, N = self.ring.p, self.ring.N
         P = self.flat_partial()
         s0 = self.flat_scalar(scalars.s0())
@@ -214,16 +206,12 @@ class QConnModule:
             Ni = self.flat_nabla(i)
             Di = self.flat_correction(i, dcs)
             lhs = mat_mul_mod(Ni, P, p, N)
-            lhs_corr = mat_mul_mod(bq, mat_mul_mod(Di, lhs, p, N), p, N)
-            for a in range(len(lhs)):
-                for b in range(len(lhs)):
-                    lhs[a][b] = (lhs[a][b] + lhs_corr[a][b]) % p**N
-            rhs = mat_mul_mod(s0, mat_mul_mod(P, Ni, p, N), p, N)
-            rhs2 = mat_mul_mod(s0s1, Ni, p, N)
-            rhs3 = mat_mul_mod(Di, Ni, p, N)
-            for a in range(len(rhs)):
-                for b in range(len(rhs)):
-                    rhs[a][b] = (rhs[a][b] + rhs2[a][b] - rhs3[a][b]) % p**N
+            rhs = _mat_add(mat_mul_mod(s0, mat_mul_mod(P, Ni, p, N), p, N),
+                           mat_mul_mod(s0s1, Ni, p, N), p**N)
+            if any(map(any, Di)):
+                lhs = _mat_add(lhs, mat_mul_mod(bq, mat_mul_mod(Di, lhs, p, N),
+                                                p, N), p**N)
+                rhs = _mat_add(rhs, mat_mul_mod(Di, Ni, p, N), p**N, -1)
             if not mat_eq_mod(lhs, rhs, p, N):
                 return False
         return True
@@ -279,8 +267,9 @@ class CochainComplex:
 
     def d_squared_zero(self) -> bool:
         for i in range(len(self.diffs) - 1):
+            # mat_mul_mod reduces, so a zero residue is a literal 0
             prod = mat_mul_mod(self.diffs[i + 1], self.diffs[i], self.p, self.N)
-            if any(x % self.p**self.N for row in prod for x in row):
+            if any(map(any, prod)):
                 return False
         return True
 
@@ -389,34 +378,43 @@ def qdr_complex(mod: QConnModule) -> CochainComplex:
     n = mod.rank * mod.ring.deg
     m = mod.m
     flats = [mod.flat_nabla(i) for i in range(m)]
-    subsets = _subsets(m)
-    ranks = [len([S for S in subsets if len(S) == t]) * n for t in range(m + 1)]
+    negs = [_mat_neg(F, p**N) for F in flats]
+    by_size = _subsets_by_size(m)
+    ranks = [len(Ss) * n for Ss in by_size]
+    zero = [0] * n
     diffs = []
     for t in range(m):
-        src = [S for S in subsets if len(S) == t]
-        dst = [S for S in subsets if len(S) == t + 1]
-        D = [[0] * (len(src) * n) for _ in range(len(dst) * n)]
-        for si, S in enumerate(src):
-            for i in range(m):
-                if i in S:
-                    continue
-                T = tuple(sorted(S + (i,)))
-                ti = dst.index(T)
-                u = T.index(i) + 1
-                sign = 1 if u % 2 == 1 else -1
-                blk = flats[i]
-                for a in range(n):
-                    for b in range(n):
-                        D[ti * n + a][si * n + b] = (sign * blk[a][b]) % p**N
+        src = {S: si for si, S in enumerate(by_size[t])}
+        D = []
+        for T in by_size[t + 1]:
+            # T minus its u-th index (u from 1) enters with sign (-1)^(u-1)
+            blks = [None] * len(src)
+            for u, i in enumerate(T):
+                blks[src[T[:u] + T[u + 1:]]] = flats[i] if u % 2 == 0 else negs[i]
+            for a in range(n):
+                line = []
+                for blk in blks:
+                    line.extend(zero if blk is None else blk[a])
+                D.append(line)
         diffs.append(D)
     return CochainComplex(p, N, ranks, diffs)
 
 
-def _subsets(m: int) -> list:
-    out = [()]
-    for i in range(m):
-        out = out + [S + (i,) for S in out]
-    return sorted(out, key=lambda S: (len(S), S))
+def _subsets_by_size(m: int) -> list:
+    """The subsets of range(m) of each size t = 0..m, as sorted tuples in
+    lexicographic order."""
+    return [list(itertools.combinations(range(m), t)) for t in range(m + 1)]
+
+
+def _mat_add(A: list, B: list, mod: int, sign: int = 1) -> list:
+    """A + B (or A - B for sign = -1) mod `mod`, a row at a time."""
+    if sign == 1:
+        return [[(x + y) % mod for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[(x - y) % mod for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _mat_neg(A: list, mod: int) -> list:
+    return [[-x % mod for x in row] for row in A]
 
 
 def double_complex(mod: QConnModule, scalars) -> dict:
@@ -425,8 +423,14 @@ def double_complex(mod: QConnModule, scalars) -> dict:
     Returns the square-commutativity verdicts, the total (fiber)
     complex, and the per-wedge column maps.  ``scalars`` supplies s0, s1
     and the correction coefficients over the module's base ring.
+
+    A zero correction D_i (every one at the fiber T = 0) adds no term to
+    the elementary symmetric sums, and 1 + beta q D_i is then the
+    identity, so only the nonzero corrections are multiplied and
+    inverted.
     """
     p, N = mod.ring.p, mod.ring.N
+    mod_N = p**N
     n = mod.rank * mod.ring.deg
     m = mod.m
     row = qdr_complex(mod)
@@ -435,45 +439,46 @@ def double_complex(mod: QConnModule, scalars) -> dict:
     s1 = scalars.s1()
     bq = scalars.beta * mod.ring.q_power(1)
     dcs = scalars.d_coeffs()
-    corr = [mod.flat_correction(i, dcs) for i in range(m)]
+    corr = {}
+    for i in range(m):
+        D = mod.flat_correction(i, dcs)
+        if any(map(any, D)):
+            corr[i] = D
     bq_flat = mod.flat_scalar(bq)
     # (1 + beta q D_i)^(-1), shared by every column map over an S holding i
-    inv_one_plus = []
-    for i in range(m):
-        one_plus = mat_mul_mod(bq_flat, corr[i], p, N)
+    inv_one_plus = {}
+    for i, D in corr.items():
+        one_plus = mat_mul_mod(bq_flat, D, p, N)
         for a in range(n):
-            one_plus[a][a] = (one_plus[a][a] + 1) % p**N
-        inv_one_plus.append(inv_mod(one_plus, p, N))
-    subsets = _subsets(m)
+            one_plus[a][a] = (one_plus[a][a] + 1) % mod_N
+        inv_one_plus[i] = inv_mod(one_plus, p, N)
+    by_size = _subsets_by_size(m)
 
     def column_map(S: tuple) -> list:
         t = len(S)
         acc = mat_mul_mod(mod.flat_scalar(s0**t), P, p, N)
         shift = mod.flat_scalar(sum((s0**i for i in range(1, t + 1)),
                                     mod.ring.zero()) * s1)
-        for a in range(n):
-            for b in range(n):
-                acc[a][b] = (acc[a][b] + shift[a][b]) % p**N
-        # - sum_i (beta q)^(i-1) P^i_t(corrections over S)
-        elem = _elementary_symmetric([corr[i] for i in S], p, N, n)
+        acc = _mat_add(acc, shift, mod_N)
+        # - sum_i (beta q)^(i-1) P^i(corrections over S)
+        live = [i for i in S if i in corr]
+        elem = _elementary_symmetric([corr[i] for i in live], p, N, n)
         bq_pow = mat_identity(n)
-        for i in range(1, t + 1):
-            term = mat_mul_mod(bq_pow, elem[i], p, N)
-            for a in range(n):
-                for b in range(n):
-                    acc[a][b] = (acc[a][b] - term[a][b]) % p**N
-            bq_pow = mat_mul_mod(bq_pow, bq_flat, p, N)
+        for i in range(1, len(live) + 1):
+            if i > 1:
+                bq_pow = mat_mul_mod(bq_pow, bq_flat, p, N)
+            acc = _mat_add(acc, mat_mul_mod(bq_pow, elem[i], p, N), mod_N, -1)
         # invert prod (1 + beta q D_i)
-        for i in S:
+        for i in live:
             acc = mat_mul_mod(inv_one_plus[i], acc, p, N)
         return acc
 
-    columns = {S: column_map(S) for S in subsets}
+    columns = {S: column_map(S) for Ss in by_size for S in Ss}
 
     # square commutativity: V_(S+i) o (sign nabla_i) = (sign nabla_i) o V_S
     squares_ok = True
     flats = [mod.flat_nabla(i) for i in range(m)]
-    for S in subsets:
+    for S in columns:
         for i in range(m):
             if i in S:
                 continue
@@ -487,28 +492,17 @@ def double_complex(mod: QConnModule, scalars) -> dict:
     ranks = [row.ranks[0]] + [row.ranks[j] + row.ranks[j - 1]
                               for j in range(1, m + 1)] + [row.ranks[m]]
     diffs = []
-    by_size = [[S for S in subsets if len(S) == t] for t in range(m + 1)]
     for j in range(m + 1):
         src_a = row.ranks[j]
         src_b = row.ranks[j - 1] if j >= 1 else 0
-        dst_a = row.ranks[j + 1] if j < m else 0
-        dst_b = row.ranks[j]
-        D = [[0] * (src_a + src_b) for _ in range(dst_a + dst_b)]
-        if j < m:
-            for a in range(dst_a):
-                for b in range(src_a):
-                    D[a][b] = row.diffs[j][a][b]
-        # V on the first block
+        D = [r + [0] * src_b for r in row.diffs[j]] if j < m else []
+        # V on the first block, -d on the second (empty at j = 0)
+        neg_d = _mat_neg(row.diffs[j - 1], mod_N) if j >= 1 else [[]] * src_a
         for si, S in enumerate(by_size[j]):
-            V = columns[S]
-            for a in range(n):
-                for b in range(n):
-                    D[dst_a + si * n + a][si * n + b] = V[a][b]
-        # -d on the second block
-        if j >= 1:
-            for a in range(dst_b):
-                for b in range(src_b):
-                    D[dst_a + a][src_a + b] = (-row.diffs[j - 1][a][b]) % p**N
+            left = [0] * (si * n)
+            right = [0] * (src_a - (si + 1) * n)
+            for a, Va in enumerate(columns[S]):
+                D.append(left + Va + right + neg_d[si * n + a])
         diffs.append(D)
     total = CochainComplex(p, N, ranks, diffs)
     return {"squares_ok": squares_ok, "row": row, "total": total,
@@ -517,22 +511,15 @@ def double_complex(mod: QConnModule, scalars) -> dict:
 
 def _elementary_symmetric(mats: list, p: int, N: int, n: int) -> dict:
     """P^i of commuting matrices, i = 0..len(mats)."""
-    out = {0: mat_identity(n)}
-    polys = [dict(out)]
+    elem = {0: mat_identity(n)}
     for M in mats:
-        prev = polys[-1]
-        nxt = {i: [row[:] for row in val] for i, val in prev.items()}
-        for i, val in prev.items():
+        # P^i(mats + [M]) = P^i(mats) + M P^(i-1)(mats)
+        nxt = {0: elem[0]}
+        for i, val in elem.items():
             term = mat_mul_mod(M, val, p, N)
-            tgt = nxt.get(i + 1)
-            if tgt is None:
-                nxt[i + 1] = term
-            else:
-                for a in range(n):
-                    for b in range(n):
-                        tgt[a][b] = (tgt[a][b] + term[a][b]) % p**N
-        polys.append(nxt)
-    return polys[-1]
+            nxt[i + 1] = _mat_add(elem[i + 1], term, p**N) if i + 1 in elem else term
+        elem = nxt
+    return elem
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +568,6 @@ def graded_mixed_module(p: int, alpha: int, N: int, shape: tuple,
     """
     ring = QuotientRing(p, N, alpha, 1)
     e = d_prime_elem(ring)
-    import itertools
     basis = list(itertools.product(*[range(s) for s in shape]))
     r = len(basis)
     idx = {b: i for i, b in enumerate(basis)}

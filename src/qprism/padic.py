@@ -347,7 +347,9 @@ class TruncSeries:
             return TruncSeries(self.p, self.N, self.M,
                                [(x * other) % mod for x in self.c])
         other, N, M = self._join(other)
-        return TruncSeries(self.p, N, M, _poly_mul(self.c, other.c, self.p**N, M))
+        # _poly_mul returns a new list of M residues mod p^N
+        return TruncSeries._of_reduced(self.p, N, M,
+                                       _poly_mul(self.c, other.c, self.p**N, M))
 
     __rmul__ = __mul__
 
@@ -944,28 +946,42 @@ class QuotientRing:
             cols.append(_poly_mod([0] + cols[-1], self.modulus, mod))
         return [[cols[j][i] for j in range(self.deg)] for i in range(self.deg)]
 
-    def endo_matrix(self, q_image_power: int) -> list:
-        """Matrix of the ring endomorphism q -> q^k on the power basis."""
-        cols = [self.q_power(q_image_power * i).coeffs for i in range(self.deg)]
-        return [[cols[j][i] for j in range(self.deg)] for i in range(self.deg)]
+    def endo_matrix(self, q_image_power: int) -> tuple:
+        """Matrix of the ring endomorphism q -> q^k on the power basis,
+        shared by every ring with the same (p, N, alpha, n)."""
+        return _endo_table(self.p, self.N, self.alpha, self.n, q_image_power)
 
-    def partial_matrix(self) -> list:
-        """Matrix of the twisted derivation sending q^i to [p i]_{q^(p^alpha)} q^(i-1)."""
-        cols = []
-        for i in range(self.deg):
-            if i == 0:
-                cols.append([0] * self.deg)
-                continue
-            img = self.zero()
-            for j in range(self.p * i):
-                img = img + self.q_power(j * self.p**self.alpha + i - 1)
-            cols.append(img.coeffs)
-        return [[cols[j][i] for j in range(self.deg)] for i in range(self.deg)]
+    def partial_matrix(self) -> tuple:
+        """Matrix of the twisted derivation sending q^i to
+        [p i]_{q^(p^alpha)} q^(i-1), shared like ``endo_matrix``."""
+        return _partial_table(self.p, self.N, self.alpha, self.n)
 
     def __eq__(self, other):
         return (isinstance(other, QuotientRing)
                 and (self.p, self.N, self.alpha, self.n) ==
                 (other.p, other.N, other.alpha, other.n))
+
+
+@functools.cache
+def _endo_table(p: int, N: int, alpha: int, n: int, k: int) -> tuple:
+    """Rows of the matrix of q -> q^k on A/d^n: column i is q^(k i).
+    Rows are tuples, so no caller can change the shared table."""
+    ring = QuotientRing(p, N, alpha, n)
+    return tuple(zip(*(ring.q_power(k * i).coeffs for i in range(ring.deg))))
+
+
+@functools.cache
+def _partial_table(p: int, N: int, alpha: int, n: int) -> tuple:
+    """Rows of the matrix of the twisted derivation on A/d^n: column i is
+    sum_(j < p i) q^(j p^alpha + i - 1), column 0 is zero."""
+    ring = QuotientRing(p, N, alpha, n)
+    cols = [[0] * ring.deg]
+    for i in range(1, ring.deg):
+        img = ring.zero()
+        for j in range(p * i):
+            img = img + ring.q_power(j * p**alpha + i - 1)
+        cols.append(img.coeffs)
+    return tuple(zip(*cols))
 
 
 class QuotElem:

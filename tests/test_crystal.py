@@ -296,6 +296,274 @@ class TestCorrectionOperator:
         assert mod.flat_nabla(1) == mod._flat_of_blocks(mod.N_list[1])
 
 
+def _elementary_symmetric_reference(mats, p, N, n):
+    """P^i of commuting matrices, i = 0..len(mats), by index loops."""
+    polys = [{0: mat_identity(n)}]
+    for M in mats:
+        prev = polys[-1]
+        nxt = {i: [row[:] for row in val] for i, val in prev.items()}
+        for i, val in prev.items():
+            term = mat_mul_mod(M, val, p, N)
+            tgt = nxt.get(i + 1)
+            if tgt is None:
+                nxt[i + 1] = term
+            else:
+                for a in range(n):
+                    for b in range(n):
+                        tgt[a][b] = (tgt[a][b] + term[a][b]) % p**N
+        polys.append(nxt)
+    return polys[-1]
+
+
+def _columns_reference(mod, scalars):
+    """The column maps V_S over every subset S, from every correction:
+    s0^t D + (s0 + ... + s0^t) s1 - sum_i (beta q)^(i-1) P^i(D_S), times
+    the inverse of every (1 + beta q D_i) with i in S, zero or not."""
+    p, N = mod.ring.p, mod.ring.N
+    n = mod.rank * mod.ring.deg
+    m = mod.m
+    P = mod.flat_partial()
+    s0, s1 = scalars.s0(), scalars.s1()
+    dcs = scalars.d_coeffs()
+    corr = [mod.flat_correction(i, dcs) for i in range(m)]
+    bq_flat = mod.flat_scalar(scalars.beta * mod.ring.q_power(1))
+    inv_one_plus = []
+    for i in range(m):
+        one_plus = mat_mul_mod(bq_flat, corr[i], p, N)
+        for a in range(n):
+            one_plus[a][a] = (one_plus[a][a] + 1) % p**N
+        inv_one_plus.append(inv_mod(one_plus, p, N))
+    columns = {}
+    for S in _all_subsets(m):
+        t = len(S)
+        acc = mat_mul_mod(mod.flat_scalar(s0**t), P, p, N)
+        shift = mod.flat_scalar(sum((s0**i for i in range(1, t + 1)),
+                                    mod.ring.zero()) * s1)
+        for a in range(n):
+            for b in range(n):
+                acc[a][b] = (acc[a][b] + shift[a][b]) % p**N
+        elem = _elementary_symmetric_reference([corr[i] for i in S], p, N, n)
+        bq_pow = mat_identity(n)
+        for i in range(1, t + 1):
+            term = mat_mul_mod(bq_pow, elem[i], p, N)
+            for a in range(n):
+                for b in range(n):
+                    acc[a][b] = (acc[a][b] - term[a][b]) % p**N
+            bq_pow = mat_mul_mod(bq_pow, bq_flat, p, N)
+        for i in S:
+            acc = mat_mul_mod(inv_one_plus[i], acc, p, N)
+        columns[S] = acc
+    return columns
+
+
+def _master_relation_reference(mod, scalars):
+    """(1 + beta q D_i) Nabla_i Partial = s0 (Partial + s1) Nabla_i
+    - D_i Nabla_i, with every correction product taken."""
+    p, N = mod.ring.p, mod.ring.N
+    P = mod.flat_partial()
+    s0 = mod.flat_scalar(scalars.s0())
+    s0s1 = mod.flat_scalar(scalars.s0() * scalars.s1())
+    bq = mod.flat_scalar(scalars.beta * mod.ring.q_power(1))
+    dcs = scalars.d_coeffs()
+    for i in range(mod.m):
+        Ni = mod.flat_nabla(i)
+        Di = mod.flat_correction(i, dcs)
+        lhs = mat_mul_mod(Ni, P, p, N)
+        lhs_corr = mat_mul_mod(bq, mat_mul_mod(Di, lhs, p, N), p, N)
+        for a in range(len(lhs)):
+            for b in range(len(lhs)):
+                lhs[a][b] = (lhs[a][b] + lhs_corr[a][b]) % p**N
+        rhs = mat_mul_mod(s0, mat_mul_mod(P, Ni, p, N), p, N)
+        rhs2 = mat_mul_mod(s0s1, Ni, p, N)
+        rhs3 = mat_mul_mod(Di, Ni, p, N)
+        for a in range(len(rhs)):
+            for b in range(len(rhs)):
+                rhs[a][b] = (rhs[a][b] + rhs2[a][b] - rhs3[a][b]) % p**N
+        if not mat_eq_mod(lhs, rhs, p, N):
+            return False
+    return True
+
+
+def _all_subsets(m):
+    """Subsets of range(m) by size, then lexicographically."""
+    return [S for t in range(m + 1) for S in itertools.combinations(range(m), t)]
+
+
+def _theta(kind, ring, r):
+    """A T-action on a rank-r module: nilpotent, identity or zero."""
+    def entry(i, j):
+        if kind == "identity":
+            return ring.one() if i == j else ring.zero()
+        if kind == "nilpotent" and j == i + 1:
+            return ring.q_power(1) + 1
+        return ring.zero()
+    return [[entry(i, j) for j in range(r)] for i in range(r)]
+
+
+class TestZeroCorrectionSkip:
+    """double_complex and certify_master_relation multiply and invert only
+    the nonzero corrections; the results equal the formulas that take
+    every correction."""
+
+    # graded modules of shape (3, 2) satisfy the mixed law at T = 0; a
+    # nonzero correction on the first axis, where Nabla^2 != 0, breaks it,
+    # while on the second axis D_i Nabla_i = 0.  Random ones (rank 2)
+    # satisfy no law.
+    @pytest.mark.parametrize("source,p,alpha,thetas,verdict", [
+        ("graded", 3, 0, ("nilpotent", "zero"), False),
+        ("graded", 3, 0, ("zero", "identity"), True),
+        ("graded", 3, 1, ("identity", "nilpotent"), False),
+        ("graded", 2, 1, ("nilpotent", "identity"), False),
+        ("graded", 3, 0, ("zero", "zero"), True),
+        ("graded", 3, 1, None, True),
+        ("random", 3, 0, ("identity", "zero"), False),
+        ("random", 3, 1, ("nilpotent", "identity"), False),
+        ("random", 2, 1, ("zero", "nilpotent"), False),
+    ])
+    def test_matches_every_correction_reference(self, source, p, alpha, thetas,
+                                                verdict):
+        rng = random.Random(40 + p + alpha)
+        base = (graded_mixed_module(p, alpha, 4, (3, 2), rng) if source == "graded"
+                else _random_module(p, alpha, 1, 4, 2, 2, rng))
+        ring, r = base.ring, base.rank
+        mod = QConnModule(ring, r, D=base.D, N_list=base.N_list,
+                          theta_list=None if thetas is None
+                          else [_theta(kind, ring, r) for kind in thetas],
+                          tag="mixed")
+        sc = QuotScalars(ring)
+        dcs = sc.d_coeffs()
+        nonzero = [any(map(any, mod.flat_correction(i, dcs))) for i in range(2)]
+        if thetas is not None and "identity" in thetas:
+            assert True in nonzero
+        if thetas is None or "zero" in thetas:
+            assert False in nonzero
+        dc = double_complex(mod, sc)
+        assert dc["columns"] == _columns_reference(mod, sc)
+        assert mod.certify_master_relation(sc) == _master_relation_reference(mod, sc)
+        assert mod.certify_master_relation(sc) == verdict
+
+
+def _flat_of_blocks_reference(mod, B):
+    d, r = mod.ring.deg, mod.rank
+    out = [[0] * (r * d) for _ in range(r * d)]
+    for i in range(r):
+        for j in range(r):
+            blk = mod.ring.mult_matrix(B[i][j])
+            for a in range(d):
+                for b in range(d):
+                    out[i * d + a][j * d + b] = blk[a][b]
+    return out
+
+
+def _kron_base_reference(mod, base_mat):
+    d, r = mod.ring.deg, mod.rank
+    out = [[0] * (r * d) for _ in range(r * d)]
+    for i in range(r):
+        for a in range(d):
+            for b in range(d):
+                out[i * d + a][i * d + b] = base_mat[a][b]
+    return out
+
+
+def _qdr_diffs_reference(mod):
+    p, N = mod.ring.p, mod.ring.N
+    n = mod.rank * mod.ring.deg
+    m = mod.m
+    flats = [mod.flat_nabla(i) for i in range(m)]
+    subsets = _all_subsets(m)
+    diffs = []
+    for t in range(m):
+        src = [S for S in subsets if len(S) == t]
+        dst = [S for S in subsets if len(S) == t + 1]
+        D = [[0] * (len(src) * n) for _ in range(len(dst) * n)]
+        for si, S in enumerate(src):
+            for i in range(m):
+                if i in S:
+                    continue
+                T = tuple(sorted(S + (i,)))
+                ti = dst.index(T)
+                sign = 1 if (T.index(i) + 1) % 2 == 1 else -1
+                for a in range(n):
+                    for b in range(n):
+                        D[ti * n + a][si * n + b] = (sign * flats[i][a][b]) % p**N
+        diffs.append(D)
+    return diffs
+
+
+def _total_diffs_reference(row, columns, m, n, p, N):
+    """d(x, y) = (d x, V(x) - d y) on Row^j (+) Row^(j-1), entry by entry."""
+    subsets = sorted(columns, key=lambda S: (len(S), S))
+    by_size = [[S for S in subsets if len(S) == t] for t in range(m + 1)]
+    diffs = []
+    for j in range(m + 1):
+        src_a = row.ranks[j]
+        src_b = row.ranks[j - 1] if j >= 1 else 0
+        dst_a = row.ranks[j + 1] if j < m else 0
+        dst_b = row.ranks[j]
+        D = [[0] * (src_a + src_b) for _ in range(dst_a + dst_b)]
+        if j < m:
+            for a in range(dst_a):
+                for b in range(src_a):
+                    D[a][b] = row.diffs[j][a][b]
+        for si, S in enumerate(by_size[j]):
+            for a in range(n):
+                for b in range(n):
+                    D[dst_a + si * n + a][si * n + b] = columns[S][a][b]
+        if j >= 1:
+            for a in range(dst_b):
+                for b in range(src_b):
+                    D[dst_a + a][src_a + b] = (-row.diffs[j - 1][a][b]) % p**N
+        diffs.append(D)
+    return diffs
+
+
+def _random_module(p, alpha, n, N, r, m, rng):
+    """Random operator entries (about a third of them zero) over A/d^n;
+    the mixed law need not hold for the assembly."""
+    ring = QuotientRing(p, N, alpha, n)
+
+    def entry():
+        if rng.random() < 0.35:
+            return ring.zero()
+        return ring.elem([rng.randrange(-p**N, 2 * p**N) for _ in range(ring.deg)])
+
+    def mat():
+        return [[entry() for _ in range(r)] for _ in range(r)]
+
+    return QConnModule(ring, r, D=mat(), N_list=[mat() for _ in range(m)],
+                       tag="mixed")
+
+
+class TestRowAssembly:
+    """Row-wise assembly against the entry-by-entry loops it replaced."""
+
+    CASES = [(p, alpha, n, r, m) for (p, alpha, n) in [(3, 0, 1), (2, 1, 2), (3, 1, 1)]
+             for r in (1, 2, 3) for m in (1, 2)]
+
+    @staticmethod
+    def _reduced(mats, p, N):
+        return all(0 <= x < p**N for M in mats for row in M for x in row)
+
+    @pytest.mark.parametrize("p,alpha,n,r,m", CASES)
+    def test_matches_index_loops(self, p, alpha, n, r, m):
+        N = 4
+        mod = _random_module(p, alpha, n, N, r, m, random.Random(f"{p}{alpha}{n}{r}{m}"))
+        ring = mod.ring
+        for B in [mod.D, *mod.N_list]:
+            assert mod._flat_of_blocks(B) == _flat_of_blocks_reference(mod, B)
+        for base in [ring.endo_matrix(p ** (alpha + 1) + 1), ring.partial_matrix(),
+                     ring.mult_matrix(mod.D[0][0])]:
+            assert mod._kron_base(base) == _kron_base_reference(mod, base)
+        row = qdr_complex(mod)
+        assert row.diffs == _qdr_diffs_reference(mod)
+        dc = double_complex(mod, QuotScalars(ring))
+        n_flat = r * ring.deg
+        total = dc["total"].diffs
+        assert total == _total_diffs_reference(dc["row"], dc["columns"], m, n_flat, p, N)
+        assert [len(D) for D in total] == dc["total"].ranks[1:]
+        assert self._reduced(row.diffs + total + [mod.flat_partial()], p, N)
+
+
 def _conjugate_reference(mod, P):
     """P^-1 B P for every operator B, as sums of QuotElem products; P^-1
     is read back from the inverse of P's flattening."""

@@ -534,6 +534,42 @@ class TestQuotientRing:
             for i in range(R.deg):
                 assert [row[i] for row in mat] == (x * R.q_power(i)).coeffs
 
+    @staticmethod
+    def _endo_columns(R, k):
+        cols = [R.q_power(k * i).coeffs for i in range(R.deg)]
+        return [[cols[j][i] for j in range(R.deg)] for i in range(R.deg)]
+
+    @staticmethod
+    def _partial_columns(R):
+        cols = []
+        for i in range(R.deg):
+            if i == 0:
+                cols.append([0] * R.deg)
+                continue
+            img = R.zero()
+            for j in range(R.p * i):
+                img = img + R.q_power(j * R.p**R.alpha + i - 1)
+            cols.append(img.coeffs)
+        return [[cols[j][i] for j in range(R.deg)] for i in range(R.deg)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ring_tables_match_column_formulas(self, p, alpha, n):
+        R = QuotientRing(p, 4, alpha, n)
+        for k in (2, p ** (alpha + 1) + 1):
+            assert R.endo_matrix(k) == tuple(map(tuple, self._endo_columns(R, k)))
+        assert R.partial_matrix() == tuple(map(tuple, self._partial_columns(R)))
+
+    def test_ring_tables_shared_and_immutable(self):
+        R, S = QuotientRing(3, 6, 1, 1), QuotientRing(3, 6, 1, 1)
+        assert R.endo_matrix(10) is S.endo_matrix(10)
+        assert R.partial_matrix() is S.partial_matrix()
+        assert R.endo_matrix(10) is not QuotientRing(3, 5, 1, 1).endo_matrix(10)
+        for table in (R.endo_matrix(10), R.partial_matrix()):
+            assert isinstance(table, tuple)
+            assert all(isinstance(row, tuple) for row in table)
+
     def test_from_series_precision(self):
         R = QuotientRing(3, 8, 0, 1)
         f = TruncSeries.d_series(3, 8, 24, 0)
@@ -635,6 +671,23 @@ class TestPolyMulKernel:
             f, g = TruncSeries(3, 40, M, a), TruncSeries(3, 2, M, b)
             want = schoolbook_mul(a, b, 3**2, M)
             assert (f * g).c == want and (g * f).c == want
+
+    def test_series_product_owns_reduced_coefficients(self):
+        # the product wraps the kernel's list as is: it must be exactly M
+        # residues and share no list with an operand
+        rng = random.Random(41)
+        for p, N, M in [(3, 6, 1), (3, 8, 48), (2, 4, 5), (5, 3, 9)]:
+            mod = p**N
+            f = TruncSeries(p, N, M, [rng.randrange(-mod, 2 * mod) for _ in range(M)])
+            zero, one = TruncSeries.zero(p, N, M), TruncSeries.one(p, N, M)
+            for a, b in [(f, f), (f, one), (one, f), (f, zero), (zero, zero)]:
+                before = (list(a.c), list(b.c))
+                prod = a * b
+                assert prod.c is not a.c and prod.c is not b.c
+                assert prod.c == TruncSeries(p, N, M, schoolbook_mul(a.c, b.c, mod, M)).c
+                assert len(prod.c) == M and all(0 <= x < mod for x in prod.c)
+                prod.c[0] += 1
+                assert (a.c, b.c) == before
 
     @pytest.mark.parametrize("p,N", [(2, 4), (3, 8), (5, 11), (3, 40)])
     def test_random_entries_across_slot_widths(self, p, N):
