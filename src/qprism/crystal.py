@@ -106,9 +106,12 @@ class QConnModule:
         Dm = self._flat_of_blocks(self.D)
         if self.scalar_operators:
             return Dm
-        g0 = self._kron_base(self.ring.endo_matrix(p ** (self.ring.alpha + 1) + 1))
+        if self.ring.n > 1:
+            # over A/d, gamma_0 is the identity: q^(p^(alpha+1)) = 1 mod d
+            g0 = self._kron_base(self.ring.endo_matrix(p ** (self.ring.alpha + 1) + 1))
+            Dm = mat_mul_mod(Dm, g0, p, N)
         der = self._kron_base(self.ring.partial_matrix())
-        return _mat_add(mat_mul_mod(Dm, g0, p, N), der, p**N)
+        return _mat_add(Dm, der, p**N)
 
     def flat_nabla(self, i: int) -> list:
         key = ("nabla", i)
@@ -456,7 +459,7 @@ def double_complex(mod: QConnModule, scalars) -> dict:
 
     def column_map(S: tuple) -> list:
         t = len(S)
-        acc = mat_mul_mod(mod.flat_scalar(s0**t), P, p, N)
+        acc = mat_mul_mod(mod.flat_scalar(s0**t), P, p, N) if t else P
         shift = mod.flat_scalar(sum((s0**i for i in range(1, t + 1)),
                                     mod.ring.zero()) * s1)
         acc = _mat_add(acc, shift, mod_N)
@@ -467,7 +470,8 @@ def double_complex(mod: QConnModule, scalars) -> dict:
         for i in range(1, len(live) + 1):
             if i > 1:
                 bq_pow = mat_mul_mod(bq_pow, bq_flat, p, N)
-            acc = _mat_add(acc, mat_mul_mod(bq_pow, elem[i], p, N), mod_N, -1)
+            term = mat_mul_mod(bq_pow, elem[i], p, N) if i > 1 else elem[1]
+            acc = _mat_add(acc, term, mod_N, -1)
         # invert prod (1 + beta q D_i)
         for i in live:
             acc = mat_mul_mod(inv_one_plus[i], acc, p, N)

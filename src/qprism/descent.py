@@ -32,6 +32,7 @@ indices, never dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .padic import (
     PadicInt,
@@ -59,6 +60,7 @@ class DescentContext:
     w_prec: int = 0
     w_poly_residuals: list = None  # indices > p+1 with nonzero digits
     M_work: int = 0
+    gamma_powers: list = field(default_factory=list)  # see _gamma_powers
 
     @property
     def ok(self):
@@ -158,31 +160,31 @@ def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
 # ---------------------------------------------------------------------------
 
 
-def _gamma_ptilde_poly(ctx: DescentContext) -> list:
-    """gamma(ptilde) = ptilde + w as a ptilde-coefficient vector."""
+def _gamma_powers(ctx: DescentContext, n: int) -> list:
+    """gamma(ptilde)^0 .. gamma(ptilde)^(n-1) as ptilde-coefficient
+    vectors, where gamma(ptilde) = ptilde + w.  The powers are kept on
+    the context and extended on demand."""
     mod = ctx.p**ctx.w_prec
-    base = [ctx.w_coeff(j) for j in range(len(ctx.digits))]
-    base[1] = (base[1] + 1) % mod
-    return base
+    pows = ctx.gamma_powers
+    if not pows:
+        base = [ctx.w_coeff(j) for j in range(len(ctx.digits))]
+        base[1] = (base[1] + 1) % mod
+        pows.extend(([1], base))
+    while len(pows) < n:
+        pows.append(_poly_mul(pows[-1], pows[1], mod))
+    return pows[:n]
 
 
 def f_map(ctx: DescentContext, coeffs: list) -> list:
     """f of sum_j coeffs[j] ptilde^j in ptilde digit coordinates."""
     mod = ctx.p**ctx.w_prec
-    base = _gamma_ptilde_poly(ctx)
-    out = [0]
-    cur = [1]
-    for j, c in enumerate(coeffs):
-        if j:
-            cur = _poly_mul(cur, base, mod)
-        for i, x in enumerate(cur):
-            if i >= len(out):
-                out.extend([0] * (i - len(out) + 1))
-            out[i] = (out[i] + c * x) % mod
-    for j, c in enumerate(coeffs):
-        if j < len(out):
-            out[j] = (out[j] - c) % mod
-    return out
+    pows = _gamma_powers(ctx, len(coeffs))
+    out = [0] * (len(pows[-1]) if pows else 1)
+    for c, cur in zip(coeffs, pows):
+        if c:
+            out[:len(cur)] = map(add, out, [c * x for x in cur])
+    out[:len(coeffs)] = map(sub, out, coeffs)
+    return [x % mod for x in out]
 
 
 def f_on_powers(ctx: DescentContext, kmax: int) -> list:
@@ -285,10 +287,8 @@ def f_leibniz_check(ctx: DescentContext, rng, trials: int = 100,
         fx, fy = f_map(ctx, x), f_map(ctx, y)
         rhs = _poly_mul(fx, y, mod)
         for part in (_poly_mul(x, fy, mod), _poly_mul(fx, fy, mod)):
-            for i, v in enumerate(part):
-                if i >= len(rhs):
-                    rhs.extend([0] * (i - len(rhs) + 1))
-                rhs[i] = (rhs[i] + v) % mod
+            rhs.extend([0] * (len(part) - len(rhs)))
+            rhs[:len(part)] = map(add, rhs, part)
         n = max(len(lhs), len(rhs))
         lhs = lhs + [0] * (n - len(lhs))
         rhs = rhs + [0] * (n - len(rhs))

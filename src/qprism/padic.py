@@ -15,7 +15,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 
@@ -255,10 +255,17 @@ class TruncSeries:
     def q_power(p, N, M, k):
         """q^k = (1+t)^k for k an integer or PadicInt.
 
-        For a p-adic exponent the binomials are generated by the
-        iteration C(k, n+1) = C(k, n)(k - n)/(n + 1) carried out
-        modularly, with the honest digit loss v_p(n!) checked against
-        the precision of the exponent.
+        For a p-adic exponent, C(k, n) mod p^N is carried as p^e * u, with
+        e its valuation and u a unit mod p^N (Granville, "Arithmetic
+        properties of binomial coefficients I", 1997), through
+        C(k, n+1) = C(k, n)(k - n)/(n + 1).  A unit factor k - n costs one
+        multiply mod p^N.  Otherwise its valuation v, exact below k.prec,
+        and its unit part are read from the residue mod p^k.prec; that unit
+        part is right only mod p^(k.prec - v), which suffices, as
+        e + k.prec - v >= k.prec - v_p(n!) >= N.  If k = n to full
+        precision, every later coefficient is divisible by
+        p^(k.prec - v_p((M-1)!)), so is 0 mod p^N.  The digit loss
+        v_p((M-1)!) is checked against the precision of the exponent.
         """
         if isinstance(k, int) and k >= 0:
             cs = [math.comb(k, n) for n in range(min(M, k + 1))]
@@ -273,28 +280,51 @@ class TruncSeries:
         if k.prec < need:
             raise PrecisionError(
                 f"need exponent mod p^{need} to certify (1+t)^u to t^{M}")
-        mod = p**k.prec
-        cs, c, r = [1], 1 % mod, k.residue % mod
+        mod, modk = p**N, p**k.prec
+        r = k.residue
+        r_N, r_p = r % mod, r % p
+        p_pows = [p**i for i in range(N)]
+        cs, e, u = [1], 0, 1
         for n in range(M - 1):
-            c = c * ((r - n) % mod) % mod
+            if n % p != r_p:
+                u = u * (r_N - n) % mod
+            else:
+                x = (r - n) % modk
+                if not x:
+                    break
+                v = vp_int(x, p)
+                e += v
+                u = u * (x // p**v) % mod
             dv = n + 1
-            v = vp_int(dv, p) or 0
+            v = vp_int(dv, p)
             if v:
-                if c % p**v:
+                e -= v
+                if e < 0:
                     raise ArithmeticError("binomial iteration lost exactness")
-                c //= p**v
                 dv //= p**v
-            c = c * pow(dv, -1, mod) % mod
-            cs.append(c)
+            u = u * pow(dv, -1, mod) % mod
+            cs.append(u * p_pows[e] % mod if e < N else 0)
         return TruncSeries(p, N, M, cs)
 
     @staticmethod
     def from_q_poly(p, N, M, qcoeffs: dict):
-        """Sum of c * q^e over the (possibly huge or negative) exponents e."""
-        out = TruncSeries.zero(p, N, M)
-        for e, coef in qcoeffs.items():
-            out = out + TruncSeries.q_power(p, N, M, e) * coef
-        return out
+        """Sum of c * q^e over the (possibly huge or negative) integer
+        exponents e, in one pass.
+
+        The binomials come from the exact iteration
+        C(e, j+1) = C(e, j)(e - j)/(j + 1), which ends at j = e for
+        e >= 0 and gives C(e, j) = (-1)^j C(j - e - 1, j) for e < 0.  The
+        products c * C(e, j) are summed into one coefficient list, which
+        is reduced once.
+        """
+        acc = [0] * M
+        for e, c in qcoeffs.items():
+            for j in range(M):
+                if not c:
+                    break
+                acc[j] += c
+                c = c * (e - j) // (j + 1)
+        return TruncSeries(p, N, M, acc)
 
     @staticmethod
     def q_analogue(p, N, M, n: int, base: int = 1):
@@ -499,7 +529,7 @@ class TruncSeries:
             raise PrecisionError("t-precision does not reach the divisor degree")
         minus_pC = [-x for x in P[:r]]  # -p*C, where P = t^r + p*C
         mod = p**self.N
-        g = list(self.c)
+        g = self.c
         Mg = self.M
         Q = [0] * (self.M - r)
         R = [0] * r
@@ -511,12 +541,11 @@ class TruncSeries:
             if Mg < r:
                 cert = min(cert, k)
                 break
-            low, high = g[:r], g[r:Mg]
-            for i in range(r):
-                R[i] = (R[i] + low[i]) % mod
-            for i, x in enumerate(high):
-                if i < len(Q):
-                    Q[i] = (Q[i] + x) % mod
+            # at most N + 1 rounds, so the sums stay small; they are
+            # reduced once, by the constructors below
+            high = g[r:Mg]
+            R = list(map(add, R, g[:r]))
+            Q[:len(high)] = map(add, Q, high)
             if k >= self.N:
                 break
             # g <- -p*C*D(g)

@@ -396,30 +396,29 @@ def _ghost_c(pres: RingPresentation, n: int) -> BigPoly:
 
 
 def _series_of_poly(base, poly: BigPoly):
-    """Transport a BigPoly with one optional eps into a series eps-pair."""
+    """Transport a BigPoly with one optional eps into a series eps-pair.
+
+    The terms are grouped by eps sector (and, over a T-twisted base, by
+    T-degree), and each group becomes a series in one pass."""
     p, N, M = base.p, base.N, base.M
-    if isinstance(base, TEpsSeriesBase):
-        fr = TPoly.zero(p, N, M, base.tcap)
-        gr = TPoly.zero(p, N, M, base.tcap)
-        for (qe, ee, te), cval in poly.terms.items():
-            s = TruncSeries.q_power(p, N, M, qe) * cval
-            tp = TPoly.t_power(p, N, M, base.tcap, te[0] if te else 0, s)
-            if any(ee):
-                gr = gr + tp
-            else:
-                fr = fr + tp
-        return EpsPair(fr, gr, base)
-    fr = TruncSeries.zero(p, N, M)
-    gr = TruncSeries.zero(p, N, M)
+    twisted = isinstance(base, TEpsSeriesBase)
+    sectors = {}  # (has eps, T-degree) -> {q-exponent: coefficient}
     for (qe, ee, te), cval in poly.terms.items():
-        s = TruncSeries.q_power(p, N, M, qe) * cval
-        if any(ee):
-            gr = gr + s
-        else:
-            fr = fr + s
+        qc = sectors.setdefault((any(ee), te[0] if twisted and te else 0), {})
+        qc[qe] = qc.get(qe, 0) + cval
+    series = {key: TruncSeries.from_q_poly(p, N, M, qc)
+              for key, qc in sectors.items()}
+    if twisted:
+        fr, gr = (TPoly(p, N, M, base.tcap,
+                        {te: s for (eps, te), s in series.items() if eps == side})
+                  for side in (False, True))
+        return EpsPair(fr, gr, base)
+    zero = TruncSeries.zero(p, N, M)
+    fr = series.get((False, 0), zero)
+    gr = series.get((True, 0), zero)
     if isinstance(base, EpsSeriesBase):
         return EpsPair(fr, gr, base)
-    if any(any(k[1]) for k in poly.terms):
+    if (True, 0) in series:
         raise ValueError("eps term in a plain series base")
     return fr
 

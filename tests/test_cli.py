@@ -226,11 +226,16 @@ def test_list_suites_cli():
     *(pytest.param("cohomology-a1", s, id=f"cohomology-a1-{s}")
       for s in (1000, 2000, 3000)),
     pytest.param("construction-p5-lite", 0, id="construction-p5-lite"),
+    pytest.param("construction-p5-lite", 1000, id="construction-p5-lite-1000"),
     pytest.param("ore-relations", 0, id="ore-relations"),
+    # the ungated workload that adds witt-b, whose exact cross-check runs
+    # the BigPoly-to-series transport
+    pytest.param("construction-p5", 0, id="construction-p5"),
 ])
 def test_workload_matches_benchmark_golden(capsys, workload, seed):
     """Each gated benchmark workload at CLI seed 0 (and cohomology-a1 at
-    every seed of its cycle), run in-process, prints the report recorded
+    every seed of its cycle, construction-p5-lite also at seed 1000), and
+    construction-p5 at seed 0, run in-process, print the report recorded
     in perfbench/golden.json."""
     bench = os.path.join(os.path.dirname(SRC), "perfbench")
     spec = importlib.util.spec_from_file_location(

@@ -15,7 +15,7 @@ from qprism.descent import (
     to_e_coords,
     wcart_h1_structure,
 )
-from qprism.padic import PadicInt, TruncSeries, teichmuller
+from qprism.padic import PadicInt, TruncSeries, _poly_mul, teichmuller
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,26 @@ class TestContext:
         assert hard == []  # every other invariant still certifies
 
 
+def reference_f_map(ctx, coeffs):
+    """f_map as it was first written: gamma(ptilde) and its powers rebuilt
+    on every call, entries added one index at a time."""
+    mod = ctx.p**ctx.w_prec
+    base = [ctx.w_coeff(j) for j in range(len(ctx.digits))]
+    base[1] = (base[1] + 1) % mod
+    out, cur = [0], [1]
+    for j, c in enumerate(coeffs):
+        if j:
+            cur = _poly_mul(cur, base, mod)
+        for i, x in enumerate(cur):
+            if i >= len(out):
+                out.extend([0] * (i - len(out) + 1))
+            out[i] = (out[i] + c * x) % mod
+    for j, c in enumerate(coeffs):
+        if j < len(out):
+            out[j] = (out[j] - c) % mod
+    return out
+
+
 class TestFMap:
     def test_f_kills_constants(self, ctx3):
         assert all(c == 0 for c in f_map(ctx3, [7]))
@@ -74,6 +94,17 @@ class TestFMap:
         support = [l for l, c in enumerate(coords) if c % 3**ctx3.w_prec]
         assert support and all(1 <= l <= p for l in support)
         assert coords[p] % 3 != 0  # unit leading coefficient
+
+    def test_matches_reference_as_powers_are_extended(self):
+        # a fresh context, so the cached powers grow across these calls
+        ctx = build_context(3, 6, 3)
+        rng = random.Random(2)
+        mod = 3**ctx.w_prec
+        for n in (2, 0, 1, 5, 3, 8, 4):
+            coeffs = [rng.randrange(-mod, mod) for _ in range(n)]
+            assert f_map(ctx, coeffs) == reference_f_map(ctx, coeffs)
+        assert len(ctx.gamma_powers) == 8
+        assert f_map(ctx, [0] * 6 + [1]) == reference_f_map(ctx, [0] * 6 + [1])
 
     def test_leibniz(self, ctx3):
         assert f_leibniz_check(ctx3, random.Random(0), trials=40)

@@ -30,6 +30,7 @@ from qprism.padic import (
     solve_mod,
     subquotient_invariants,
     teichmuller,
+    vp_factorial,
     vp_int,
 )
 
@@ -115,6 +116,172 @@ class TestQPow:
         # multiplicative under composition
         composed = a.gamma_u(u)
         assert composed == TruncSeries.q_power(5, 6, 10, u * u)
+
+
+def reference_q_power_padic(p, N, M, k):
+    """The binomial iteration C(k, n+1) = C(k, n)(k - n)/(n + 1) on
+    residues mod p^k.prec, with one modular inverse per step: the
+    reference the valuation-and-unit form must equal."""
+    need = N + vp_factorial(p, max(M - 1, 1))
+    if k.prec < need:
+        raise PrecisionError("exponent precision below the digit loss")
+    mod = p**k.prec
+    cs, c, r = [1], 1 % mod, k.residue % mod
+    for n in range(M - 1):
+        c = c * ((r - n) % mod) % mod
+        dv = n + 1
+        v = vp_int(dv, p) or 0
+        if v:
+            assert c % p**v == 0
+            c //= p**v
+            dv //= p**v
+        c = c * pow(dv, -1, mod) % mod
+        cs.append(c)
+    return TruncSeries(p, N, M, cs)
+
+
+def _binomial_exponents(p, prec, M, rng):
+    """Residues in [0, M+2), negative residues, p^j * u, residues
+    congruent to a small i to high precision, and random values."""
+    mod = p**prec
+    out = list(range(M + 2)) + [-x for x in range(1, 6)]
+    for j in range(1, prec + 1):
+        for u in (1, p - 1, -1):
+            out.append(p**j * u)
+        out.append(rng.randrange(M + 2) + p**j * rng.randrange(1, mod))
+    out += [rng.randrange(mod) for _ in range(5)]
+    return out
+
+
+class TestBinomialSeries:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_padic_exponent_matches_reference(self, p, N):
+        rng = random.Random(100 * p + N)
+        for M in (1, 2, 5, 17, 40):
+            need = N + vp_factorial(p, max(M - 1, 1))
+            for prec in (need, need + 1, need + 3):
+                for x in _binomial_exponents(p, prec, M, rng):
+                    k = PadicInt(p, prec, x)
+                    got = TruncSeries.q_power(p, N, M, k)
+                    want = reference_q_power_padic(p, N, M, k)
+                    assert (got.N, got.M) == (N, M)
+                    assert got.c == want.c, (M, prec, x)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_precision_below_need_raises(self, p):
+        for N in (1, 2, 4, 8):
+            for M in (1, 2, 5, 17, 40):
+                need = N + vp_factorial(p, max(M - 1, 1))
+                for x in (0, 1, -1, p, 3 * p + 1):
+                    with pytest.raises(PrecisionError):
+                        TruncSeries.q_power(p, N, M, PadicInt(p, need - 1, x))
+
+    def test_exponent_equal_to_index_gives_a_polynomial(self):
+        # k = 3 to full precision: C(3, n) = 0 for n > 3, exactly
+        for prec in (10, 13):
+            f = TruncSeries.q_power(3, 6, 10, PadicInt(3, prec, 3))
+            assert f.c == [1, 3, 3, 1] + [0] * 6
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_from_q_poly_matches_term_sum(self, p):
+        rng = random.Random(p)
+        for N, M in ((1, 1), (3, 7), (8, 40)):
+            for _ in range(20):
+                big = p**rng.randrange(20, 60)
+                exps = ([rng.randrange(-30, 30) for _ in range(4)]
+                        + [big, -big, big + rng.randrange(M), -rng.randrange(1, 2**80)])
+                qc = {e: rng.randrange(-p**(N + 2), p**(N + 2)) for e in exps}
+                qc[rng.randrange(-5, 5)] = 0
+                want = TruncSeries.zero(p, N, M)
+                for e, c in qc.items():
+                    want = want + TruncSeries.q_power(p, N, M, e) * c
+                got = TruncSeries.from_q_poly(p, N, M, qc)
+                assert (got.N, got.M, got.c) == (N, M, want.c)
+
+
+def reference_weierstrass_divmod(f, P):
+    """The division loop that adds each round's low and high parts into
+    R and Q entry by entry, reducing every entry every round: the
+    reference for TruncSeries.weierstrass_divmod."""
+    p, r = f.p, len(P) - 1
+    if f.M <= r:
+        raise PrecisionError("t-precision does not reach the divisor degree")
+    minus_pC = [-x for x in P[:r]]
+    mod = p**f.N
+    g, Mg = list(f.c), f.M
+    Q, R = [0] * (f.M - r), [0] * r
+    cert, k = f.N, 0
+    while True:
+        if all(x % mod == 0 for x in g):
+            break
+        if Mg < r:
+            cert = min(cert, k)
+            break
+        low, high = g[:r], g[r:Mg]
+        for i in range(r):
+            R[i] = (R[i] + low[i]) % mod
+        for i, x in enumerate(high):
+            if i < len(Q):
+                Q[i] = (Q[i] + x) % mod
+        if k >= f.N:
+            break
+        g = _poly_mul(minus_pC, high, mod, Mg - r)
+        Mg = Mg - r
+        k += 1
+    cert = min(cert, f.N)
+    N_q = min(f.N, f.M // r - 1)
+    if N_q < 1:
+        raise PrecisionError("quotient would carry no certified digits")
+    M_q = f.M - (N_q + 1) * r + 1
+    Qs = TruncSeries(p, N_q, max(M_q, 1), Q[: max(M_q, 1)])
+    return Qs, [x % p**max(cert, 1) for x in R], cert
+
+
+class TestWeierstrassSlices:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_reference(self, p):
+        rng = random.Random(p)
+        divisors = [d_poly_t(p, 0), d_poly_t(p, 1),
+                    [p * rng.randrange(-9, 9) for _ in range(3)] + [1]]
+        outcomes = set()
+        for P in divisors:
+            r = len(P) - 1
+            for N in (1, 2, 5, 8):
+                # from one t-digit past the degree to more than (N+2)r,
+                # so some inputs run out of t-digits before p-digits
+                for M in (r + 1, 2 * r, 3 * r + 1, (N + 3) * r):
+                    mod = p**N
+                    inputs = [TruncSeries(p, N, M, [rng.randrange(mod) for _ in range(M)]),
+                              TruncSeries.zero(p, N, M)]
+                    quot = TruncSeries(p, N, M, [rng.randrange(mod) for _ in range(M)])
+                    inputs.append(quot * TruncSeries(p, N, M, P))
+                    for f in inputs:
+                        try:
+                            want = reference_weierstrass_divmod(f, P)
+                        except PrecisionError:
+                            with pytest.raises(PrecisionError):
+                                f.weierstrass_divmod(P)
+                            outcomes.add("raises")
+                            continue
+                        Q, R, cert = f.weierstrass_divmod(P)
+                        Qw, Rw, certw = want
+                        assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
+                        outcomes.add("short" if cert < N else "full")
+        assert outcomes == {"raises", "short", "full"}
+
+    def test_digit_chain_inputs_match_reference(self):
+        # the invariant series the p = 3 descent chain divides
+        p, N, M = 3, 6, 120
+        lift = teichmuller(p, 2, N + vp_factorial(p, M) + 2)
+        f = (TruncSeries.one(p, N, M) + TruncSeries.q_power(p, N, M, 1)
+             + TruncSeries.q_power(p, N, M, lift))
+        P = d_poly_t(p, 0)
+        for _ in range(4):
+            Q, R, cert = f.weierstrass_divmod(P)
+            Qw, Rw, certw = reference_weierstrass_divmod(f, P)
+            assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
+            f = Q
 
 
 class TestSubstitution:
@@ -560,6 +727,19 @@ class TestQuotientRing:
         for k in (2, p ** (alpha + 1) + 1):
             assert R.endo_matrix(k) == tuple(map(tuple, self._endo_columns(R, k)))
         assert R.partial_matrix() == tuple(map(tuple, self._partial_columns(R)))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_gamma0_is_identity_over_A_mod_d(self, p, alpha):
+        # q^(p^(alpha+1)) = 1 mod d, so gamma_0 fixes A/d; the flattened
+        # partial skips its product there
+        for N in (1, 4):
+            R = QuotientRing(p, N, alpha, 1)
+            assert R.endo_matrix(p ** (alpha + 1) + 1) == tuple(
+                map(tuple, mat_identity(R.deg)))
+        R2 = QuotientRing(p, 4, alpha, 2)
+        assert R2.endo_matrix(p ** (alpha + 1) + 1) != tuple(
+            map(tuple, mat_identity(R2.deg)))
 
     def test_ring_tables_shared_and_immutable(self):
         R, S = QuotientRing(3, 6, 1, 1), QuotientRing(3, 6, 1, 1)
