@@ -289,15 +289,6 @@ class BigPoly:
             raise ValueError(f"coefficients not divisible by {n}")
         return BigPoly(self.pres, {k: c // n for k, c in self.terms.items()})
 
-    def eval_q_one(self):
-        """Specialize q -> 1 (only valid when no eps/T is present)."""
-        total = 0
-        for (qe, ee, te), c in self.terms.items():
-            if any(ee) or any(te):
-                raise ValueError("specialization requires a pure q-polynomial")
-            total += c
-        return total
-
     def q_coefficients(self) -> dict:
         """For pure q-polynomials, the map exponent -> coefficient."""
         out = {}

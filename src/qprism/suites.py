@@ -5,13 +5,20 @@ expected-discrepancy / not-certified and a rendered witness.  The
 expected-discrepancy status is reserved for registered degenerate cases
 (the unramified boundary p = 2, alpha = 0), where the computed value
 itself is the checked datum.
+
+Every case is decided inside one guarded block of ``Cases.check``: a
+single check, or a batch of checks that come from one call.  The block
+times its cases on the monotonic clock, and a check that runs out of
+certified digits (``PrecisionError``) is not-certified on its own while
+the suite's other blocks keep their verdicts.  ``run_suites`` puts the
+same guard around each whole suite.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import crystal, descent, exactcore, ore, witt
 from .padic import (
@@ -104,16 +111,59 @@ DISCREPANCY_REGISTRY[("ore-akj", "p=2 alpha=0 commutator")] = (
     "nabla + T*nabla^2 and the computed value is the checked datum")
 
 
-def _case(cases, case_id, ok, witness="", t0=None,
-          discrepancy_key=None):
-    ms = int((time.perf_counter() - t0) * 1000) if t0 is not None else 0
-    if ok:
-        cases.append(SuiteCase(case_id, PASS, witness, ms))
-    elif discrepancy_key and discrepancy_key in DISCREPANCY_REGISTRY:
-        cases.append(SuiteCase(case_id, DISCREPANCY,
-                               witness + " | " + DISCREPANCY_REGISTRY[discrepancy_key], ms))
-    else:
-        cases.append(SuiteCase(case_id, FAIL, witness, ms))
+class Cases(list):
+    """The cases of one suite run, each decided inside a guarded block.
+
+    ``with cases.check(case_id) as verdict:`` opens a block for one check,
+    or for a batch of checks that come from one call; ``verdict(ok,
+    witness)`` records a case there.  The block reads the monotonic clock
+    on entry and on exit and gives its time to every case it recorded.  A
+    ``PrecisionError`` in the block records ``case_id`` as not-certified,
+    any other exception records it as a failure and prints its traceback
+    on stderr; either way the suite goes on with its next block.
+    """
+
+    def check(self, case_id):
+        return _Check(self, case_id)
+
+
+class _Check:
+    __slots__ = ("cases", "case_id", "n0", "t0")
+
+    def __init__(self, cases, case_id):
+        self.cases, self.case_id = cases, case_id
+
+    def __enter__(self):
+        self.n0 = len(self.cases)
+        self.t0 = time.perf_counter()
+        return self.verdict
+
+    def verdict(self, ok, witness="", case_id=None, discrepancy_key=None):
+        """Record a pass, a registered discrepancy or a failure; ``ok`` may
+        also be NOT_CERTIFIED, a verdict the check reached itself."""
+        if ok == NOT_CERTIFIED:
+            status = NOT_CERTIFIED
+        elif ok:
+            status = PASS
+        elif discrepancy_key in DISCREPANCY_REGISTRY:
+            status = DISCREPANCY
+            witness += " | " + DISCREPANCY_REGISTRY[discrepancy_key]
+        else:
+            status = FAIL
+        self.cases.append(SuiteCase(case_id or self.case_id, status, witness))
+
+    def __exit__(self, typ, exc, tb):
+        if isinstance(exc, PrecisionError):
+            self.cases.append(SuiteCase(self.case_id, NOT_CERTIFIED,
+                                        f"PrecisionError: {exc}"))
+        elif isinstance(exc, Exception):
+            import traceback  # imported here, off the start-up path
+            traceback.print_exception(typ, exc, tb)
+            self.cases.append(SuiteCase(self.case_id, FAIL, repr(exc)))
+        ms = int((time.perf_counter() - self.t0) * 1000)
+        for case in self.cases[self.n0:]:
+            case.wall_ms = ms
+        return isinstance(exc, Exception)  # interrupts and exits propagate
 
 
 # ---------------------------------------------------------------------------
@@ -123,65 +173,45 @@ def _case(cases, case_id, ok, witness="", t0=None,
 
 def suite_q_identities(cfg: RunConfig):
     p, a = cfg.p, cfg.alpha
-    cases = []
-    t0 = time.perf_counter()
-    mono = list(range(0, 9)) + [25, 50] + [(2, (1,)), (1, (3,))]
-    rep = exactcore.verify_psi_hom(p, a, mono, m=1)
-    _case(cases, "psi multiplicative + closed form (k<=50)", rep.ok,
-          "; ".join(c.case_id for c in rep.cases if not c.ok) or "exact", t0)
-    t0 = time.perf_counter()
-    ok = all(exactcore.verify_q_factorization(p, a, n, i)
-             for n in range(1, 4) for i in range(0, p))
-    _case(cases, "q-analogue factorization (n<=3, i<p)", ok, "exact", t0)
-    t0 = time.perf_counter()
-    rep = exactcore.verify_gamma_relations(p, a, 2)
-    _case(cases, "twist generator relations", rep.ok, "exact", t0)
-    t0 = time.perf_counter()
-    rep = exactcore.verify_phi_epsilon(p, a)
-    _case(cases, "frobenius lift on eps (mod p)", rep.ok, "exact", t0)
+    cases = Cases()
+    with cases.check("psi multiplicative + closed form (k<=50)") as verdict:
+        mono = list(range(0, 9)) + [25, 50] + [(2, (1,)), (1, (3,))]
+        rep = exactcore.verify_psi_hom(p, a, mono, m=1)
+        verdict(rep.ok, "; ".join(c.case_id for c in rep.cases if not c.ok)
+                or "exact")
+    with cases.check("q-analogue factorization (n<=3, i<p)") as verdict:
+        verdict(all(exactcore.verify_q_factorization(p, a, n, i)
+                    for n in range(1, 4) for i in range(0, p)), "exact")
+    with cases.check("twist generator relations") as verdict:
+        verdict(exactcore.verify_gamma_relations(p, a, 2).ok, "exact")
+    with cases.check("frobenius lift on eps (mod p)") as verdict:
+        verdict(exactcore.verify_phi_epsilon(p, a).ok, "exact")
     return cases
 
 
 def suite_e_beta(cfg: RunConfig):
-    cases = []
-    t0 = time.perf_counter()
-    ok = exactcore.verify_e_beta(cfg.p, cfg.alpha)
-    _case(cases, f"d'(q) q (q^(p^a)-1) = p^(a+1) mod d (p={cfg.p}, a={cfg.alpha})",
-          ok, "exact remainder in Z[q]", t0)
-    ring = QuotientRing(cfg.p, cfg.p_prec, cfg.alpha, 1)
-    e = crystal.d_prime_elem(ring)
-    beta = ring.q_power(cfg.p**cfg.alpha + 1) - ring.q_power(1)
-    t0 = time.perf_counter()
-    _case(cases, "same identity in the quotient model",
-          e * beta == ring.const(cfg.p ** (cfg.alpha + 1)), "", t0)
+    cases = Cases()
+    with cases.check(f"d'(q) q (q^(p^a)-1) = p^(a+1) mod d "
+                     f"(p={cfg.p}, a={cfg.alpha})") as verdict:
+        verdict(exactcore.verify_e_beta(cfg.p, cfg.alpha), "exact remainder in Z[q]")
+    with cases.check("same identity in the quotient model") as verdict:
+        ring = QuotientRing(cfg.p, cfg.p_prec, cfg.alpha, 1)
+        e = crystal.d_prime_elem(ring)
+        beta = ring.q_power(cfg.p**cfg.alpha + 1) - ring.q_power(1)
+        verdict(e * beta == ring.const(cfg.p ** (cfg.alpha + 1)))
     return cases
 
 
 def _construction_cases(cfg, name, builder):
-    """The series construction's checks and the exact cross-check.  A
-    builder that runs out of precision gives a not-certified case; any
-    other exception is a failing case."""
-    cases = []
-    t0 = time.perf_counter()
-    try:
-        res = builder("series")
-        for check, ok in res.checks.items():
-            _case(cases, f"{name}: {check}", ok, "", None)
-        cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
-    except PrecisionError as exc:
-        cases.append(SuiteCase(f"{name}: series construction", NOT_CERTIFIED,
-                               f"PrecisionError: {exc}"))
-    except Exception as exc:
-        cases.append(SuiteCase(f"{name}: series construction", FAIL, repr(exc)))
-    t0 = time.perf_counter()
-    try:
-        res = builder("exact")
-        _case(cases, f"{name}: exact cross-check (small instance)", res.ok, "", t0)
-    except PrecisionError as exc:
-        cases.append(SuiteCase(f"{name}: exact cross-check", NOT_CERTIFIED,
-                               f"PrecisionError: {exc}"))
-    except Exception as exc:
-        cases.append(SuiteCase(f"{name}: exact cross-check", FAIL, repr(exc)))
+    """The series construction's checks and the exact cross-check, each
+    call in its own guarded block."""
+    cases = Cases()
+    with cases.check(f"{name}: series construction") as verdict:
+        for check, ok in builder("series").checks.items():
+            verdict(ok, case_id=f"{name}: {check}")
+    with cases.check(f"{name}: exact cross-check") as verdict:
+        verdict(builder("exact").ok,
+                case_id=f"{name}: exact cross-check (small instance)")
     return cases
 
 
@@ -191,19 +221,17 @@ def suite_witt_b(cfg: RunConfig):
         cfg, "b", lambda backend: witt.construct_b(
             p, a, L if backend == "series" else min(L, 3), N, M, backend=backend))
     # unit property: invert the ghosts in the series model
-    t0 = time.perf_counter()
-    base = witt.EpsSeriesBase(p, N + L - 1, M, a, target_N=N)
-    pres = witt._eps_pres(p, a)
-    ghosts = [witt._series_of_poly(base, witt._ghost_b(pres, n)) for n in range(L)]
-    inv_ghosts = []
-    for g in ghosts:
-        h = g.g * (TruncSeries.one(p, N + L - 1, M) + base.sq * g.g).unit_inverse()
-        inv_ghosts.append(witt.EpsPair(g.f, -h, base))
-    bw = witt.from_ghost(base, ghosts, check_dwork=False)
-    binv = witt.from_ghost(base, inv_ghosts, check_dwork=False)
-    one = witt.witt_one(base, L)
-    _case(cases, "b is a unit (b * b^(-1) = 1)",
-          witt.witt_mul(bw, binv) == one, "", t0)
+    with cases.check("b is a unit (b * b^(-1) = 1)") as verdict:
+        base = witt.EpsSeriesBase(p, N + L - 1, M, a, target_N=N)
+        pres = witt._eps_pres(p, a)
+        ghosts = [witt._series_of_poly(base, witt._ghost_b(pres, n)) for n in range(L)]
+        inv_ghosts = []
+        for g in ghosts:
+            h = g.g * (TruncSeries.one(p, N + L - 1, M) + base.sq * g.g).unit_inverse()
+            inv_ghosts.append(witt.EpsPair(g.f, -h, base))
+        bw = witt.from_ghost(base, ghosts, check_dwork=False)
+        binv = witt.from_ghost(base, inv_ghosts, check_dwork=False)
+        verdict(witt.witt_mul(bw, binv) == witt.witt_one(base, L))
     return cases
 
 
@@ -223,40 +251,36 @@ def suite_witt_cpsi(cfg: RunConfig):
 
 def suite_witt_cu(cfg: RunConfig):
     p, a, L = cfg.p, cfg.alpha, cfg.witt_len
-    cases = []
-    t0 = time.perf_counter()
-    res = witt.construct_c_u(p, a, L, 1 + p ** (a + 1), cfg.p_prec, cfg.t_prec)
-    for check, ok in res.checks.items():
-        _case(cases, f"u=1+p^(a+1): {check}", ok, "", None)
-    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
+    cases = Cases()
+    with cases.check("u=1+p^(a+1): construction") as verdict:
+        res = witt.construct_c_u(p, a, L, 1 + p ** (a + 1), cfg.p_prec, cfg.t_prec)
+        for check, ok in res.checks.items():
+            verdict(ok, case_id=f"u=1+p^(a+1): {check}")
     if p > 2:
-        t0 = time.perf_counter()
-        u = teichmuller(p, 2, cfg.p_prec + vp_factorial(p, 3 * (p - 1) * p**a + 6))
-        wit = witt.construct_c_u(p, a, L, u, cfg.p_prec, cfg.t_prec)
-        ok = isinstance(wit, witt.NonexistenceWitness)
-        _case(cases, "u=teich(2): nonexistence witnessed",
-              ok, f"level n={wit.level}, remainder valuation {wit.remainder_valuation}"
-              if ok else "unexpectedly divisible", t0)
+        with cases.check("u=teich(2): nonexistence witnessed") as verdict:
+            u = teichmuller(p, 2, cfg.p_prec + vp_factorial(p, 3 * (p - 1) * p**a + 6))
+            wit = witt.construct_c_u(p, a, L, u, cfg.p_prec, cfg.t_prec)
+            ok = isinstance(wit, witt.NonexistenceWitness)
+            verdict(ok, f"level n={wit.level}, remainder valuation "
+                    f"{wit.remainder_valuation}" if ok else "unexpectedly divisible")
     return cases
 
 
 def suite_witt_dv1(cfg: RunConfig):
-    cases = []
-    t0 = time.perf_counter()
-    res = witt.d_as_V1(cfg.p, cfg.alpha, cfg.witt_len, cfg.p_prec)
-    for check, ok in res.checks.items():
-        _case(cases, check, ok, res.witt.render() if ok else "", None)
-    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
+    cases = Cases()
+    with cases.check("d = V(1)") as verdict:
+        res = witt.d_as_V1(cfg.p, cfg.alpha, cfg.witt_len, cfg.p_prec)
+        for check, ok in res.checks.items():
+            verdict(ok, res.witt.render() if ok else "", case_id=check)
     return cases
 
 
 def suite_delta_power(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     for (n, k) in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
-        t0 = time.perf_counter()
-        ok = witt.delta_power_membership(n, k, cfg.p, cfg.p_prec,
-                                         max(cfg.t_prec, 30))
-        _case(cases, f"delta^{k}((q-1)^{n}) in ((q-1)^{n})", ok, "", t0)
+        with cases.check(f"delta^{k}((q-1)^{n}) in ((q-1)^{n})") as verdict:
+            verdict(witt.delta_power_membership(n, k, cfg.p, cfg.p_prec,
+                                                max(cfg.t_prec, 30)))
     return cases
 
 
@@ -272,7 +296,7 @@ def _random_ore_element(alg, rng, nterms=2):
 
 
 def suite_ore_assoc(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     rng = random.Random(cfg.seed)
     # alpha > 0 costs (N+1)(degree of the distinguished factor) t-digits
     # per arithmetic-letter pass, so scale the t-budget with alpha
@@ -288,113 +312,101 @@ def suite_ore_assoc(cfg: RunConfig):
         ("absolute m=2", alg, 25),
     ]
     for label, algc, trials in configs:
-        t0 = time.perf_counter()
-        bad = 0
-        for _ in range(trials):
-            A, B, C = (_random_ore_element(algc, rng) for _ in range(3))
-            if (A * B) * C != A * (B * C):
-                bad += 1
-        _case(cases, f"associativity on {trials} random triples ({label})",
-              bad == 0, f"{bad} failures" if bad else "all agree", t0)
-    t0 = time.perf_counter()
-    okc = True
-    for k in range(10):
-        A, B = _random_ore_element(alg, rng), _random_ore_element(alg, rng)
-        okc = okc and A.mul(B, order_rng=random.Random(cfg.seed + k)) == A.mul(B)
-    _case(cases, "normal form independent of rule order (confluence)", okc, "", t0)
-    t0 = time.perf_counter()
-    one = alg.one()
-    A = _random_ore_element(alg, rng)
-    _case(cases, "two-sided identity", one * A == A and A * one == A, "", t0)
-    t0 = time.perf_counter()
-    okm = True
-    ctx = alg.ctx
-    for _ in range(10):
-        x, y = _random_ore_element(alg, rng), _random_ore_element(alg, rng)
-        r = {(rng.randrange(2), rng.randrange(2)): ctx.q_pow(rng.randrange(3))}
-        lhs = (x * y).act(r)
-        rhs = x.act(y.act(r))
-        diff = ore.base_add(alg, lhs, {k2: -v for k2, v in rhs.items()})
-        okm = okm and all(ctx.is_zero(v) for v in diff.values())
-    _case(cases, "act is a left-module action", okm, "", t0)
-    t0 = time.perf_counter()
-    f = _random_ore_element(alg, rng)
-    proj = ore.OreElement(alg, {k: v for k, v in f.terms.items() if k[2] == 0})
-    rest = f - proj
-    in_ideal = all(k[2] >= 1 for k in rest.terms)
-    _case(cases, "normal forms with no arithmetic letter represent the "
-          "cosets of the left ideal", in_ideal, "", t0)
+        with cases.check(f"associativity on {trials} random triples ({label})") as verdict:
+            bad = 0
+            for _ in range(trials):
+                A, B, C = (_random_ore_element(algc, rng) for _ in range(3))
+                if (A * B) * C != A * (B * C):
+                    bad += 1
+            verdict(bad == 0, f"{bad} failures" if bad else "all agree")
+    with cases.check("normal form independent of rule order (confluence)") as verdict:
+        okc = True
+        for k in range(10):
+            A, B = _random_ore_element(alg, rng), _random_ore_element(alg, rng)
+            okc = okc and A.mul(B, order_rng=random.Random(cfg.seed + k)) == A.mul(B)
+        verdict(okc)
+    with cases.check("two-sided identity") as verdict:
+        one = alg.one()
+        A = _random_ore_element(alg, rng)
+        verdict(one * A == A and A * one == A)
+    with cases.check("act is a left-module action") as verdict:
+        okm = True
+        ctx = alg.ctx
+        for _ in range(10):
+            x, y = _random_ore_element(alg, rng), _random_ore_element(alg, rng)
+            r = {(rng.randrange(2), rng.randrange(2)): ctx.q_pow(rng.randrange(3))}
+            lhs = (x * y).act(r)
+            rhs = x.act(y.act(r))
+            diff = ore.base_add(alg, lhs, {k2: -v for k2, v in rhs.items()})
+            okm = okm and all(ctx.is_zero(v) for v in diff.values())
+        verdict(okm)
+    with cases.check("normal forms with no arithmetic letter represent the "
+                     "cosets of the left ideal") as verdict:
+        f = _random_ore_element(alg, rng)
+        proj = ore.OreElement(alg, {k: v for k, v in f.terms.items() if k[2] == 0})
+        rest = f - proj
+        verdict(all(k[2] >= 1 for k in rest.terms))
     return cases
 
 
 def suite_ore_master(cfg: RunConfig):
-    cases = []
-    t0 = time.perf_counter()
-    rep = ore.verify_master_relation(cfg.p, cfg.alpha, bound=6,
-                                     N=cfg.p_prec, M=max(cfg.t_prec, 48))
-    _case(cases, "mixed commutation law on q^a T^b (a,b <= 6)", rep.ok,
-          "; ".join(c for c, ok in rep.cases if not ok) or "two-sided evaluation",
-          t0)
-    t0 = time.perf_counter()
-    rep2 = ore.verify_double_complex_rows(cfg.p, cfg.alpha, bound=2,
-                                          N=cfg.p_prec, M=max(cfg.t_prec, 48))
-    _case(cases, "column-map commutation identities (m=2)", rep2.ok, "", t0)
+    cases = Cases()
+    with cases.check("mixed commutation law on q^a T^b (a,b <= 6)") as verdict:
+        rep = ore.verify_master_relation(cfg.p, cfg.alpha, bound=6,
+                                         N=cfg.p_prec, M=max(cfg.t_prec, 48))
+        verdict(rep.ok, "; ".join(c for c, ok in rep.cases if not ok)
+                or "two-sided evaluation")
+    with cases.check("column-map commutation identities (m=2)") as verdict:
+        verdict(ore.verify_double_complex_rows(cfg.p, cfg.alpha, bound=2,
+                                               N=cfg.p_prec,
+                                               M=max(cfg.t_prec, 48)).ok)
     return cases
 
 
 def suite_ore_akj(cfg: RunConfig):
     p, a = cfg.p, cfg.alpha
-    cases = []
+    cases = Cases()
     k = p ** (a + 1) + 1
-    t0 = time.perf_counter()
-    ok = ore.akj_operator_oracle(p, a, k, nmax=8)
-    _case(cases, f"coefficient recursion = operator expansion (k<={k}, n<=8)",
-          ok, "exact in Z[q, T]", t0)
-    t0 = time.perf_counter()
-    _case(cases, "mod-d table reduces to binomials", ore.akj_mod_d_binomial(p, a),
-          "exact remainders", t0)
-    t0 = time.perf_counter()
-    comm = ore.commutator_mod_residue(p, a)
-    # nabla + T*nabla^2, the registered boundary value
-    boundary = comm.terms == {((0,), (1,), 0): 1, ((1,), (2,), 0): 1}
-    _case(cases, "mod (d, q-1): the two letters commute", comm.is_zero(),
-          comm.render() if not comm.is_zero() else "", t0,
-          discrepancy_key=("ore-akj", f"p={p} alpha={a} commutator")
-          if boundary else None)
-    t0 = time.perf_counter()
-    rep = ore.specialize_mod_d_checks(p, a, cfg.p_prec)
-    _case(cases, "mod-d specialization constants", rep.ok,
-          "; ".join(c for c, ok in rep.cases if not ok), t0)
+    with cases.check(f"coefficient recursion = operator expansion "
+                     f"(k<={k}, n<=8)") as verdict:
+        verdict(ore.akj_operator_oracle(p, a, k, nmax=8), "exact in Z[q, T]")
+    with cases.check("mod-d table reduces to binomials") as verdict:
+        verdict(ore.akj_mod_d_binomial(p, a), "exact remainders")
+    with cases.check("mod (d, q-1): the two letters commute") as verdict:
+        comm = ore.commutator_mod_residue(p, a)
+        # nabla + T*nabla^2, the registered boundary value
+        boundary = comm.terms == {((0,), (1,), 0): 1, ((1,), (2,), 0): 1}
+        verdict(comm.is_zero(), comm.render() if not comm.is_zero() else "",
+                discrepancy_key=("ore-akj", f"p={p} alpha={a} commutator")
+                if boundary else None)
+    with cases.check("mod-d specialization constants") as verdict:
+        rep = ore.specialize_mod_d_checks(p, a, cfg.p_prec)
+        verdict(rep.ok, "; ".join(c for c, ok in rep.cases if not ok))
     return cases
 
 
 def suite_bk_twists(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     p = cfg.p
     for k in range(-30, 31):
-        t0 = time.perf_counter()
-        res = crystal.normalized_twist_h1(k, p, cfg.p_prec)
-        # the normalized twist is the alpha = 0 object whatever the
-        # configured level, so the discrepancy registry is keyed there
-        key = ("bk-twists", f"p={p} alpha=0 k={k}")
-        witness = (f"computed p^{res.computed_exponent}, "
-                   f"predicted p^{res.predicted_exponent}")
-        if res.status == NOT_CERTIFIED:
-            cases.append(SuiteCase(
-                f"H1 order of twist k={k}", NOT_CERTIFIED,
-                f"{witness} | the cokernel order is capped at p^{cfg.p_prec} "
-                f"at this precision", int((time.perf_counter() - t0) * 1000)))
-            continue
-        _case(cases, f"H1 order of twist k={k}", res.status == PASS, witness,
-              t0, discrepancy_key=key if res.status == DISCREPANCY else None)
-    t0 = time.perf_counter()
-    m = crystal.bk_twist(3, p, cfg.alpha, 1, cfg.p_prec)
-    _case(cases, "twist module satisfies the twisted Leibniz law",
-          m.certify_leibniz(), "", t0)
-    t0 = time.perf_counter()
-    ok = all(crystal.sen_twist_consistency(k, p, cfg.alpha, cfg.p_prec)
-             for k in (0, 1, 4))
-    _case(cases, "generator action scalar matches the exponential form", ok, "", t0)
+        with cases.check(f"H1 order of twist k={k}") as verdict:
+            res = crystal.normalized_twist_h1(k, p, cfg.p_prec)
+            witness = (f"computed p^{res.computed_exponent}, "
+                       f"predicted p^{res.predicted_exponent}")
+            if res.status == NOT_CERTIFIED:
+                verdict(NOT_CERTIFIED, f"{witness} | the cokernel order is "
+                        f"capped at p^{cfg.p_prec} at this precision")
+            else:
+                # the normalized twist is the alpha = 0 object whatever the
+                # configured level, so the discrepancy registry is keyed there
+                verdict(res.status == PASS, witness,
+                        discrepancy_key=("bk-twists", f"p={p} alpha=0 k={k}")
+                        if res.status == DISCREPANCY else None)
+    with cases.check("twist module satisfies the twisted Leibniz law") as verdict:
+        verdict(crystal.bk_twist(3, p, cfg.alpha, 1, cfg.p_prec).certify_leibniz())
+    with cases.check("generator action scalar matches the exponential form") as verdict:
+        verdict(all(crystal.sen_twist_consistency(k, p, cfg.alpha, cfg.p_prec)
+                    for k in (0, 1, 4)))
     return cases
 
 
@@ -443,205 +455,184 @@ def _brute_force_cohomology(diffs, ranks, p, N):
 
 
 def suite_koszul(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     rng = random.Random(cfg.seed)
     p = cfg.p
     # d^2 = 0 on random commuting nilpotent pairs at module rank 2 and 3
-    t0 = time.perf_counter()
-    ok_d2 = True
-    ring = QuotientRing(p, min(cfg.p_prec, 4), cfg.alpha, 1)
-    for _ in range(10):
-        r = rng.choice((2, 3))
-        N1 = _random_strict_upper(ring, r, rng)
-        N2 = _commuting_partner(ring, N1, r, rng)
-        mod = crystal.QConnModule(ring, r, D=None, N_list=[N1, N2], tag="relative")
-        if not mod.certify_commuting_nablas():
-            continue
-        cx = crystal.qdr_complex(mod)
-        ok_d2 = ok_d2 and cx.d_squared_zero()
-    _case(cases, "d^2 = 0 on random commuting nilpotent pairs (m=2)", ok_d2, "", t0)
+    with cases.check("d^2 = 0 on random commuting nilpotent pairs (m=2)") as verdict:
+        ok_d2 = True
+        ring = QuotientRing(p, min(cfg.p_prec, 4), cfg.alpha, 1)
+        for _ in range(10):
+            r = rng.choice((2, 3))
+            N1 = _random_strict_upper(ring, r, rng)
+            N2 = _commuting_partner(ring, N1, r, rng)
+            mod = crystal.QConnModule(ring, r, D=None, N_list=[N1, N2], tag="relative")
+            if not mod.certify_commuting_nablas():
+                continue
+            cx = crystal.qdr_complex(mod)
+            ok_d2 = ok_d2 and cx.d_squared_zero()
+        verdict(ok_d2)
     # exhaustive kernel/image oracle on tiny rank-1 instances
-    t0 = time.perf_counter()
-    ok_oracle = True
-    N_small = 2
-    ring_s = QuotientRing(p, N_small, 0, 1)
-    ran = 0
-    for _ in range(3):
-        N1 = [[ring_s.const(p * rng.randrange(p))]]
-        N2 = [[ring_s.const(p * rng.randrange(p))]]
-        mod = crystal.QConnModule(ring_s, 1, D=None, N_list=[N1, N2], tag="relative")
-        cx = crystal.qdr_complex(mod)
-        if (p**N_small) ** max(cx.ranks) > 200000:
-            continue
-        brute = _brute_force_cohomology(cx.diffs, cx.ranks, p, N_small)
-        mine = [p ** sum(cx.cohomology(i)) for i in range(len(cx.ranks))]
-        ok_oracle = ok_oracle and brute == mine
-        ran += 1
-    _case(cases, "cohomology orders match exhaustive enumeration", ok_oracle,
-          f"{ran} instances enumerated" if ran else "instances too large; skipped",
-          t0)
+    with cases.check("cohomology orders match exhaustive enumeration") as verdict:
+        ok_oracle = True
+        N_small = 2
+        ring_s = QuotientRing(p, N_small, 0, 1)
+        ran = 0
+        for _ in range(3):
+            N1 = [[ring_s.const(p * rng.randrange(p))]]
+            N2 = [[ring_s.const(p * rng.randrange(p))]]
+            mod = crystal.QConnModule(ring_s, 1, D=None, N_list=[N1, N2], tag="relative")
+            cx = crystal.qdr_complex(mod)
+            if (p**N_small) ** max(cx.ranks) > 200000:
+                continue
+            brute = _brute_force_cohomology(cx.diffs, cx.ranks, p, N_small)
+            mine = [p ** sum(cx.cohomology(i)) for i in range(len(cx.ranks))]
+            ok_oracle = ok_oracle and brute == mine
+            ran += 1
+        verdict(ok_oracle, f"{ran} instances enumerated" if ran
+                else "instances too large; skipped")
     # rank-1 zero-operator module over A/d^n: H0 = H1 = flattened base
-    t0 = time.perf_counter()
-    ring = QuotientRing(p, min(cfg.p_prec, 4), cfg.alpha, 2)
-    m0 = crystal.QConnModule(ring, 1, D=[[ring.zero()]], N_list=[],
-                             scalar_operators=True)
-    rep = crystal.fib_partial(m0)
-    want = sorted([min(cfg.p_prec, 4)] * ring.deg)
-    ok = rep.h[0] == want and rep.h[1] == want
-    _case(cases, "zero operator: H0 = H1 = base at precision", ok, rep.render(), t0)
+    with cases.check("zero operator: H0 = H1 = base at precision") as verdict:
+        ring = QuotientRing(p, min(cfg.p_prec, 4), cfg.alpha, 2)
+        m0 = crystal.QConnModule(ring, 1, D=[[ring.zero()]], N_list=[],
+                                 scalar_operators=True)
+        rep = crystal.fib_partial(m0)
+        want = sorted([min(cfg.p_prec, 4)] * ring.deg)
+        verdict(rep.h[0] == want and rep.h[1] == want, rep.render())
     return cases
 
 
 def suite_double_complex(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     rng = random.Random(cfg.seed)
     p, a = cfg.p, cfg.alpha
-    from .ore import QuotScalars
-    t0 = time.perf_counter()
-    ok_sq = ok_d2 = ok_master = ok_leib = True
     trials = 50
-    N = min(cfg.p_prec, 6)
-    # every trial's module lives over this ring, so its scalars (and their
-    # cached correction coefficients) are built once
-    sc = QuotScalars(QuotientRing(p, N, a, 1))
-    for _ in range(trials):
-        shape = (rng.randrange(2, 4), rng.randrange(1, 3))
-        mod = crystal.graded_mixed_module(p, a, N, shape, rng)
-        ok_leib = ok_leib and mod.certify_leibniz() and mod.certify_commuting_nablas()
-        ok_master = ok_master and mod.certify_master_relation(sc)
-        dc = crystal.double_complex(mod, sc)
-        ok_sq = ok_sq and dc["squares_ok"]
-        ok_d2 = ok_d2 and dc["row"].d_squared_zero() and dc["total"].d_squared_zero()
-    _case(cases, f"{trials} random modules: operator laws certified",
-          ok_leib and ok_master, "", t0)
-    _case(cases, f"{trials} random modules: squares commute", ok_sq, "", None)
-    _case(cases, f"{trials} random modules: d^2 = 0 (rows and total)", ok_d2,
-          "", None)
+    with cases.check(f"{trials} random modules") as verdict:
+        ok_sq = ok_d2 = ok_master = ok_leib = True
+        N = min(cfg.p_prec, 6)
+        # every trial's module lives over this ring, so its scalars (and
+        # their cached correction coefficients) are built once
+        sc = ore.QuotScalars(QuotientRing(p, N, a, 1))
+        for _ in range(trials):
+            shape = (rng.randrange(2, 4), rng.randrange(1, 3))
+            mod = crystal.graded_mixed_module(p, a, N, shape, rng)
+            ok_leib = ok_leib and mod.certify_leibniz() and mod.certify_commuting_nablas()
+            ok_master = ok_master and mod.certify_master_relation(sc)
+            dc = crystal.double_complex(mod, sc)
+            ok_sq = ok_sq and dc["squares_ok"]
+            ok_d2 = ok_d2 and dc["row"].d_squared_zero() and dc["total"].d_squared_zero()
+        verdict(ok_leib and ok_master,
+                case_id=f"{trials} random modules: operator laws certified")
+        verdict(ok_sq, case_id=f"{trials} random modules: squares commute")
+        verdict(ok_d2, case_id=f"{trials} random modules: d^2 = 0 (rows and total)")
     return cases
 
 
 def suite_ht_regular_rep(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     for variables in (1, 2):
-        t0 = time.perf_counter()
-        rep = crystal.ht_regular_rep(cfg.dp_degree, cfg.p, cfg.alpha,
-                                     cfg.p_prec, variables=variables)
-        for check, ok in rep.checks.items():
-            _case(cases, f"[{variables} var] {check}", ok, "", None)
-        cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
+        with cases.check(f"[{variables} var] regular representation") as verdict:
+            rep = crystal.ht_regular_rep(cfg.dp_degree, cfg.p, cfg.alpha,
+                                         cfg.p_prec, variables=variables)
+            for check, ok in rep.checks.items():
+                verdict(ok, case_id=f"[{variables} var] {check}")
     return cases
 
 
 def suite_nilpotence(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     p, a = cfg.p, cfg.alpha
-    t0 = time.perf_counter()
-    m = crystal.bk_twist(5, p, a, 1, cfg.p_prec)
-    rep = crystal.nilpotence_check(m)
-    expected_zero = p > 2 or a > 0
-    _case(cases, "twist operator vanishes in the residue field",
-          rep["certified"] and (not expected_zero or rep["partial"] == [1]),
-          str(rep), t0,
-          discrepancy_key=("nilpotence", f"p={p} alpha={a} twist")
-          if not rep["certified"] else None)
-    t0 = time.perf_counter()
+    with cases.check("twist operator vanishes in the residue field") as verdict:
+        rep = crystal.nilpotence_check(crystal.bk_twist(5, p, a, 1, cfg.p_prec))
+        expected_zero = p > 2 or a > 0
+        verdict(rep["certified"] and (not expected_zero or rep["partial"] == [1]),
+                str(rep), discrepancy_key=("nilpotence", f"p={p} alpha={a} twist")
+                if not rep["certified"] else None)
     ring = QuotientRing(p, 4, a, 1)
-    upper = crystal.QConnModule(ring, 3, D=[
-        [ring.zero(), ring.one(), ring.one()],
-        [ring.zero(), ring.zero(), ring.one()],
-        [ring.zero(), ring.zero(), ring.zero()]], N_list=[])
-    rep = crystal.nilpotence_check(upper)
-    _case(cases, "strictly upper triangular: nilpotent with index <= rank",
-          rep["certified"] and all(i <= 3 for i in rep["partial"]), str(rep), t0)
-    t0 = time.perf_counter()
-    ident = crystal.QConnModule(ring, 1, D=[[ring.one()]], N_list=[])
-    rep = crystal.nilpotence_check(ident, bound=16)
-    _case(cases, "identity operator: reported not-certified",
-          not rep["certified"], str(rep), t0)
+    with cases.check("strictly upper triangular: nilpotent with index <= rank") as verdict:
+        upper = crystal.QConnModule(ring, 3, D=[
+            [ring.zero(), ring.one(), ring.one()],
+            [ring.zero(), ring.zero(), ring.one()],
+            [ring.zero(), ring.zero(), ring.zero()]], N_list=[])
+        rep = crystal.nilpotence_check(upper)
+        verdict(rep["certified"] and all(i <= 3 for i in rep["partial"]), str(rep))
+    with cases.check("identity operator: reported not-certified") as verdict:
+        ident = crystal.QConnModule(ring, 1, D=[[ring.one()]], N_list=[])
+        rep = crystal.nilpotence_check(ident, bound=16)
+        verdict(not rep["certified"], str(rep))
     return cases
 
 
 def suite_wcart(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     p, K = cfg.p, cfg.descent_degree
-    t0 = time.perf_counter()
-    ctx = descent.build_context(p, cfg.p_prec, K)
-    for check, ok in ctx.checks.items():
-        _case(cases, f"context: {check}", ok, "", None)
-    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
-    t0 = time.perf_counter()
-    rep = descent.wcart_h1_structure(ctx)
-    for check, ok in rep.checks.items():
-        witness = ""
-        if not ok and "residual" in check:
-            k = int(check.split("k=")[1].rstrip(")"))
-            witness = f"residual indices/valuations: {rep.residuals[k][:6]}"
-        _case(cases, check, ok, witness, None)
-    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
-    _case(cases, "free-index report",
-          rep.free_indices == [l for l in range(K * (p + 1)) if l % (p + 1) != p],
-          str(rep.free_indices), None)
-    t0 = time.perf_counter()
-    ok = descent.f_leibniz_check(ctx, random.Random(cfg.seed), trials=100)
-    _case(cases, "f-Leibniz law on 100 random pairs", ok, "", t0)
-    t0 = time.perf_counter()
-    _case(cases, "averaging projector idempotent and fixing invariants",
-          descent.averaging_projector_check(p, min(cfg.p_prec, 6)), "", t0)
+    ctx = None
+    with cases.check("context") as verdict:
+        ctx = descent.build_context(p, cfg.p_prec, K)
+        for check, ok in ctx.checks.items():
+            verdict(ok, case_id=f"context: {check}")
+    if ctx is not None:  # the two blocks below read the context
+        with cases.check("leading-term structure") as verdict:
+            rep = descent.wcart_h1_structure(ctx)
+            for check, ok in rep.checks.items():
+                witness = ""
+                if not ok and "residual" in check:
+                    k = int(check.split("k=")[1].rstrip(")"))
+                    witness = f"residual indices/valuations: {rep.residuals[k][:6]}"
+                verdict(ok, witness, case_id=check)
+            verdict(rep.free_indices == [l for l in range(K * (p + 1))
+                                         if l % (p + 1) != p],
+                    str(rep.free_indices), case_id="free-index report")
+        with cases.check("f-Leibniz law on 100 random pairs") as verdict:
+            verdict(descent.f_leibniz_check(ctx, random.Random(cfg.seed), trials=100))
+    with cases.check("averaging projector idempotent and fixing invariants") as verdict:
+        verdict(descent.averaging_projector_check(p, min(cfg.p_prec, 6)))
     return cases
 
 
 def suite_epsilon_action(cfg: RunConfig):
-    cases = []
-    t0 = time.perf_counter()
-    rep = descent.epsilon_action_suite(cfg.p, 0, cfg.p_prec, min(cfg.t_prec, 24))
-    for check, ok in rep.checks.items():
-        _case(cases, f"alpha=0: {check}", ok, "", None)
-    cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
-    if cfg.alpha > 0:
-        t0 = time.perf_counter()
-        rep = descent.epsilon_action_suite(cfg.p, cfg.alpha, cfg.p_prec,
-                                           min(cfg.t_prec, 24))
-        for check, ok in rep.checks.items():
-            _case(cases, f"alpha={cfg.alpha}: {check}", ok, "", None)
-        cases[-1].wall_ms = int((time.perf_counter() - t0) * 1000)
+    cases = Cases()
+    for level in sorted({0, cfg.alpha}):
+        with cases.check(f"alpha={level}: action on eps") as verdict:
+            rep = descent.epsilon_action_suite(cfg.p, level, cfg.p_prec,
+                                               min(cfg.t_prec, 24))
+            for check, ok in rep.checks.items():
+                verdict(ok, case_id=f"alpha={level}: {check}")
     return cases
 
 
 def suite_sen_qconn(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     for k in (0, 1, 4, 9):
-        t0 = time.perf_counter()
-        ok = crystal.sen_twist_consistency(k, cfg.p, cfg.alpha, cfg.p_prec)
-        _case(cases, f"1 + q beta (twist scalar) = (1+p^(a+1))^k for k={k}",
-              ok, "", t0)
+        with cases.check(f"1 + q beta (twist scalar) = (1+p^(a+1))^k for k={k}") as verdict:
+            verdict(crystal.sen_twist_consistency(k, cfg.p, cfg.alpha, cfg.p_prec))
     return cases
 
 
 def suite_tensor(cfg: RunConfig):
-    cases = []
+    cases = Cases()
     p, a = cfg.p, cfg.alpha
-    t0 = time.perf_counter()
-    ok = True
-    for (j, k) in [(1, 1), (2, 5), (3, -2), (0, 7)]:
-        tj = crystal.bk_twist(j, p, a, 1, cfg.p_prec)
-        tk = crystal.bk_twist(k, p, a, 1, cfg.p_prec)
-        ts = crystal.tensor(tj, tk)
-        want = crystal.bk_twist(j + k, p, a, 1, cfg.p_prec)
-        ok = ok and (ts.D[0][0] == want.D[0][0])
-    _case(cases, "twist(j) (x) twist(k) = twist(j+k)", ok, "", t0)
-    t0 = time.perf_counter()
-    m1 = crystal.bk_twist(2, p, a, 1, cfg.p_prec)
-    unit = crystal.bk_twist(0, p, a, 1, cfg.p_prec)
-    tu = crystal.tensor(m1, unit)
-    _case(cases, "tensor with the unit object", tu.D[0][0] == m1.D[0][0], "", t0)
-    t0 = time.perf_counter()
-    rng = random.Random(cfg.seed)
-    okl = True
-    for _ in range(5):
-        A = crystal.graded_mixed_module(p, a, min(cfg.p_prec, 5), (2,), rng)
-        B = crystal.graded_mixed_module(p, a, min(cfg.p_prec, 5), (2,), rng)
-        okl = okl and crystal.tensor(A, B).certify_leibniz()
-    _case(cases, "tensor of certified modules is certified", okl, "", t0)
+    with cases.check("twist(j) (x) twist(k) = twist(j+k)") as verdict:
+        ok = True
+        for (j, k) in [(1, 1), (2, 5), (3, -2), (0, 7)]:
+            tj = crystal.bk_twist(j, p, a, 1, cfg.p_prec)
+            tk = crystal.bk_twist(k, p, a, 1, cfg.p_prec)
+            ts = crystal.tensor(tj, tk)
+            want = crystal.bk_twist(j + k, p, a, 1, cfg.p_prec)
+            ok = ok and (ts.D[0][0] == want.D[0][0])
+        verdict(ok)
+    with cases.check("tensor with the unit object") as verdict:
+        m1 = crystal.bk_twist(2, p, a, 1, cfg.p_prec)
+        unit = crystal.bk_twist(0, p, a, 1, cfg.p_prec)
+        verdict(crystal.tensor(m1, unit).D[0][0] == m1.D[0][0])
+    with cases.check("tensor of certified modules is certified") as verdict:
+        rng = random.Random(cfg.seed)
+        okl = True
+        for _ in range(5):
+            A = crystal.graded_mixed_module(p, a, min(cfg.p_prec, 5), (2,), rng)
+            B = crystal.graded_mixed_module(p, a, min(cfg.p_prec, 5), (2,), rng)
+            okl = okl and crystal.tensor(A, B).certify_leibniz()
+        verdict(okl)
     return cases
 
 
@@ -651,25 +642,17 @@ FAST_SUITES_FOR_MONOTONICITY = [
 
 
 def suite_precision_monotonic(cfg: RunConfig):
-    cases = []
-    t0 = time.perf_counter()
-    base = {}
-    for name in FAST_SUITES_FOR_MONOTONICITY:
-        for c in REGISTRY[name].runner(cfg):
-            base[(name, c.case_id)] = c.status
-    import dataclasses
-    cfg2 = dataclasses.replace(cfg, p_prec=cfg.p_prec + 2,
-                               t_prec=cfg.t_prec + 8)
-    ok = True
-    moved = []
-    for name in FAST_SUITES_FOR_MONOTONICITY:
-        for c in REGISTRY[name].runner(cfg2):
-            before = base.get((name, c.case_id))
-            if before == PASS and c.status != PASS:
-                ok = False
-                moved.append((name, c.case_id))
-    _case(cases, "every passing case re-passes at (N+2, M+8)", ok,
-          str(moved) if moved else f"checked {len(base)} cases", t0)
+    cases = Cases()
+    with cases.check("every passing case re-passes at (N+2, M+8)") as verdict:
+        base = {}
+        for name in FAST_SUITES_FOR_MONOTONICITY:
+            for c in REGISTRY[name].runner(cfg):
+                base[(name, c.case_id)] = c.status
+        cfg2 = replace(cfg, p_prec=cfg.p_prec + 2, t_prec=cfg.t_prec + 8)
+        moved = [(name, c.case_id) for name in FAST_SUITES_FOR_MONOTONICITY
+                 for c in REGISTRY[name].runner(cfg2)
+                 if base.get((name, c.case_id)) == PASS and c.status != PASS]
+        verdict(not moved, str(moved) if moved else f"checked {len(base)} cases")
     return cases
 
 
@@ -784,31 +767,22 @@ def list_suites() -> list:
             sorted(REGISTRY.values(), key=lambda s: s.name)]
 
 
-def _run_guarded(name: str, cfg: RunConfig) -> list:
-    """A suite's cases; a suite that raises becomes one case saying why.
-
-    Running out of certified digits is not-certified, never a failure;
-    any other exception is a failure, with its traceback on stderr."""
-    try:
-        return REGISTRY[name].runner(cfg)
-    except PrecisionError as exc:
-        return [SuiteCase("suite run", NOT_CERTIFIED, f"PrecisionError: {exc}")]
-    except Exception as exc:
-        import traceback  # imported here, off the start-up path
-        traceback.print_exc()
-        return [SuiteCase("suite run", FAIL, repr(exc))]
-
-
 def run_suites(cfg: RunConfig) -> list:
     """Run the configured suites in name order, each case list sorted by id.
 
     The suites are pure-Python work that holds the interpreter lock, so
-    they run one after another."""
+    they run one after another.  A suite that raises outside its own
+    blocks becomes the one case ``suite run``, guarded like any check."""
     names = sorted(cfg.suites or REGISTRY)
     params = {"p": cfg.p, "alpha": cfg.alpha, "p_prec": cfg.p_prec,
               "t_prec": cfg.t_prec, "witt_len": cfg.witt_len,
               "descent_degree": cfg.descent_degree, "dp_degree": cfg.dp_degree,
               "seed": cfg.seed}
-    return [SuiteReport(name, dict(params),
-                        sorted(_run_guarded(name, cfg), key=lambda c: c.case_id))
-            for name in names]
+    reports = []
+    for name in names:
+        cases = Cases()
+        with cases.check("suite run"):
+            cases = REGISTRY[name].runner(cfg)  # if it raises, the guard's case stays
+        reports.append(SuiteReport(name, dict(params),
+                                   sorted(cases, key=lambda c: c.case_id)))
+    return reports

@@ -352,16 +352,6 @@ def delta_witt(a: WittVector) -> WittVector:
     return from_ghost(base, out, check_dwork=False)
 
 
-def lift_delta_map(base, images, check_dwork=False) -> WittVector:
-    """The image of x under the unique delta-lift of a ring map into the
-    Witt vectors of the target: its ghost components are f(phi^n(x)).
-
-    ``images`` are the already-computed f(phi^n(x)) in the target base
-    (the source's Frobenius is applied upstairs, where it exists).
-    """
-    return from_ghost(base, list(images), check_dwork=check_dwork)
-
-
 # ---------------------------------------------------------------------------
 # constructed elements
 # ---------------------------------------------------------------------------

@@ -100,7 +100,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["--t-prec", "1", "--suite", "epsilon-action"],
         ["--t-prec", "1", "--suite", "ore-assoc"],
-        ["--t-prec", "1", "--suite", "precision-monotonic"],
         ["--p-prec", "1", "--suite", "witt-cu"],
     ])
     def test_exhausted_precision_is_not_certified(self, args):
@@ -108,6 +107,18 @@ class TestExitCodes:
         assert proc.returncode in (0, 2), proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
         assert "ncrt" in proc.stdout and "PrecisionError" in proc.stdout
+
+    def test_precision_monotonic_decides_at_t_prec_1(self):
+        # at M = 1 only epsilon-action's batch runs out of digits; that is
+        # one not-certified case inside the called suite, so
+        # precision-monotonic still compares every other verdict
+        proc = run_cli(["--t-prec", "1", "--suite", "precision-monotonic",
+                        "--report", "json"])
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        [rep] = json.loads(proc.stdout)["suites"]
+        assert [(c["id"], c["status"]) for c in rep["cases"]] == [
+            ("every passing case re-passes at (N+2, M+8)", suites.PASS)]
 
     def test_suite_exception_is_a_failing_case(self, monkeypatch):
         def boom(cfg):
@@ -159,7 +170,35 @@ class TestConstructionCases:
             "x: exact cross-check", suites.FAIL, "KeyError('k')")
 
 
-SWEEP_SUITES = ["nilpotence", "ore-akj", "ore-assoc", "ore-master-relation"]
+class TestGuardedChecks:
+    """A check that runs out of digits is not-certified on its own; the
+    suite's other checks keep their verdicts."""
+
+    @staticmethod
+    def cases(**kw):
+        [rep] = run_suites(RunConfig(**kw))
+        return {c.case_id: (c.status, c.witness) for c in rep.cases}
+
+    def test_witt_cu_witness_short_of_digits(self):
+        got = self.cases(p=3, p_prec=1, suites=["witt-cu"])
+        assert "suite run" not in got
+        assert [s for cid, (s, _) in got.items()
+                if cid.startswith("u=1+p^(a+1): ")] == [suites.PASS] * 3
+        status, witness = got["u=teich(2): nonexistence witnessed"]
+        assert status == suites.NOT_CERTIFIED
+        assert witness.startswith("PrecisionError: ")
+
+    def test_ore_assoc_relative_algebra_at_t_prec_1(self):
+        got = self.cases(p=3, t_prec=1, suites=["ore-assoc"])
+        assert "suite run" not in got
+        assert got["associativity on 200 random triples (relative m=2)"][0] \
+            == suites.PASS
+        assert got["normal forms with no arithmetic letter represent the "
+                   "cosets of the left ideal"][0] == suites.PASS
+
+
+SWEEP_SUITES = ["ht-regular-rep", "nilpotence", "ore-akj", "ore-assoc",
+                "ore-master-relation", "witt-cu"]
 
 
 @pytest.mark.parametrize("N,M", [(1, 2), (2, 4)])
@@ -217,6 +256,34 @@ def test_list_suites_cli():
     proc = run_cli(["--list-suites"])
     assert proc.returncode == 0
     assert "ore-master-relation" in proc.stdout
+
+
+@pytest.mark.parametrize("suite", ["e-beta", "witt-dv1"])
+def test_traced_suite_span_covers_its_work(tmp_path, suite):
+    """perfbench/launch.py, untraced and traced: tracing leaves the report
+    unchanged, and the suite's top-level span covers every kernel span of
+    the run.  A runner that returned before its work was done (a
+    generator, say) would leave that work outside the span."""
+    bench = os.path.join(os.path.dirname(SRC), "perfbench")
+    reports = []
+    for trace in ("0", "1"):
+        info = tmp_path / f"info{trace}.json"
+        proc = subprocess.run(
+            [sys.executable, os.path.join(bench, "launch.py"), str(info),
+             trace, "--suite", suite], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert reports[1] == reports[0]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(bench, "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    header = json.loads(info.read_text())["trace"]
+    _, self_s, suite_wall = spans.self_times(header, f"{info}.spans")
+    kernels = sum(v for k, v in self_s.items()
+                  if not k.startswith(("suites.", "cli.")))
+    assert kernels > 0
+    assert suite_wall[f"suites.{suite}"] >= kernels
 
 
 @pytest.mark.parametrize("workload,seed", [
