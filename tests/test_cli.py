@@ -100,6 +100,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["--t-prec", "1", "--suite", "epsilon-action"],
         ["--t-prec", "1", "--suite", "ore-assoc"],
+        ["--p", "5", "--p-prec", "1", "--suite", "witt-cu"],
         ["--p-prec", "1", "--suite", "witt-cu"],
     ])
     def test_exhausted_precision_is_not_certified(self, args):
