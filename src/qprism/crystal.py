@@ -5,8 +5,9 @@ arithmetic operator is gamma_0-semilinear over the base, so its
 flattened Z/p^N-matrix is (D-blocks) * gamma_0 + partial; the geometric
 operators are linear once the T-action is fixed (the bundled examples
 use the fiber T = 0, where the correction operators D_i vanish).
-Cohomology is computed by flattening everything to Z/p^N and reading
-kernels and cokernels off integer lattice normal forms.
+Cohomology is computed by flattening everything to Z/p^N matrix values
+(``padic.ModMat``) and reading kernels and cokernels off their Smith
+form over Z/p^N.
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ import math
 from dataclasses import dataclass, field
 
 from .padic import (
+    ModMat,
     QuotElem,
     QuotientRing,
     coker_invariants_mod,
     d_prime_elem,
     inv_mod,
     ker_basis_mod,
-    mat_eq_mod,
-    mat_identity,
-    mat_mul_mod,
     subquotient_invariants,
     vp_factorial,
     vp_int,
@@ -34,6 +33,13 @@ from .padic import (
 # ---------------------------------------------------------------------------
 # modules and flattening
 # ---------------------------------------------------------------------------
+
+
+def _block_rows(blks: list, d: int) -> list:
+    """The rows of one row of d x d blocks, where None is a zero block."""
+    zero = (0,) * d
+    return [tuple(itertools.chain.from_iterable(zero if b is None else b[a] for b in blks))
+            for a in range(d)]
 
 
 @dataclass
@@ -56,8 +62,8 @@ class QConnModule:
     # over A/d (n = 1) the two coincide since the base maps trivialize
     scalar_operators: bool = False
     # flattened operators, built on first use: nothing mutates a module's
-    # operator matrices, or the flat matrices handed out, after
-    # construction, so each operator is flattened once and shared
+    # operator matrices after construction, and a flattening is an
+    # immutable ModMat, so each operator is flattened once and shared
     _flats: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -65,70 +71,66 @@ class QConnModule:
     def m(self) -> int:
         return len(self.N_list)
 
+    @property
+    def flat_mod(self) -> int:
+        """The modulus p^N of every flattened matrix."""
+        return self.ring.p ** self.ring.N
+
     def scalar_matrix(self, x: QuotElem) -> list:
         return [[x if i == j else self.ring.zero() for j in range(self.rank)]
                 for i in range(self.rank)]
 
     # -- flattening ---------------------------------------------------------
 
-    def _flat_of_blocks(self, B: list) -> list:
+    def _flat_of_blocks(self, B: list) -> ModMat:
         """Matrix of QuotElem entries -> Z/p^N block matrix, built a row at
         a time from the rows of each entry's multiplication matrix."""
-        zero = [0] * self.ring.deg
         out = []
         for row in B:
-            blks = [self.ring.mult_matrix(x) if any(x.coeffs) else None
-                    for x in row]
-            for a in range(self.ring.deg):
-                line = []
-                for blk in blks:
-                    line.extend(zero if blk is None else blk[a])
-                out.append(line)
-        return out
+            out += _block_rows([self.ring.mult_matrix(x) if any(x.coeffs) else None
+                                for x in row], self.ring.deg)
+        return ModMat.of_reduced(out, self.flat_mod)
 
-    def _kron_base(self, base_mat) -> list:
+    def _kron_base(self, base_mat) -> ModMat:
         """The block diagonal matrix with `rank` copies of base_mat."""
         d = self.ring.deg
         r = self.rank
-        return [[0] * (i * d) + list(row) + [0] * ((r - 1 - i) * d)
-                for i in range(r) for row in base_mat]
+        return ModMat.of_reduced([[0] * (i * d) + list(row) + [0] * ((r - 1 - i) * d)
+                                  for i in range(r) for row in base_mat], self.flat_mod)
 
-    def flat_partial(self) -> list:
+    def flat_partial(self) -> ModMat:
         """The gamma_0-semilinear arithmetic operator, flattened."""
         if "partial" not in self._flats:
             self._flats["partial"] = self._flatten_partial()
         return self._flats["partial"]
 
-    def _flatten_partial(self) -> list:
+    def _flatten_partial(self) -> ModMat:
         if self.D is None:
             raise ValueError("module has no arithmetic operator")
-        p, N = self.ring.p, self.ring.N
+        ring = self.ring
         Dm = self._flat_of_blocks(self.D)
         if self.scalar_operators:
             return Dm
-        if self.ring.n > 1:
+        if ring.n > 1:
             # over A/d, gamma_0 is the identity: q^(p^(alpha+1)) = 1 mod d
-            g0 = self._kron_base(self.ring.endo_matrix(p ** (self.ring.alpha + 1) + 1))
-            Dm = mat_mul_mod(Dm, g0, p, N)
-        der = self._kron_base(self.ring.partial_matrix())
-        return _mat_add(Dm, der, p**N)
+            Dm = Dm @ self._kron_base(ring.endo_matrix(ring.p ** (ring.alpha + 1) + 1))
+        return Dm + self._kron_base(ring.partial_matrix())
 
-    def flat_nabla(self, i: int) -> list:
+    def flat_nabla(self, i: int) -> ModMat:
         key = ("nabla", i)
         if key not in self._flats:
             self._flats[key] = self._flat_of_blocks(self.N_list[i])
         return self._flats[key]
 
-    def flat_theta(self, i: int) -> list:
+    def flat_theta(self, i: int) -> ModMat:
         if self.theta_list is None:
-            n = self.rank * self.ring.deg
-            return [[0] * n for _ in range(n)]
+            return ModMat.zero(self.rank * self.ring.deg, self.flat_mod)
         return self._flat_of_blocks(self.theta_list[i])
 
-    def flat_scalar(self, x: QuotElem) -> list:
+    def flat_scalar(self, x: QuotElem) -> ModMat:
         return self._kron_base(self.ring.mult_matrix(x))
 
-    def flat_correction(self, i: int, d_coeffs: dict) -> list:
+    def flat_correction(self, i: int, d_coeffs: dict) -> ModMat:
         """The finite correction operator on this module:
         sum_j c_j * Theta_i^(j-1) * Nabla_i^(j-1).
 
@@ -136,62 +138,51 @@ class QConnModule:
         since every later term has it as a factor; at the fiber T = 0
         (Theta_i = 0) the operator is zero, before any product.  A
         non-nilpotent Theta_i gets every term up to j = max(d_coeffs)."""
-        p, N = self.ring.p, self.ring.N
-        n = self.rank * self.ring.deg
-        out = [[0] * n for _ in range(n)]
         Th = self.flat_theta(i)
-        # flattenings and products are reduced, so a zero is a literal 0
-        if not any(map(any, Th)):
-            return out
+        if Th.is_zero():
+            return Th
+        out = ModMat.zero(len(Th), Th.mod)
         Np = self.flat_nabla(i)
         th_pow, nab_pow = Th, Np
         for j in range(2, max(d_coeffs) + 1):
             if j > 2:
-                th_pow = mat_mul_mod(Th, th_pow, p, N)
-                if not any(map(any, th_pow)):
+                th_pow = Th @ th_pow
+                if th_pow.is_zero():
                     break
-                nab_pow = mat_mul_mod(Np, nab_pow, p, N)
+                nab_pow = Np @ nab_pow
             cj = d_coeffs.get(j)
             if cj is None or cj.is_zero():
                 continue
-            term = mat_mul_mod(self.flat_scalar(cj),
-                               mat_mul_mod(th_pow, nab_pow, p, N), p, N)
-            out = _mat_add(out, term, p**N)
+            out = out + self.flat_scalar(cj) @ (th_pow @ nab_pow)
         return out
 
     # -- invariant certification ---------------------------------------------
 
     def certify_leibniz(self, samples=None) -> bool:
         """operator(s * v) = gamma(s) op(v) + der(s) v at the flat level."""
-        p, N = self.ring.p, self.ring.N
         samples = samples or [self.ring.q_power(1), self.ring.q_power(2) + 3]
         ok = True
         if self.D is not None:
             P = self.flat_partial()
-            g0 = self.ring.endo_matrix(p ** (self.ring.alpha + 1) + 1)
+            g0 = self.ring.endo_matrix(self.ring.p ** (self.ring.alpha + 1) + 1)
             dm = self.ring.partial_matrix()
             for s in samples:
                 S = self.flat_scalar(s)
                 gS = self.flat_scalar(s.apply_matrix(g0))
                 dS = self.flat_scalar(s.apply_matrix(dm))
-                lhs = mat_mul_mod(P, S, p, N)
-                rhs = _mat_add(mat_mul_mod(gS, P, p, N), dS, p**N)
-                ok = ok and mat_eq_mod(lhs, rhs, p, N)
+                ok = ok and P @ S == gS @ P + dS
         for i in range(self.m):
             Ni = self.flat_nabla(i)
             for s in samples:
                 S = self.flat_scalar(s)
-                ok = ok and mat_eq_mod(mat_mul_mod(Ni, S, p, N),
-                                       mat_mul_mod(S, Ni, p, N), p, N)
+                ok = ok and Ni @ S == S @ Ni
         return ok
 
     def certify_commuting_nablas(self) -> bool:
-        p, N = self.ring.p, self.ring.N
         for i in range(self.m):
             for j in range(i + 1, self.m):
                 A, B = self.flat_nabla(i), self.flat_nabla(j)
-                if not mat_eq_mod(mat_mul_mod(A, B, p, N),
-                                  mat_mul_mod(B, A, p, N), p, N):
+                if A @ B != B @ A:
                     return False
         return True
 
@@ -199,7 +190,6 @@ class QConnModule:
         """(1 + beta q D_i) Nabla_i Partial = s0 (Partial + s1) Nabla_i
         - D_i Nabla_i as flat matrices (mixed tag).  A zero D_i adds
         nothing to either side, so its two products are skipped."""
-        p, N = self.ring.p, self.ring.N
         P = self.flat_partial()
         s0 = self.flat_scalar(scalars.s0())
         s0s1 = self.flat_scalar(scalars.s0() * scalars.s1())
@@ -208,14 +198,12 @@ class QConnModule:
         for i in range(self.m):
             Ni = self.flat_nabla(i)
             Di = self.flat_correction(i, dcs)
-            lhs = mat_mul_mod(Ni, P, p, N)
-            rhs = _mat_add(mat_mul_mod(s0, mat_mul_mod(P, Ni, p, N), p, N),
-                           mat_mul_mod(s0s1, Ni, p, N), p**N)
-            if any(map(any, Di)):
-                lhs = _mat_add(lhs, mat_mul_mod(bq, mat_mul_mod(Di, lhs, p, N),
-                                                p, N), p**N)
-                rhs = _mat_add(rhs, mat_mul_mod(Di, Ni, p, N), p**N, -1)
-            if not mat_eq_mod(lhs, rhs, p, N):
+            lhs = Ni @ P
+            rhs = s0 @ (P @ Ni) + s0s1 @ Ni
+            if not Di.is_zero():
+                lhs = lhs + bq @ (Di @ lhs)
+                rhs = rhs - Di @ Ni
+            if lhs != rhs:
                 return False
         return True
 
@@ -261,7 +249,7 @@ def fib_partial(mod: QConnModule) -> CohomologyReport:
 
 @dataclass
 class CochainComplex:
-    """Flat Z/p^N complex: diffs[i] maps degree i to i+1."""
+    """Flat Z/p^N complex: diffs[i], a ModMat, maps degree i to i+1."""
 
     p: int
     N: int
@@ -269,12 +257,8 @@ class CochainComplex:
     diffs: list
 
     def d_squared_zero(self) -> bool:
-        for i in range(len(self.diffs) - 1):
-            # mat_mul_mod reduces, so a zero residue is a literal 0
-            prod = mat_mul_mod(self.diffs[i + 1], self.diffs[i], self.p, self.N)
-            if any(map(any, prod)):
-                return False
-        return True
+        return all((self.diffs[i + 1] @ self.diffs[i]).is_zero()
+                   for i in range(len(self.diffs) - 1))
 
     def cohomology(self, i: int) -> list:
         """Invariant factors of ker(d_i)/im(d_(i-1))."""
@@ -283,13 +267,8 @@ class CochainComplex:
             kgens = ker_basis_mod(self.diffs[i], self.p, self.N)
         else:
             kgens = [[1 if a == b else 0 for a in range(n)] for b in range(n)]
-        bgens = []
-        if i > 0:
-            prev = self.diffs[i - 1]
-            for j in range(self.ranks[i - 1]):
-                col = [prev[a][j] for a in range(n)]
-                if any(col):
-                    bgens.append(col)
+        # the nonzero columns of d_(i-1)
+        bgens = [col for col in zip(*self.diffs[i - 1]) if any(col)] if i > 0 else []
         return subquotient_invariants(kgens, bgens, n, self.p, self.N)
 
 
@@ -381,10 +360,9 @@ def qdr_complex(mod: QConnModule) -> CochainComplex:
     n = mod.rank * mod.ring.deg
     m = mod.m
     flats = [mod.flat_nabla(i) for i in range(m)]
-    negs = [_mat_neg(F, p**N) for F in flats]
+    negs = [-F for F in flats]
     by_size = _subsets_by_size(m)
     ranks = [len(Ss) * n for Ss in by_size]
-    zero = [0] * n
     diffs = []
     for t in range(m):
         src = {S: si for si, S in enumerate(by_size[t])}
@@ -394,12 +372,8 @@ def qdr_complex(mod: QConnModule) -> CochainComplex:
             blks = [None] * len(src)
             for u, i in enumerate(T):
                 blks[src[T[:u] + T[u + 1:]]] = flats[i] if u % 2 == 0 else negs[i]
-            for a in range(n):
-                line = []
-                for blk in blks:
-                    line.extend(zero if blk is None else blk[a])
-                D.append(line)
-        diffs.append(D)
+            D += _block_rows(blks, n)
+        diffs.append(ModMat.of_reduced(D, mod.flat_mod))
     return CochainComplex(p, N, ranks, diffs)
 
 
@@ -407,17 +381,6 @@ def _subsets_by_size(m: int) -> list:
     """The subsets of range(m) of each size t = 0..m, as sorted tuples in
     lexicographic order."""
     return [list(itertools.combinations(range(m), t)) for t in range(m + 1)]
-
-
-def _mat_add(A: list, B: list, mod: int, sign: int = 1) -> list:
-    """A + B (or A - B for sign = -1) mod `mod`, a row at a time."""
-    if sign == 1:
-        return [[(x + y) % mod for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-    return [[(x - y) % mod for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _mat_neg(A: list, mod: int) -> list:
-    return [[-x % mod for x in row] for row in A]
 
 
 def double_complex(mod: QConnModule, scalars) -> dict:
@@ -433,7 +396,6 @@ def double_complex(mod: QConnModule, scalars) -> dict:
     inverted.
     """
     p, N = mod.ring.p, mod.ring.N
-    mod_N = p**N
     n = mod.rank * mod.ring.deg
     m = mod.m
     row = qdr_complex(mod)
@@ -442,39 +404,30 @@ def double_complex(mod: QConnModule, scalars) -> dict:
     s1 = scalars.s1()
     bq = scalars.beta * mod.ring.q_power(1)
     dcs = scalars.d_coeffs()
-    corr = {}
-    for i in range(m):
-        D = mod.flat_correction(i, dcs)
-        if any(map(any, D)):
-            corr[i] = D
+    corr = {i: mod.flat_correction(i, dcs) for i in range(m)}
+    corr = {i: D for i, D in corr.items() if not D.is_zero()}
     bq_flat = mod.flat_scalar(bq)
     # (1 + beta q D_i)^(-1), shared by every column map over an S holding i
-    inv_one_plus = {}
-    for i, D in corr.items():
-        one_plus = mat_mul_mod(bq_flat, D, p, N)
-        for a in range(n):
-            one_plus[a][a] = (one_plus[a][a] + 1) % mod_N
-        inv_one_plus[i] = inv_mod(one_plus, p, N)
+    inv_one_plus = {i: inv_mod(ModMat.identity(n, mod.flat_mod) + bq_flat @ D, p, N)
+                    for i, D in corr.items()}
     by_size = _subsets_by_size(m)
 
-    def column_map(S: tuple) -> list:
+    def column_map(S: tuple) -> ModMat:
         t = len(S)
-        acc = mat_mul_mod(mod.flat_scalar(s0**t), P, p, N) if t else P
-        shift = mod.flat_scalar(sum((s0**i for i in range(1, t + 1)),
-                                    mod.ring.zero()) * s1)
-        acc = _mat_add(acc, shift, mod_N)
-        # - sum_i (beta q)^(i-1) P^i(corrections over S)
+        acc = mod.flat_scalar(s0**t) @ P if t else P
+        acc = acc + mod.flat_scalar(sum((s0**i for i in range(1, t + 1)),
+                                        mod.ring.zero()) * s1)
         live = [i for i in S if i in corr]
-        elem = _elementary_symmetric([corr[i] for i in live], p, N, n)
-        bq_pow = mat_identity(n)
-        for i in range(1, len(live) + 1):
-            if i > 1:
-                bq_pow = mat_mul_mod(bq_pow, bq_flat, p, N)
-            term = mat_mul_mod(bq_pow, elem[i], p, N) if i > 1 else elem[1]
-            acc = _mat_add(acc, term, mod_N, -1)
+        if live:
+            # - sum_i (beta q)^(i-1) P^i(corrections over S), by Horner's rule
+            elem = _elementary_symmetric([corr[i] for i in live])
+            acc_corr = elem[len(live)]
+            for i in range(len(live) - 1, 0, -1):
+                acc_corr = elem[i] + bq_flat @ acc_corr
+            acc = acc - acc_corr
         # invert prod (1 + beta q D_i)
         for i in live:
-            acc = mat_mul_mod(inv_one_plus[i], acc, p, N)
+            acc = inv_one_plus[i] @ acc
         return acc
 
     columns = {S: column_map(S) for Ss in by_size for S in Ss}
@@ -487,9 +440,7 @@ def double_complex(mod: QConnModule, scalars) -> dict:
             if i in S:
                 continue
             T = tuple(sorted(S + (i,)))
-            lhs = mat_mul_mod(columns[T], flats[i], p, N)
-            rhs = mat_mul_mod(flats[i], columns[S], p, N)
-            squares_ok = squares_ok and mat_eq_mod(lhs, rhs, p, N)
+            squares_ok = squares_ok and columns[T] @ flats[i] == flats[i] @ columns[S]
 
     # total fiber complex: C^j = Row^j (+) Row^(j-1),
     # d(x, y) = (d x, V(x) - d y)
@@ -499,29 +450,29 @@ def double_complex(mod: QConnModule, scalars) -> dict:
     for j in range(m + 1):
         src_a = row.ranks[j]
         src_b = row.ranks[j - 1] if j >= 1 else 0
-        D = [r + [0] * src_b for r in row.diffs[j]] if j < m else []
+        D = [r + (0,) * src_b for r in row.diffs[j]] if j < m else []
         # V on the first block, -d on the second (empty at j = 0)
-        neg_d = _mat_neg(row.diffs[j - 1], mod_N) if j >= 1 else [[]] * src_a
+        neg_d = -row.diffs[j - 1] if j >= 1 else [()] * src_a
         for si, S in enumerate(by_size[j]):
-            left = [0] * (si * n)
-            right = [0] * (src_a - (si + 1) * n)
+            left = (0,) * (si * n)
+            right = (0,) * (src_a - (si + 1) * n)
             for a, Va in enumerate(columns[S]):
                 D.append(left + Va + right + neg_d[si * n + a])
-        diffs.append(D)
+        diffs.append(ModMat.of_reduced(D, mod.flat_mod))
     total = CochainComplex(p, N, ranks, diffs)
     return {"squares_ok": squares_ok, "row": row, "total": total,
             "columns": columns}
 
 
-def _elementary_symmetric(mats: list, p: int, N: int, n: int) -> dict:
-    """P^i of commuting matrices, i = 0..len(mats)."""
-    elem = {0: mat_identity(n)}
+def _elementary_symmetric(mats: list) -> dict:
+    """P^i of commuting matrices, i = 1..len(mats)."""
+    elem = {}
     for M in mats:
-        # P^i(mats + [M]) = P^i(mats) + M P^(i-1)(mats)
-        nxt = {0: elem[0]}
+        # P^i(mats + [M]) = P^i(mats) + M P^(i-1)(mats), with P^0 = 1
+        nxt = {1: elem[1] + M if elem else M}
         for i, val in elem.items():
-            term = mat_mul_mod(M, val, p, N)
-            nxt[i + 1] = _mat_add(elem[i + 1], term, p**N) if i + 1 in elem else term
+            term = M @ val
+            nxt[i + 1] = elem[i + 1] + term if i + 1 in elem else term
         elem = nxt
     return elem
 
@@ -618,23 +569,18 @@ def conjugate_module(mod: QConnModule, P: list) -> QConnModule:
     (i, j) combines all of B with column j of P, and carries the smallest
     precision among those entries."""
     ring = mod.ring
-    p, N = ring.p, ring.N
     r, d = mod.rank, ring.deg
     flatP = mod._flat_of_blocks(P)
-    inv_flat = inv_mod(flatP, p, N)
-    P_ones = [[row[j * d] for j in range(r)] for row in flatP]
+    inv_flat = inv_mod(flatP, ring.p, ring.N)
+    P_ones = ModMat.of_reduced([row[::d] for row in flatP], mod.flat_mod)
     P_prec = [min(P[k][j].prec for k in range(r)) for j in range(r)]
 
-    def block_elem(F, i, j, prec):
-        # the (i,j) block applied to 1: rows i*d .. i*d + d - 1 of column j
-        return ring.elem([F[i * d + a][j] for a in range(d)], prec)
-
     def conj(B):
-        B_prec = min((x.prec for row in B for x in row), default=N)
-        F = mat_mul_mod(inv_flat, mat_mul_mod(mod._flat_of_blocks(B), P_ones, p, N),
-                        p, N)
-        return [[block_elem(F, i, j, min(B_prec, P_prec[j])) for j in range(r)]
-                for i in range(r)]
+        B_prec = min((x.prec for row in B for x in row), default=ring.N)
+        # the (i, j) block applied to 1: rows i*d .. i*d + d - 1 of column j
+        cols = list(zip(*(inv_flat @ (mod._flat_of_blocks(B) @ P_ones))))
+        return [[ring.elem(cols[j][i * d:(i + 1) * d], min(B_prec, P_prec[j]))
+                 for j in range(r)] for i in range(r)]
 
     return QConnModule(ring, r,
                        D=conj(mod.D) if mod.D is not None else None,
@@ -648,37 +594,24 @@ def tensor(a: QConnModule, b: QConnModule) -> QConnModule:
         raise ValueError("tensor needs matching base and tag")
     ring = a.ring
     ra, rb = a.rank, b.rank
-    r = ra * rb
     beta_ht = ring.q_power(ring.p**ring.alpha + 1) - ring.q_power(1)
 
     def kron(X, Y):
-        out = [[ring.zero() for _ in range(r)] for _ in range(r)]
-        for i1 in range(ra):
-            for j1 in range(ra):
-                for i2 in range(rb):
-                    for j2 in range(rb):
-                        out[i1 * rb + i2][j1 * rb + j2] = X[i1][j1] * Y[i2][j2]
-        return out
+        # entry (i1 rb + i2, j1 rb + j2) is X[i1][j1] Y[i2][j2]
+        return [[X[i1][j1] * Y[i2][j2] for j1 in range(ra) for j2 in range(rb)]
+                for i1 in range(ra) for i2 in range(rb)]
 
     eyeA = a.scalar_matrix(ring.one())
     eyeB = b.scalar_matrix(ring.one())
     D = None
     if a.D is not None and b.D is not None:
-        D = kron(a.D, eyeB)
-        DB = kron(eyeA, b.D)
-        DD = kron(a.D, b.D)
-        for i in range(r):
-            for j in range(r):
-                D[i][j] = D[i][j] + DB[i][j] + beta_ht * DD[i][j]
-    N_list = []
-    for i in range(a.m):
-        Na = kron(a.N_list[i], eyeB)
-        Nb = kron(eyeA, b.N_list[i])
-        for x in range(r):
-            for y in range(r):
-                Na[x][y] = Na[x][y] + Nb[x][y]
-        N_list.append(Na)  # T = 0 fiber: the beta T_i cross term vanishes
-    return QConnModule(ring, r, D=D, N_list=N_list, tag=a.tag)
+        D = [[x + y + beta_ht * z for x, y, z in zip(*rows)]
+             for rows in zip(kron(a.D, eyeB), kron(eyeA, b.D), kron(a.D, b.D))]
+    # T = 0 fiber: the beta T_i cross term vanishes
+    N_list = [[[x + y for x, y in zip(*rows)]
+               for rows in zip(kron(Na, eyeB), kron(eyeA, b.N_list[i]))]
+              for i, Na in enumerate(a.N_list)]
+    return QConnModule(ring, ra * rb, D=D, N_list=N_list, tag=a.tag)
 
 
 # ---------------------------------------------------------------------------

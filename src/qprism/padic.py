@@ -94,12 +94,6 @@ class PadicInt:
     def __hash__(self):
         return hash((self.p, self.prec, self.residue))
 
-    def vp(self):
-        """Valuation, or None meaning >= prec."""
-        if self.residue % self.p**self.prec == 0:
-            return None
-        return vp_int(self.residue, self.p)
-
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
 
@@ -826,7 +820,7 @@ def solve_mod(A, b, p: int, N: int):
     return x, N - exps[-1] if exps else N
 
 
-def inv_mod(A, p: int, N: int) -> list:
+def inv_mod(A, p: int, N: int) -> "ModMat":
     """Inverse of a unit matrix over Z/p^N: V*U when U*A*V = I."""
     exps, U, V = smith_mod(A, p, N)
     if len(exps) < len(A) or any(exps):
@@ -834,36 +828,107 @@ def inv_mod(A, p: int, N: int) -> list:
     return _mat_mul(V, U, p**N)
 
 
-def mat_mul_mod(A, B, p: int, N: int) -> list:
-    return _mat_mul(A, B, p**N)
+class ModMat:
+    """An immutable matrix over Z/mod: tuple rows of residues in [0, mod).
+
+    A product reads the columns of the nonzero entries of each row of its
+    right operand; they are found the first time and kept, as the
+    cohomology layer multiplies by the same cached operators again and
+    again.  ``==`` compares residues mod ``mod``, also against a list of
+    lists.  Rows index, iterate and measure like a list of rows, so the
+    elimination routines take a ModMat as is."""
+
+    __slots__ = ("rows", "mod", "_nonzero")
+
+    def __init__(self, rows, mod: int):
+        self.rows = tuple(tuple([x % mod for x in row]) for row in rows)
+        self.mod = mod
+        self._nonzero = None
+
+    @staticmethod
+    def of_reduced(rows, mod: int) -> "ModMat":
+        """A ModMat of rows whose entries are residues in [0, mod) already."""
+        out = ModMat.__new__(ModMat)
+        out.rows, out.mod, out._nonzero = tuple(map(tuple, rows)), mod, None
+        return out
+
+    @staticmethod
+    def identity(n: int, mod: int) -> "ModMat":
+        return ModMat.of_reduced([(0,) * i + (1,) + (0,) * (n - 1 - i)
+                                  for i in range(n)], mod)
+
+    @staticmethod
+    def zero(n: int, mod: int) -> "ModMat":
+        return ModMat.of_reduced(((0,) * n,) * n, mod)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __matmul__(self, other) -> "ModMat":
+        return mat_mul_mod(self, other, self.mod)
+
+    def __add__(self, other) -> "ModMat":
+        mod = self.mod
+        return ModMat.of_reduced([[(x + y) % mod for x, y in zip(ra, rb)]
+                                  for ra, rb in zip(self.rows, other)], mod)
+
+    def __sub__(self, other) -> "ModMat":
+        mod = self.mod
+        return ModMat.of_reduced([[(x - y) % mod for x, y in zip(ra, rb)]
+                                  for ra, rb in zip(self.rows, other)], mod)
+
+    def __neg__(self) -> "ModMat":
+        mod = self.mod
+        return ModMat.of_reduced([[-x % mod for x in row] for row in self.rows], mod)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ModMat):
+            return self.mod == other.mod and self.rows == other.rows
+        if not isinstance(other, (list, tuple)):
+            return NotImplemented
+        mod = self.mod
+        return len(self.rows) == len(other) and all(
+            ra == tuple([y % mod for y in rb]) for ra, rb in zip(self.rows, other))
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.rows))
 
 
-def _mat_mul(A, B, mod: int) -> list:
-    """A*B mod `mod`, entries in [0, mod).
+def mat_mul_mod(A, B, mod: int) -> ModMat:
+    """A*B over Z/mod, the one product entry point; either operand may be
+    a ModMat or a list of rows.  ``ModMat.__matmul__`` looks it up as a
+    module global, so a wrapper bound to ``padic.mat_mul_mod`` sees every
+    product of matrix values."""
+    return _mat_mul(A, B, mod)
 
-    The operands of the cohomology layer are mostly zero, so each row of
-    B is compressed once to its nonzero (column, entry) pairs and only
-    the nonzero entries of A are visited.  Each output row accumulates
-    plain integers and is reduced once: a multiple of `mod` left in an
-    unreduced or negative operand changes no residue."""
-    cols = len(B[0]) if B else 0
-    sparse = [[(j, b) for j, b in enumerate(Bk) if b] for Bk in B]
+
+def _mat_mul(A, B, mod: int) -> ModMat:
+    """A*B mod `mod`.  The operands of the cohomology layer are mostly
+    zero, so only the nonzero entries of A are visited, each against the
+    nonzero entries of its row of B, whose columns are found once per
+    ModMat B.  Each output row accumulates plain integers and is reduced
+    once: a multiple of `mod` left in an unreduced or negative entry of A
+    changes no residue."""
+    if not isinstance(B, ModMat):
+        B = ModMat(B, mod)
+    if B._nonzero is None:
+        B._nonzero = [tuple([j for j, b in enumerate(row) if b]) for row in B.rows]
+    cols = len(B.rows[0]) if B.rows else 0
     out = []
     for Ai in A:
         row = [0] * cols
-        for a, Bk in zip(Ai, sparse):
+        for a, Bk, nz in zip(Ai, B.rows, B._nonzero):
             if a:
-                for j, b in Bk:
-                    row[j] += a * b
+                for j in nz:
+                    row[j] += a * Bk[j]
         out.append([x % mod for x in row])
-    return out
-
-
-def mat_eq_mod(A, B, p: int, N: int) -> bool:
-    if A == B:
-        return True
-    mod = p**N
-    return all((x - y) % mod == 0 for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+    return ModMat.of_reduced(out, mod)
 
 
 def mat_identity(n: int) -> list:
@@ -1095,11 +1160,9 @@ class QuotElem:
             return False
 
     def unit_inverse(self) -> "QuotElem":
-        M = self.ring.mult_matrix(self)
-        inv = inv_mod(M, self.ring.p, self.ring.N)
-        one = [1] + [0] * (self.ring.deg - 1)
-        return QuotElem(self.ring, [sum(inv[i][j] * one[j] for j in range(self.ring.deg))
-                                    for i in range(self.ring.deg)], self.prec)
+        # the inverse applied to 1 is its first column
+        inv = inv_mod(self.ring.mult_matrix(self), self.ring.p, self.ring.N)
+        return QuotElem(self.ring, [row[0] for row in inv], self.prec)
 
     def divide_exact(self, other: "QuotElem") -> "QuotElem":
         """Certified division: solve other * y = self, lossy but honest."""
@@ -1127,9 +1190,7 @@ class QuotElem:
                         min(self.prec + a, self.ring.N))
 
     def apply_matrix(self, M: list) -> "QuotElem":
-        n = self.ring.deg
-        return QuotElem(self.ring,
-                        [sum(M[i][j] * self.coeffs[j] for j in range(n)) for i in range(n)],
+        return QuotElem(self.ring, [sum(x * c for x, c in zip(row, self.coeffs)) for row in M],
                         self.prec)
 
     def render(self) -> str:

@@ -171,21 +171,25 @@ class _Check:
 # ---------------------------------------------------------------------------
 
 
+def _failing(checks: dict) -> str:
+    """The ids of the failed checks, joined for a witness."""
+    return "; ".join(c for c, ok in checks.items() if not ok)
+
+
 def suite_q_identities(cfg: RunConfig):
     p, a = cfg.p, cfg.alpha
     cases = Cases()
     with cases.check("psi multiplicative + closed form (k<=50)") as verdict:
         mono = list(range(0, 9)) + [25, 50] + [(2, (1,)), (1, (3,))]
-        rep = exactcore.verify_psi_hom(p, a, mono, m=1)
-        verdict(rep.ok, "; ".join(c.case_id for c in rep.cases if not c.ok)
-                or "exact")
+        checks = exactcore.verify_psi_hom(p, a, mono, m=1)
+        verdict(all(checks.values()), _failing(checks) or "exact")
     with cases.check("q-analogue factorization (n<=3, i<p)") as verdict:
         verdict(all(exactcore.verify_q_factorization(p, a, n, i)
                     for n in range(1, 4) for i in range(0, p)), "exact")
     with cases.check("twist generator relations") as verdict:
-        verdict(exactcore.verify_gamma_relations(p, a, 2).ok, "exact")
+        verdict(all(exactcore.verify_gamma_relations(p, a, 2).values()), "exact")
     with cases.check("frobenius lift on eps (mod p)") as verdict:
-        verdict(exactcore.verify_phi_epsilon(p, a).ok, "exact")
+        verdict(all(exactcore.verify_phi_epsilon(p, a).values()), "exact")
     return cases
 
 
@@ -352,14 +356,13 @@ def suite_ore_assoc(cfg: RunConfig):
 def suite_ore_master(cfg: RunConfig):
     cases = Cases()
     with cases.check("mixed commutation law on q^a T^b (a,b <= 6)") as verdict:
-        rep = ore.verify_master_relation(cfg.p, cfg.alpha, bound=6,
-                                         N=cfg.p_prec, M=max(cfg.t_prec, 48))
-        verdict(rep.ok, "; ".join(c for c, ok in rep.cases if not ok)
-                or "two-sided evaluation")
+        checks = ore.verify_master_relation(cfg.p, cfg.alpha, bound=6,
+                                            N=cfg.p_prec, M=max(cfg.t_prec, 48))
+        verdict(all(checks.values()), _failing(checks) or "two-sided evaluation")
     with cases.check("column-map commutation identities (m=2)") as verdict:
-        verdict(ore.verify_double_complex_rows(cfg.p, cfg.alpha, bound=2,
-                                               N=cfg.p_prec,
-                                               M=max(cfg.t_prec, 48)).ok)
+        verdict(all(ore.verify_double_complex_rows(cfg.p, cfg.alpha, bound=2,
+                                                   N=cfg.p_prec,
+                                                   M=max(cfg.t_prec, 48)).values()))
     return cases
 
 
@@ -380,8 +383,8 @@ def suite_ore_akj(cfg: RunConfig):
                 discrepancy_key=("ore-akj", f"p={p} alpha={a} commutator")
                 if boundary else None)
     with cases.check("mod-d specialization constants") as verdict:
-        rep = ore.specialize_mod_d_checks(p, a, cfg.p_prec)
-        verdict(rep.ok, "; ".join(c for c, ok in rep.cases if not ok))
+        checks = ore.specialize_mod_d_checks(p, a, cfg.p_prec)
+        verdict(all(checks.values()), _failing(checks))
     return cases
 
 
@@ -439,15 +442,14 @@ def _brute_force_cohomology(diffs, ranks, p, N):
         kernel = []
         for vec in itertools.product(range(mod), repeat=n):
             if d_out is None or all(
-                    sum(d_out[r][c] * vec[c] for c in range(n)) % mod == 0
-                    for r in range(len(d_out))):
+                    sum(x * v for x, v in zip(row, vec)) % mod == 0 for row in d_out):
                 kernel.append(vec)
         image = set()
         if d_in is not None:
             nm = ranks[i - 1]
             for vec in itertools.product(range(mod), repeat=nm):
-                image.add(tuple(sum(d_in[r][c] * vec[c] for c in range(nm)) % mod
-                                for r in range(n)))
+                image.add(tuple(sum(x * v for x, v in zip(row, vec)) % mod
+                                for row in d_in))
         else:
             image = {tuple([0] * n)}
         sizes.append(len(kernel) // len(image))

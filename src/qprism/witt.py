@@ -324,32 +324,10 @@ def from_ghost(base, ghosts, check_dwork=True, strict_dwork=False) -> WittVector
     return WittVector(base, coords)
 
 
-def witt_add(a: WittVector, b: WittVector) -> WittVector:
-    ga, gb = a.ghost(), b.ghost()
-    return from_ghost(a.base, [x + y for x, y in zip(ga, gb)],
-                      check_dwork=False)
-
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     ga, gb = a.ghost(), b.ghost()
     return from_ghost(a.base, [x * y for x, y in zip(ga, gb)],
                       check_dwork=False)
-
-
-def frobenius_witt(a: WittVector) -> WittVector:
-    """F: drops the first ghost component; needs one spare length."""
-    ghosts = a.ghost()
-    return from_ghost(a.base, ghosts[1:], check_dwork=False)
-
-
-def delta_witt(a: WittVector) -> WittVector:
-    """delta with ghost components (w_(n+1) - w_n^p)/p."""
-    base, p = a.base, a.base.p
-    ghosts = a.ghost()
-    out = []
-    for n in range(len(ghosts) - 1):
-        num = ghosts[n + 1] - ghosts[n] ** p
-        out.append(base.divide_p_pow(num, 1))
-    return from_ghost(base, out, check_dwork=False)
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,7 @@ def test_criterion_6_ore():
         cases = REGISTRY["ore-assoc"].runner(
             RunConfig(p=p, alpha=a, p_prec=8, t_prec=32))
         ok = ok and all(c.status == PASS for c in cases)
-        rep = ore.verify_master_relation(p, a, bound=6, M=48)
-        ok = ok and rep.ok
+        ok = ok and all(ore.verify_master_relation(p, a, bound=6, M=48).values())
         k = p ** (a + 1) + 1
         ok = ok and ore.akj_operator_oracle(p, a, k, nmax=8)
         ok = ok and ore.akj_mod_d_binomial(p, a)

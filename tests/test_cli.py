@@ -199,7 +199,8 @@ class TestGuardedChecks:
 
 
 SWEEP_SUITES = ["ht-regular-rep", "nilpotence", "ore-akj", "ore-assoc",
-                "ore-master-relation", "witt-cu"]
+                "ore-master-relation", "witt-cu", "bk-twists", "double-complex",
+                "koszul", "tensor", "sen-qconn", "e-beta"]
 
 
 @pytest.mark.parametrize("N,M", [(1, 2), (2, 4)])

@@ -377,8 +377,8 @@ class TestAkj:
 class TestMasterRelation:
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1)])
     def test_relation(self, p, a):
-        rep = verify_master_relation(p, a, bound=4, M=48)
-        assert rep.ok, [c for c, ok in rep.cases if not ok]
+        checks = verify_master_relation(p, a, bound=4, M=48)
+        assert all(checks.values()), [c for c, ok in checks.items() if not ok]
 
     def test_s1_two_routes(self):
         # closed form -partial(d)/d against the defining fraction
@@ -404,14 +404,14 @@ class TestMasterRelation:
 
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1)])
     def test_double_complex_rows(self, p, a):
-        assert verify_double_complex_rows(p, a, bound=2, M=48).ok
+        assert all(verify_double_complex_rows(p, a, bound=2, M=48).values())
 
 
 class TestSpecialize:
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (5, 0)])
     def test_mod_d(self, p, a):
-        rep = specialize_mod_d_checks(p, a)
-        assert rep.ok, rep.cases
+        checks = specialize_mod_d_checks(p, a)
+        assert all(checks.values()), checks
 
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (5, 0), (3, 1)])
     def test_commutator_mod_residue(self, p, a):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qprism.padic import (
     DivisionCertificateError,
+    ModMat,
     PadicInt,
     PrecisionError,
     QuotientRing,
@@ -22,7 +23,6 @@ from qprism.padic import (
     howell_mod,
     inv_mod,
     ker_basis_mod,
-    mat_eq_mod,
     mat_identity,
     mat_mul_mod,
     partial_arith,
@@ -35,12 +35,19 @@ from qprism.padic import (
 )
 
 
+def padic_vp(x: PadicInt):
+    """Valuation of a p-adic integer, or None meaning >= its precision."""
+    if x.residue % x.p**x.prec == 0:
+        return None
+    return vp_int(x.residue, x.p)
+
+
 class TestPadicInt:
     def test_vp(self):
-        assert PadicInt(3, 8, 1).vp() == 0
-        assert PadicInt(3, 8, 3).vp() == 1  # binom(3, 2) = 3
-        assert PadicInt(2, 8, 6).vp() == 1  # binom(4, 2) = 6
-        assert PadicInt(3, 4, 81).vp() is None
+        assert padic_vp(PadicInt(3, 8, 1)) == 0
+        assert padic_vp(PadicInt(3, 8, 3)) == 1  # binom(3, 2) = 3
+        assert padic_vp(PadicInt(2, 8, 6)) == 1  # binom(4, 2) = 6
+        assert padic_vp(PadicInt(3, 4, 81)) is None
 
     def test_vp_by_carry_count_oracle(self):
         # the valuation of binom(n, k) is the number of carries adding
@@ -575,7 +582,7 @@ class TestExhaustiveOracles:
             mod = p**N
             exps, U, V = smith_mod(A, p, N)
             assert exps == sorted(exps) and all(0 <= e < N for e in exps)
-            D = mat_mul_mod(mat_mul_mod(U, A, p, N), V, p, N)
+            D = mat_mul_mod(mat_mul_mod(U, A, mod), V, mod)
             want = [[p ** exps[i] if i == j and i < len(exps) else 0
                      for j in range(len(V))] for i in range(len(U))]
             assert D == want, (p, N, A)
@@ -661,7 +668,7 @@ class TestExhaustiveOracles:
                 with pytest.raises(ZeroDivisionError):
                     inv_mod(A, p, N)
                 continue
-            assert mat_mul_mod(A, inv_mod(A, p, N), p, N) == mat_identity(n)
+            assert mat_mul_mod(A, inv_mod(A, p, N), mod) == mat_identity(n)
 
 
 class TestQuotientRing:
@@ -933,7 +940,7 @@ class TestMatMulKernel:
                 B = _sparse_matrix(rng, inner, cols, mod, density)
                 got = _mat_mul(A, B, mod)
                 assert got == loop_mat_mul(A, B, mod), (rows, inner, cols, density)
-                assert mat_mul_mod(A, B, p, N) == got
+                assert mat_mul_mod(A, B, mod) == got
 
     def test_empty_operands(self):
         mod = 3**8
@@ -959,11 +966,73 @@ class TestMatMulKernel:
             B = [[1, -mod], [mod - 1, 3 * mod]]
             assert _mat_mul(A, B, mod) == loop_mat_mul(A, B, mod) == [[0, 0], [mod - 1, 0]]
 
-    def test_mat_eq_mod(self):
-        A = [[1, 2], [3, 4]]
-        assert mat_eq_mod(A, [row[:] for row in A], 3, 2)
-        assert mat_eq_mod(A, [[10, 11], [3, -5]], 3, 2)
-        assert not mat_eq_mod(A, [[1, 2], [3, 5]], 3, 2)
+
+
+class TestModMat:
+    """The Z/mod matrix value: residues, equality, arithmetic, and the
+    columns of the right operand's nonzero entries kept for later
+    products."""
+
+    def test_eq_mod_residues(self):
+        A = ModMat([[1, 2], [3, 4]], 9)
+        assert A == [[1, 2], [3, 4]] and [[1, 2], [3, 4]] == A
+        assert A == [[10, 11], [3, -5]]
+        assert A == ModMat([[10, 11], [-6, -5]], 9)
+        assert A.rows == ((1, 2), (3, 4))
+        assert A != [[1, 2], [3, 5]]
+        assert A != [[1, 2]] and A != [[1, 2, 0], [3, 4, 0]]
+        assert A != ModMat([[1, 2], [3, 4]], 27)
+
+    def test_rows_cannot_be_assigned(self):
+        A = ModMat([[1, 2], [3, 4]], 9)
+        with pytest.raises(TypeError):
+            A[0] = (0, 0)
+        with pytest.raises(TypeError):
+            A[0][1] = 0
+        assert A == [[1, 2], [3, 4]]
+
+    def test_arithmetic(self):
+        rng = random.Random(5)
+        mod = 3**4
+        for rows, cols in [(1, 1), (3, 5), (12, 12)]:
+            a = _sparse_matrix(rng, rows, cols, mod, 0.5, -mod**2, mod**2)
+            b = _sparse_matrix(rng, rows, cols, mod, 0.5, -mod**2, mod**2)
+            A, B = ModMat(a, mod), ModMat(b, mod)
+            pairs = [(A + B, lambda x, y: x + y), (A - B, lambda x, y: x - y),
+                     (-A, lambda x, y: -x)]
+            for got, op in pairs:
+                assert got.mod == mod
+                assert got.rows == tuple(tuple(op(x, y) % mod for x, y in zip(ra, rb))
+                                         for ra, rb in zip(a, b))
+            assert (A - A).is_zero() and (A + A).is_zero() == A.is_zero()
+            assert ModMat([[mod, -mod]], mod).is_zero()
+        assert ModMat.identity(3, mod) == mat_identity(3)
+        assert ModMat.zero(3, mod) == [[0] * 3] * 3 and ModMat.zero(3, mod).is_zero()
+
+    @pytest.mark.parametrize("p,N", [(2, 1), (3, 4), (5, 2)])
+    def test_matmul_against_loop(self, p, N):
+        rng = random.Random(p + N)
+        mod = p**N
+        for rows, inner, cols in TestMatMulKernel.SHAPES:
+            a = _sparse_matrix(rng, rows, inner, mod, 0.3, -mod**2, mod**2)
+            b = _sparse_matrix(rng, inner, cols, mod, 0.3, -mod**2, mod**2)
+            want = loop_mat_mul(a, b, mod)
+            A, B = ModMat(a, mod), ModMat(b, mod)
+            for got in (A @ B, A @ b, mat_mul_mod(a, B, mod), mat_mul_mod(a, b, mod)):
+                assert isinstance(got, ModMat) and got.mod == mod
+                assert got == want and got.rows == tuple(map(tuple, want))
+
+    def test_nonzero_columns_found_once(self):
+        mod = 3**3
+        B = ModMat([[0, 5], [7, 0], [0, 0]], mod)
+        assert B._nonzero is None
+        first = ModMat([[1, 2, 3]], mod) @ B
+        nonzero = B._nonzero
+        assert nonzero == [(1,), (0,), ()]
+        second = mat_mul_mod([[4, 0, 1], [0, 1, 0]], B, mod)
+        assert B._nonzero is nonzero
+        assert first == loop_mat_mul([[1, 2, 3]], B.rows, mod)
+        assert second == loop_mat_mul([[4, 0, 1], [0, 1, 0]], B.rows, mod)
 
 
 class TestQuotElemLinearOps:
