@@ -128,7 +128,12 @@ class QConnModule:
         return self._flat_of_blocks(self.theta_list[i])
 
     def flat_scalar(self, x: QuotElem) -> ModMat:
-        return self._kron_base(self.ring.mult_matrix(x))
+        """Multiplication by x, flattened once per module and coefficient
+        list, so the rows of a repeated scalar are packed once."""
+        key = ("scalar", tuple(x.coeffs))
+        if key not in self._flats:
+            self._flats[key] = self._kron_base(self.ring.mult_matrix(x))
+        return self._flats[key]
 
     def flat_correction(self, i: int, d_coeffs: dict) -> ModMat:
         """The finite correction operator on this module:

@@ -383,8 +383,13 @@ def epsilon_action_suite(p: int, alpha: int = 0, N: int = 8,
         xu = ring.from_series(X[u])
         ok = ok and (ge * xu == e_el)
     checks["v = e*eps is invariant mod d"] = ok
-
-    if alpha == 0:
-        beta_el = ring.q_power(1) * (ring.q_power(1) - 1)
-        checks["e * q(q-1) = p mod d"] = (e_el * beta_el == ring.const(p))
     return EpsActionReport(checks)
+
+
+def e_beta_is_p_mod_d(p: int, N: int = 8) -> bool:
+    """e * q(q-1) = p in A/d at alpha = 0, with e = d'(q).  The identity
+    lives in A/d and needs no t-digit, unlike the checks of
+    ``epsilon_action_suite``, which divide by t to build X_u."""
+    ring = QuotientRing(p, N, 0, 1)
+    beta_el = ring.q_power(1) * (ring.q_power(1) - 1)
+    return d_prime_elem(ring) * beta_el == ring.const(p)

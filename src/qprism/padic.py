@@ -15,6 +15,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from itertools import compress
 from operator import add, mul
 from typing import Sequence
 
@@ -146,16 +147,48 @@ def vp_factorial(p: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _slot_bytes(mod: int, terms: int) -> int:
+    """Bytes per slot of a packed integer whose slots each hold a sum of at
+    most `terms` products of two residues below `mod`: such a sum has at
+    most 2*bits(mod-1) + bits(terms) bits, so slots that wide never carry
+    into each other.  Rounded up to 4 or 8 bytes, which ``struct`` reads in
+    one call, or to whole bytes beyond 64 bits."""
+    bits = 2 * (mod - 1).bit_length() + terms.bit_length()
+    return 4 if bits <= 32 else 8 if bits <= 64 else (bits + 7) // 8
+
+
+_SLOT_FORMATS = {4: "I", 8: "Q"}
+
+
+def _pack(xs, w: int) -> int:
+    """The nonnegative ints xs, each below 2^(8w), in little-endian slots
+    of w bytes of one int."""
+    fmt = _SLOT_FORMATS.get(w)
+    if fmt:
+        return int.from_bytes(struct.pack(f"<{len(xs)}{fmt}", *xs), "little")
+    return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in xs), "little")
+
+
+def _unpack_mod(x: int, w: int, n: int, mod: int) -> list:
+    """The n slots of w bytes of the packed x < 2^(8 w n), each reduced
+    mod `mod`."""
+    buf = x.to_bytes(w * n, "little")
+    fmt = _SLOT_FORMATS.get(w)
+    if fmt:
+        return [y % mod for y in struct.unpack(f"<{n}{fmt}", buf)]
+    return [int.from_bytes(buf[i:i + w], "little") % mod
+            for i in range(0, w * n, w)]
+
+
 def _poly_mul(a, b, mod: int, n: int = None) -> list:
     """Coefficients 0..n-1 (default: all) of a*b mod `mod`, exactly.
 
     Kronecker substitution: the reduced coefficients are packed into
-    little-endian slots of one Python int, multiplied once, and read back.
-    A product coefficient is a sum of at most min(len a, len b) products
-    of residues below `mod`, so slots of 2*bits(mod-1) + bits(min) bits
-    never carry into each other.  The inputs must be reduced first: a
-    caller may pass entries known modulo a larger power of p, or negative
-    ones, that would overflow a slot sized from `mod`.
+    slots of one Python int, multiplied once, and read back.  A product
+    coefficient is a sum of at most min(len a, len b) products of
+    residues below `mod`, which sizes the slots.  The inputs must be
+    reduced first: a caller may pass entries known modulo a larger power
+    of p, or negative ones, that would overflow a slot sized from `mod`.
     """
     if n is None:
         n = len(a) + len(b) - 1 if a and b else 0
@@ -163,21 +196,11 @@ def _poly_mul(a, b, mod: int, n: int = None) -> list:
     b = [x % mod for x in b[:n]]
     if not a or not b:
         return [0] * n
-    width = 2 * (mod - 1).bit_length() + min(len(a), len(b)).bit_length()
-    slots = len(a) + len(b) - 1
-    k = min(n, slots)
-    if width <= 64:
-        prod = (int.from_bytes(struct.pack(f"<{len(a)}Q", *a), "little")
-                * int.from_bytes(struct.pack(f"<{len(b)}Q", *b), "little"))
-        out = struct.unpack_from(f"<{k}Q", prod.to_bytes(8 * slots, "little"))
-        out = [x % mod for x in out]
-    else:
-        w = (width + 7) // 8
-        prod = (int.from_bytes(b"".join(x.to_bytes(w, "little") for x in a), "little")
-                * int.from_bytes(b"".join(x.to_bytes(w, "little") for x in b), "little"))
-        buf = prod.to_bytes(w * slots, "little")
-        out = [int.from_bytes(buf[i:i + w], "little") % mod
-               for i in range(0, w * k, w)]
+    w = _slot_bytes(mod, min(len(a), len(b)))
+    k = min(n, len(a) + len(b) - 1)
+    # the slots past k are dropped before they are read
+    prod = (_pack(a, w) * _pack(b, w)) & ((1 << (8 * w * k)) - 1)
+    out = _unpack_mod(prod, w, k, mod)
     out.extend([0] * (n - k))
     return out
 
@@ -831,25 +854,25 @@ def inv_mod(A, p: int, N: int) -> "ModMat":
 class ModMat:
     """An immutable matrix over Z/mod: tuple rows of residues in [0, mod).
 
-    A product reads the columns of the nonzero entries of each row of its
-    right operand; they are found the first time and kept, as the
+    A product packs each row of its right operand into one int, the first
+    time the matrix is a right operand, and keeps the packed rows, as the
     cohomology layer multiplies by the same cached operators again and
     again.  ``==`` compares residues mod ``mod``, also against a list of
     lists.  Rows index, iterate and measure like a list of rows, so the
     elimination routines take a ModMat as is."""
 
-    __slots__ = ("rows", "mod", "_nonzero")
+    __slots__ = ("rows", "mod", "_packed")
 
     def __init__(self, rows, mod: int):
         self.rows = tuple(tuple([x % mod for x in row]) for row in rows)
         self.mod = mod
-        self._nonzero = None
+        self._packed = None
 
     @staticmethod
     def of_reduced(rows, mod: int) -> "ModMat":
         """A ModMat of rows whose entries are residues in [0, mod) already."""
         out = ModMat.__new__(ModMat)
-        out.rows, out.mod, out._nonzero = tuple(map(tuple, rows)), mod, None
+        out.rows, out.mod, out._packed = tuple(map(tuple, rows)), mod, None
         return out
 
     @staticmethod
@@ -909,25 +932,27 @@ def mat_mul_mod(A, B, mod: int) -> ModMat:
 
 
 def _mat_mul(A, B, mod: int) -> ModMat:
-    """A*B mod `mod`.  The operands of the cohomology layer are mostly
-    zero, so only the nonzero entries of A are visited, each against the
-    nonzero entries of its row of B, whose columns are found once per
-    ModMat B.  Each output row accumulates plain integers and is reduced
-    once: a multiple of `mod` left in an unreduced or negative entry of A
-    changes no residue."""
-    if not isinstance(B, ModMat):
+    """A*B mod `mod` by Kronecker rows: each row of B is packed once per
+    ModMat B into one int, in slots sized for a sum of len(B) products of
+    residues.  Output row i is then sum(a_ik * packed_k) over the nonzero
+    entries a_ik of row i of A, one bigint multiply-add each, read back
+    and reduced once.  The entries of a list A (or of a ModMat A over
+    another modulus) are reduced first, so an unreduced or negative one
+    cannot overflow a slot."""
+    if not isinstance(B, ModMat) or B.mod != mod:
         B = ModMat(B, mod)
-    if B._nonzero is None:
-        B._nonzero = [tuple([j for j, b in enumerate(row) if b]) for row in B.rows]
+    w = _slot_bytes(mod, len(B.rows))
+    if B._packed is None:
+        B._packed = [_pack(row, w) for row in B.rows]
+    packed = B._packed
     cols = len(B.rows[0]) if B.rows else 0
+    if not isinstance(A, ModMat) or A.mod != mod:
+        A = [[x % mod for x in row] for row in A]
+    zero = (0,) * cols
     out = []
     for Ai in A:
-        row = [0] * cols
-        for a, Bk, nz in zip(Ai, B.rows, B._nonzero):
-            if a:
-                for j in nz:
-                    row[j] += a * Bk[j]
-        out.append([x % mod for x in row])
+        acc = sum(map(mul, compress(Ai, Ai), compress(packed, Ai)))
+        out.append(_unpack_mod(acc, w, cols, mod) if acc else zero)
     return ModMat.of_reduced(out, mod)
 
 
@@ -959,6 +984,9 @@ def d_prime_elem(ring: "QuotientRing") -> "QuotElem":
 
 
 def _poly_mod(a, modulus, mod):
+    """a mod (modulus, mod) for a monic modulus, by schoolbook reduction
+    from the top: ``QuotientRing.reduce`` uses it for polynomials longer
+    than its table reaches."""
     a = [x % mod for x in a]
     dm = len(modulus) - 1
     for i in range(len(a) - 1, dm - 1, -1):
@@ -984,7 +1012,48 @@ class QuotientRing:
         # the product of monic polys is monic even after mod-reduction
         modulus[-1] = 1
         self.modulus = modulus
-        self.deg = len(modulus) - 1
+        self.deg = deg = len(modulus) - 1
+        # The reduction table: q^k mod (d^n, p^N) for deg <= k <= 2 deg - 2,
+        # one packed int each.  Its slots hold a sum of 2 deg - 1 products
+        # of residues: a product of two reduced elements leaves at most deg
+        # in each slot, and folding its deg - 1 high coefficients back
+        # adds at most deg - 1 more.
+        mod = self._mod = p**N
+        w = self._slot = _slot_bytes(mod, 2 * deg - 1)
+        self._low_bits = 8 * w * deg
+        self._low_mask = (1 << self._low_bits) - 1
+        row = [-c % mod for c in modulus[:deg]]  # q^deg
+        rows = [row]
+        for _ in range(deg - 2):
+            # q^(k+1) = q * q^k: shift up, fold the top coefficient back
+            top = rows[-1][-1]
+            rows.append([(a + top * b) % mod for a, b in zip([0] + rows[-1], row)])
+        self._table = [_pack(r, w) for r in rows[:deg - 1]]  # none at deg = 1
+
+    def _fold(self, x: int) -> list:
+        """The deg residues of the packed polynomial x of degree at most
+        2 deg - 2, whose slots hold at most deg products of residues:
+        its high coefficients are read and reduced, multiplied by the
+        table rows and added to its low slots, which are read once."""
+        hi = x >> self._low_bits
+        if hi:
+            x = (x & self._low_mask) + sum(map(
+                mul, _unpack_mod(hi, self._slot, self.deg - 1, self._mod), self._table))
+        return _unpack_mod(x, self._slot, self.deg, self._mod)
+
+    def reduce(self, coeffs) -> list:
+        """The deg residues of sum c_k q^k mod (d^n, p^N) for integers c_k.
+        Up to deg coefficients need only the reduction mod p^N; up to
+        2 deg - 1, the shape of a product of two reduced elements, are
+        reduced by the table; a longer polynomial (from ``q_power`` or
+        ``from_series``, say) by ``_poly_mod``."""
+        mod, deg = self._mod, self.deg
+        cs = [c % mod for c in coeffs]
+        if len(cs) <= deg:
+            return cs + [0] * (deg - len(cs))
+        if len(cs) > 2 * deg - 1:
+            return _poly_mod(cs, self.modulus, mod)
+        return self._fold(_pack(cs, self._slot))
 
     def elem(self, coeffs, prec=None):
         return QuotElem(self, coeffs, self.N if prec is None else prec)
@@ -1032,13 +1101,11 @@ class QuotientRing:
         return QuotElem(self, acc, min(self.N, f.N, max(tail_prec, 0) if vals else f.N))
 
     def mult_matrix(self, x: "QuotElem") -> list:
-        """Matrix of multiplication by x: column i is x*q^i, the column
-        before it shifted up by one and reduced."""
-        mod = self.p**self.N
-        cols = [x.coeffs]
-        for _ in range(self.deg - 1):
-            cols.append(_poly_mod([0] + cols[-1], self.modulus, mod))
-        return [[cols[j][i] for j in range(self.deg)] for i in range(self.deg)]
+        """Matrix of multiplication by x: column i is x*q^i, x packed once,
+        shifted up by i slots and reduced by the table."""
+        px, w = _pack(x.coeffs, self._slot), 8 * self._slot
+        cols = [self._fold(px << (w * i)) for i in range(self.deg)]
+        return [list(row) for row in zip(*cols)]
 
     def endo_matrix(self, q_image_power: int) -> tuple:
         """Matrix of the ring endomorphism q -> q^k on the power basis,
@@ -1083,10 +1150,7 @@ class QuotElem:
 
     def __init__(self, ring: QuotientRing, coeffs, prec: int):
         self.ring = ring
-        mod = ring.p ** ring.N
-        cs = _poly_mod(coeffs, ring.modulus, mod)
-        cs = cs + [0] * (ring.deg - len(cs))
-        self.coeffs = cs[: ring.deg]
+        self.coeffs = ring.reduce(coeffs)
         self.prec = min(prec, ring.N)
 
     def _linear(self, coeffs, prec) -> "QuotElem":
@@ -1122,8 +1186,13 @@ class QuotElem:
         if isinstance(other, int):
             return self._linear([a * other for a in self.coeffs], self.prec)
         other, pr = self._join(other)
-        return QuotElem(self.ring, _poly_mul(self.coeffs, other.coeffs,
-                                             self.ring.p ** self.ring.N), pr)
+        ring = self.ring
+        out = QuotElem.__new__(QuotElem)
+        out.ring, out.prec = ring, pr
+        # both operands are reduced: their packed product leaves at most
+        # deg products in a slot, the input that _fold takes
+        out.coeffs = ring._fold(_pack(self.coeffs, ring._slot) * _pack(other.coeffs, ring._slot))
+        return out
 
     __rmul__ = __mul__
 

@@ -431,28 +431,39 @@ def _commuting_partner(ring, N1, r, rng):
     return [[N1[i][j] * c1 + sq[i][j] * c2 for j in range(r)] for i in range(r)]
 
 
+def _column_walk(starts, col, mod):
+    """For each start image, the images of the mod vectors that extend its
+    vector by one coordinate c = 0, 1, ..., mod - 1: each is the one
+    before it plus the column col of that coordinate."""
+    for img in starts:
+        for _ in range(mod):
+            yield img
+            img = tuple([(x + c) % mod for x, c in zip(img, col)])
+
+
+def _all_images(D, n, mod):
+    """D v mod `mod` for every v in (Z/mod)^n, in the order of
+    ``itertools.product``, one column addition per vector."""
+    images = [(0,) * len(D)]
+    for j in range(n):
+        images = _column_walk(images, [row[j] for row in D], mod)
+    return images
+
+
 def _brute_force_cohomology(diffs, ranks, p, N):
-    """Exhaustive kernel/image oracle for tiny complexes."""
-    import itertools
+    """Exhaustive kernel/image oracle for tiny complexes: the kernel is
+    counted over all p^(N n) vectors, the image collected as a set."""
     mod = p**N
     sizes = []
     for i, n in enumerate(ranks):
-        d_in = diffs[i - 1] if i > 0 else None
-        d_out = diffs[i] if i < len(diffs) else None
-        kernel = []
-        for vec in itertools.product(range(mod), repeat=n):
-            if d_out is None or all(
-                    sum(x * v for x, v in zip(row, vec)) % mod == 0 for row in d_out):
-                kernel.append(vec)
-        image = set()
-        if d_in is not None:
-            nm = ranks[i - 1]
-            for vec in itertools.product(range(mod), repeat=nm):
-                image.add(tuple(sum(x * v for x, v in zip(row, vec)) % mod
-                                for row in d_in))
-        else:
-            image = {tuple([0] * n)}
-        sizes.append(len(kernel) // len(image))
+        kernel = mod**n
+        if i < len(diffs):
+            zero = (0,) * len(diffs[i])
+            kernel = sum(img == zero for img in _all_images(diffs[i], n, mod))
+        image = {(0,) * n}
+        if i > 0:
+            image = set(_all_images(diffs[i - 1], ranks[i - 1], mod))
+        sizes.append(kernel // len(image))
     return sizes
 
 
@@ -594,6 +605,10 @@ def suite_wcart(cfg: RunConfig):
 
 def suite_epsilon_action(cfg: RunConfig):
     cases = Cases()
+    # an identity of A/d, in its own block: it certifies even when the
+    # t-precision leaves no digit for the X_u division below
+    with cases.check("alpha=0: e * q(q-1) = p mod d") as verdict:
+        verdict(descent.e_beta_is_p_mod_d(cfg.p, cfg.p_prec))
     for level in sorted({0, cfg.alpha}):
         with cases.check(f"alpha={level}: action on eps") as verdict:
             rep = descent.epsilon_action_suite(cfg.p, level, cfg.p_prec,

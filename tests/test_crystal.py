@@ -26,17 +26,62 @@ from qprism.crystal import (
 )
 from qprism.ore import QuotScalars
 from qprism.padic import (
+    ModMat,
     QuotientRing,
     inv_mod,
     mat_identity,
     mat_mul_mod,
     vp_int,
 )
+from qprism.suites import _brute_force_cohomology
 
 
 def _mul(A, B, mod):
     """A*B mod `mod` through the product entry point, as mutable lists."""
     return [list(row) for row in mat_mul_mod(A, B, mod)]
+
+
+def loop_brute_force_cohomology(diffs, ranks, p, N):
+    """Reference: the exhaustive kernel/image oracle by the nested loop,
+    one dot product per row and vector."""
+    mod = p**N
+    sizes = []
+    for i, n in enumerate(ranks):
+        d_in = diffs[i - 1] if i > 0 else None
+        d_out = diffs[i] if i < len(diffs) else None
+        kernel = []
+        for vec in itertools.product(range(mod), repeat=n):
+            if d_out is None or all(
+                    sum(x * v for x, v in zip(row, vec)) % mod == 0 for row in d_out):
+                kernel.append(vec)
+        image = set()
+        if d_in is not None:
+            nm = ranks[i - 1]
+            for vec in itertools.product(range(mod), repeat=nm):
+                image.add(tuple(sum(x * v for x, v in zip(row, vec)) % mod
+                                for row in d_in))
+        else:
+            image = {tuple([0] * n)}
+        sizes.append(len(kernel) // len(image))
+    return sizes
+
+
+class TestExhaustiveOracle:
+    """The column-walk oracle of the koszul suite against the nested loop."""
+
+    @pytest.mark.parametrize("p,N", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+    def test_random_tiny_complexes(self, p, N):
+        rng = random.Random(10 * p + N)
+        mod = p**N
+        for _ in range(12):
+            ranks = [rng.randrange(0, 4) for _ in range(rng.randrange(1, 4))]
+            # any maps will do: both oracles count kernels and images of
+            # the matrices they are given
+            diffs = [ModMat([[rng.randrange(-mod, 2 * mod) if rng.random() < 0.6 else 0
+                              for _ in range(n_in)] for _ in range(n_out)], mod)
+                     for n_in, n_out in zip(ranks, ranks[1:])]
+            assert (_brute_force_cohomology(diffs, ranks, p, N)
+                    == loop_brute_force_cohomology(diffs, ranks, p, N)), (ranks, diffs)
 
 
 class TestTwistScalars:
@@ -146,30 +191,8 @@ class TestKoszul:
             cx = qdr_complex(m)
             assert cx.d_squared_zero()
             mine = [p ** sum(cx.cohomology(i)) for i in range(3)]
-            brute = self._brute(cx, p, N)
-            assert mine == brute
-
-    @staticmethod
-    def _brute(cx, p, N):
-        mod = p**N
-        out = []
-        for i, n in enumerate(cx.ranks):
-            d_out = cx.diffs[i] if i < len(cx.diffs) else None
-            kernel = 0
-            for vec in itertools.product(range(mod), repeat=n):
-                if d_out is None or all(
-                        sum(d_out[r][c] * vec[c] for c in range(n)) % mod == 0
-                        for r in range(len(d_out))):
-                    kernel += 1
-            image = {tuple([0] * n)}
-            if i > 0:
-                d_in = cx.diffs[i - 1]
-                nm = cx.ranks[i - 1]
-                image = {tuple(sum(d_in[r][c] * v[c] for c in range(nm)) % mod
-                               for r in range(n))
-                         for v in itertools.product(range(mod), repeat=nm)}
-            out.append(kernel // len(image))
-        return out
+            brute = loop_brute_force_cohomology(cx.diffs, cx.ranks, p, N)
+            assert mine == brute == _brute_force_cohomology(cx.diffs, cx.ranks, p, N)
 
     def test_koszul_sign_rule(self):
         # m = 2: the composite through the wedge square picks up the

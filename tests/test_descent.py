@@ -8,6 +8,7 @@ import pytest
 from qprism.descent import (
     averaging_projector_check,
     build_context,
+    e_beta_is_p_mod_d,
     epsilon_action_suite,
     f_leibniz_check,
     f_map,
@@ -15,7 +16,7 @@ from qprism.descent import (
     to_e_coords,
     wcart_h1_structure,
 )
-from qprism.padic import PadicInt, TruncSeries, _poly_mul, teichmuller
+from qprism.padic import PadicInt, PrecisionError, TruncSeries, _poly_mul, teichmuller
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,13 @@ class TestEpsilonAction:
         # runs at the configured alpha
         assert rep.checks["action well defined on eps^2"]
         assert rep.checks["psi is unit-group equivariant"]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_e_beta_needs_no_t_digit(self, p):
+        assert e_beta_is_p_mod_d(p, 8) and e_beta_is_p_mod_d(p, 1)
+        assert "e * q(q-1) = p mod d" not in epsilon_action_suite(p, 0, 4, 8).checks
+        with pytest.raises(PrecisionError):
+            epsilon_action_suite(p, 0, 4, 1)
 
     def test_u1_trivial(self):
         # u = 1 contributes the identity substitution everywhere

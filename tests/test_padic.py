@@ -16,7 +16,9 @@ from qprism.padic import (
     QuotElem,
     TruncSeries,
     _mat_mul,
+    _poly_mod,
     _poly_mul,
+    _slot_bytes,
     coker_invariants_mod,
     d_poly_t,
     divide_by_q_power_minus_one,
@@ -899,7 +901,7 @@ class TestPolyMulKernel:
 
 
 # ---------------------------------------------------------------------------
-# the sparse-row matrix kernel against the triple loop
+# the packed-row matrix kernel against the triple loop
 # ---------------------------------------------------------------------------
 
 
@@ -966,12 +968,57 @@ class TestMatMulKernel:
             B = [[1, -mod], [mod - 1, 3 * mod]]
             assert _mat_mul(A, B, mod) == loop_mat_mul(A, B, mod) == [[0, 0], [mod - 1, 0]]
 
+    # one modulus per slot path: 4-byte, 8-byte and wide slots (11 and 19
+    # bytes), at inner dimensions K up to 108
+    SLOT_PATHS = [(3, 6, 4), (5, 8, 8), (2, 40, 11), (5, 30, 19)]
+
+    @pytest.mark.parametrize("p,N,w", SLOT_PATHS)
+    def test_slot_paths_against_loop(self, p, N, w):
+        rng = random.Random(p * N)
+        mod = p**N
+        assert _slot_bytes(mod, 1) <= _slot_bytes(mod, 108) == w
+        shapes = [(2, 108, 3), (5, 36, 7), (1, 1, 1), (3, 72, 1), (4, 12, 12)]
+        for rows, inner, cols in shapes:
+            assert _slot_bytes(mod, inner) <= w
+            for density in (0.1, 0.6, 1.0):
+                # unreduced and negative entries on the left, zero rows on
+                # both sides
+                A = _sparse_matrix(rng, rows, inner, mod, density, -mod**2, mod**2)
+                A[0] = [0] * inner
+                B = _sparse_matrix(rng, inner, cols, mod, density)
+                B[-1] = [0] * cols
+                want = loop_mat_mul(A, B, mod)
+                Bm = ModMat(B, mod)
+                assert _mat_mul(A, Bm, mod) == want, (rows, inner, cols, density)
+                assert _mat_mul(ModMat(A, mod), Bm, mod) == want
+                assert _mat_mul(A, B, mod) == want
+        # the largest entries fill every slot to its bound
+        A = [[mod - 1] * 108]
+        B = [[mod - 1] * 5 for _ in range(108)]
+        assert _mat_mul(A, B, mod) == loop_mat_mul(A, B, mod)
+        # empty shapes
+        assert _mat_mul([], ModMat([[1, 2]], mod), mod) == []
+        assert _mat_mul([[], []], ModMat([], mod), mod) == [[], []]
+        assert _mat_mul([[1, -2]], [[], []], mod) == [[]]
+        assert _mat_mul([[0, 0]], [[mod - 1], [1]], mod) == [[0]]
+        assert _mat_mul([[-1, mod + 1]], [[mod - 1], [1]], mod) == [[2]]
+
+    @pytest.mark.parametrize("N,w,narrower", [(15, 8, 4), (31, 9, 8), (35, 10, 9)])
+    def test_slot_width_boundaries(self, N, w, narrower):
+        # 2*bits(2^N - 1) + bits(7) is 33, 65 and 73 bits, one bit past the
+        # next narrower slot, which a sum of seven full products overflows
+        mod = 2**N
+        assert _slot_bytes(mod, 7) == w
+        assert 7 * (mod - 1) ** 2 >= 2 ** (8 * narrower)
+        A = [[mod - 1] * 7, [1 - mod] * 7]
+        B = [[mod - 1] * 3 for _ in range(7)]
+        assert _mat_mul(A, B, mod) == loop_mat_mul(A, B, mod)
+
 
 
 class TestModMat:
     """The Z/mod matrix value: residues, equality, arithmetic, and the
-    columns of the right operand's nonzero entries kept for later
-    products."""
+    packed rows of the right operand kept for later products."""
 
     def test_eq_mod_residues(self):
         A = ModMat([[1, 2], [3, 4]], 9)
@@ -1022,17 +1069,63 @@ class TestModMat:
                 assert isinstance(got, ModMat) and got.mod == mod
                 assert got == want and got.rows == tuple(map(tuple, want))
 
-    def test_nonzero_columns_found_once(self):
+    def test_packed_rows_built_once(self):
         mod = 3**3
         B = ModMat([[0, 5], [7, 0], [0, 0]], mod)
-        assert B._nonzero is None
+        assert B._packed is None
         first = ModMat([[1, 2, 3]], mod) @ B
-        nonzero = B._nonzero
-        assert nonzero == [(1,), (0,), ()]
+        packed = B._packed
+        w = _slot_bytes(mod, 3)
+        assert packed == [5 << (8 * w), 7, 0]
         second = mat_mul_mod([[4, 0, 1], [0, 1, 0]], B, mod)
-        assert B._nonzero is nonzero
+        assert B._packed is packed
         assert first == loop_mat_mul([[1, 2, 3]], B.rows, mod)
         assert second == loop_mat_mul([[4, 0, 1], [0, 1, 0]], B.rows, mod)
+        # a product is a new value: its own rows are packed only when it
+        # is a right operand in turn
+        assert first._packed is None and second._packed is None
+
+
+class TestReductionTable:
+    """The packed table of q^k mod d^n (deg <= k <= 2 deg - 2) against the
+    schoolbook reduction, on every input length and on negative entries."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 6, 30])
+    def test_reduce_matches_poly_mod(self, p, alpha, n, N):
+        rng = random.Random(1000 * p + 100 * alpha + 10 * n + N)
+        R = QuotientRing(p, N, alpha, n)
+        mod, deg = p**N, R.deg
+        lengths = sorted({0, 1, max(deg - 1, 1), deg, 2 * deg - 1, 2 * deg, 3 * deg + 2})
+        for length in lengths:
+            for lo, hi in [(0, mod), (-mod**2, mod**2)]:
+                c = [rng.randrange(lo, hi) for _ in range(length)]
+                want = _poly_mod(c, R.modulus, mod)
+                assert R.reduce(c) == want, (length, lo)
+                assert R.elem(c).coeffs == want
+        top = [mod - 1] * (2 * deg - 1)
+        assert R.reduce(top) == _poly_mod(top, R.modulus, mod)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 6, 30])
+    def test_products_and_mult_matrix(self, p, alpha, n, N):
+        rng = random.Random(2000 * p + 100 * alpha + 10 * n + N)
+        R = QuotientRing(p, N, alpha, n)
+        mod, deg = p**N, R.deg
+        samples = [R.elem([mod - 1] * deg)] + [
+            R.elem([rng.randrange(-mod, mod) for _ in range(deg)]) for _ in range(3)]
+        for x in samples:
+            for y in samples:
+                want = _poly_mod(schoolbook_mul(x.coeffs, y.coeffs, mod), R.modulus, mod)
+                assert (x * y).coeffs == want
+            mat = R.mult_matrix(x)
+            for i in range(deg):
+                col = _poly_mod([0] * i + x.coeffs, R.modulus, mod)
+                assert [row[i] for row in mat] == col
 
 
 class TestQuotElemLinearOps:
