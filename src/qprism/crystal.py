@@ -48,8 +48,7 @@ class QConnModule:
 
     ``D`` is the arithmetic operator (gamma_0-semilinear over the base),
     ``N_list`` the geometric ones, ``theta_list`` the T-actions (zero
-    when omitted: the fiber at T = 0).  ``tag`` is one of "absolute",
-    "relative", "mixed".
+    when omitted: the fiber at T = 0).
     """
 
     ring: QuotientRing
@@ -57,7 +56,6 @@ class QConnModule:
     D: list = None
     N_list: list = field(default_factory=list)
     theta_list: list = None
-    tag: str = "absolute"
     # plain matrices instead of the gamma_0-semilinear structure action;
     # over A/d (n = 1) the two coincide since the base maps trivialize
     scalar_operators: bool = False
@@ -193,7 +191,7 @@ class QConnModule:
 
     def certify_master_relation(self, scalars) -> bool:
         """(1 + beta q D_i) Nabla_i Partial = s0 (Partial + s1) Nabla_i
-        - D_i Nabla_i as flat matrices (mixed tag).  A zero D_i adds
+        - D_i Nabla_i as flat matrices.  A zero D_i adds
         nothing to either side, so its two products are skipped."""
         P = self.flat_partial()
         s0 = self.flat_scalar(scalars.s0())
@@ -299,7 +297,7 @@ def bk_twist(k: int, p: int, alpha: int, n: int = 1, N: int = 8) -> QConnModule:
     ring = QuotientRing(p, N, alpha, n)
     e = d_prime_elem(ring)
     scal = e * twist_unit_scalar(p, alpha, k, N)
-    return QConnModule(ring, 1, D=[[scal]], N_list=[], tag="absolute")
+    return QConnModule(ring, 1, D=[[scal]], N_list=[])
 
 
 @dataclass
@@ -545,7 +543,7 @@ def graded_mixed_module(p: int, alpha: int, N: int, shape: tuple,
                 up[axis] += 1
                 Nm[idx[tuple(up)]][i] = coeffs[b[axis]]
         N_list.append(Nm)
-    mod = QConnModule(ring, r, D=D, N_list=N_list, tag="mixed")
+    mod = QConnModule(ring, r, D=D, N_list=N_list)
     return conjugate_module(mod, random_unit_matrix(ring, r, rng))
 
 
@@ -590,13 +588,13 @@ def conjugate_module(mod: QConnModule, P: list) -> QConnModule:
     return QConnModule(ring, r,
                        D=conj(mod.D) if mod.D is not None else None,
                        N_list=[conj(Nm) for Nm in mod.N_list],
-                       theta_list=None, tag=mod.tag)
+                       theta_list=None)
 
 
 def tensor(a: QConnModule, b: QConnModule) -> QConnModule:
     """Kronecker module with the twisted sum operators."""
-    if a.ring != b.ring or a.tag != b.tag:
-        raise ValueError("tensor needs matching base and tag")
+    if a.ring != b.ring:
+        raise ValueError("tensor needs matching base")
     ring = a.ring
     ra, rb = a.rank, b.rank
     beta_ht = ring.q_power(ring.p**ring.alpha + 1) - ring.q_power(1)
@@ -616,7 +614,7 @@ def tensor(a: QConnModule, b: QConnModule) -> QConnModule:
     N_list = [[[x + y for x, y in zip(*rows)]
                for rows in zip(kron(Na, eyeB), kron(eyeA, b.N_list[i]))]
               for i, Na in enumerate(a.N_list)]
-    return QConnModule(ring, ra * rb, D=D, N_list=N_list, tag=a.tag)
+    return QConnModule(ring, ra * rb, D=D, N_list=N_list)
 
 
 # ---------------------------------------------------------------------------
@@ -701,16 +699,6 @@ class DPElement:
         return not self.terms
 
 
-@dataclass
-class RegularRepReport:
-    checks: dict
-    interior_degree: int
-
-    @property
-    def ok(self):
-        return all(self.checks.values())
-
-
 def divided_beta_powers(ring: QuotientRing, kind: str, jmax: int):
     """tau_j = beta^(j-1)/j! (kind='tau') or sigma_j = beta^j/(j+1)!
     (kind='sigma') in A/d, via certified quotient-ring division."""
@@ -730,7 +718,7 @@ def divided_beta_powers(ring: QuotientRing, kind: str, jmax: int):
 
 
 def ht_regular_rep(dmax: int, p: int, alpha: int, N: int = 8,
-                   variables: int = 1) -> RegularRepReport:
+                   variables: int = 1) -> dict:
     """The divided-power regular representation on the Hodge-Tate locus.
 
     Certifies: the geometric operator matrix is upper triangular with
@@ -738,7 +726,7 @@ def ht_regular_rep(dmax: int, p: int, alpha: int, N: int = 8,
     u = 1 + e*a0 in the two-variable case); the arithmetic coefficient
     law beta*b_i = -c_i + (1+beta*e)^i f^(i)(beta) on interior basis
     vectors; and coassociativity of a -> a + b + e*a*b at interior
-    degrees.
+    degrees.  Returns the checks by case id.
     """
     guard = vp_factorial(p, dmax + 1)
     ring = QuotientRing(p, N + guard, alpha, 1)
@@ -765,9 +753,8 @@ def ht_regular_rep(dmax: int, p: int, alpha: int, N: int = 8,
     # (the arithmetic operator preserves the degree filtration, so no
     # truncation boundary is crossed here)
     one_plus_be = ring.one() + beta_ht * e
-    interior = dmax
     law_ok = True
-    for n in range(interior + 1):
+    for n in range(dmax + 1):
         col = Dcols[n]
         for i in range(n + 1):
             b_i = col.terms.get((i,), ring.zero())
@@ -775,7 +762,7 @@ def ht_regular_rep(dmax: int, p: int, alpha: int, N: int = 8,
             rhs = one_plus_be**i * fib - (ring.one() if i == n else ring.zero())
             if not (beta_ht * b_i == rhs):
                 law_ok = False
-    checks[f"arithmetic coefficient law (degrees <= {interior})"] = law_ok
+    checks[f"arithmetic coefficient law (degrees <= {dmax})"] = law_ok
 
     # one-variable geometric matrix: entries sigma_(j-i) T^(j-i), diag 1
     sigma = divided_beta_powers(ring, "sigma", dmax + 1)
@@ -811,7 +798,7 @@ def ht_regular_rep(dmax: int, p: int, alpha: int, N: int = 8,
         if not (lhs == rhs):
             co_ok = False
     checks[f"comultiplication coassociative (degrees <= {nco})"] = co_ok
-    return RegularRepReport(checks, interior)
+    return checks
 
 
 def _triple_law(big: DividedPowerAlgebra, e, n: int, left_first: bool):

@@ -331,19 +331,11 @@ def averaging_projector_check(p: int, N: int = 6, M: int = 24,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EpsActionReport:
-    checks: dict
-
-    @property
-    def ok(self):
-        return all(self.checks.values())
-
-
 def epsilon_action_suite(p: int, alpha: int = 0, N: int = 8,
-                         M: int = 24) -> EpsActionReport:
+                         M: int = 24) -> dict:
     """Well-definedness and equivariance of the unit-group action on the
-    square-zero extension, plus the invariant generator v = e*eps."""
+    square-zero extension, plus the invariant generator v = e*eps; the
+    checks by case id."""
     checks = {}
     n_t = N + vp_factorial(p, M) + 2
     lifts = {u: teichmuller(p, u, n_t) for u in range(1, p)}
@@ -383,7 +375,7 @@ def epsilon_action_suite(p: int, alpha: int = 0, N: int = 8,
         xu = ring.from_series(X[u])
         ok = ok and (ge * xu == e_el)
     checks["v = e*eps is invariant mod d"] = ok
-    return EpsActionReport(checks)
+    return checks
 
 
 def e_beta_is_p_mod_d(p: int, N: int = 8) -> bool:

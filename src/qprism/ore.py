@@ -26,6 +26,7 @@ from operator import add
 
 from .exactcore import BigPoly, RingPresentation, q_analogue
 from .padic import (
+    PadicInt,
     QuotientRing,
     TruncSeries,
     d_prime_elem,
@@ -43,7 +44,7 @@ class _QScalars:
 
     A subclass supplies the ring: ``zero``, ``one``, ``const``, ``q_pow``,
     ``q_analogue(n, base)`` ([n]_{q^base}), ``droppable``, ``gamma0`` and
-    ``partial``.
+    ``partial``, and ``is_zero`` when its elements have no ``is_zero``.
     """
 
     def __init__(self, p, alpha, convention):
@@ -196,64 +197,38 @@ class QuotScalars(_QScalars):
         return s.apply_matrix(self._partial_mat)
 
 
-class ResidueScalars:
-    """Scalars in the residue field A/(p, d, q-1); all twists trivialize."""
-
-    convention = "absolute"
-    beta = 0
+class ResidueScalars(_QScalars):
+    """Scalars in the residue field A/(p, d, q-1) = F_p, as PadicInt(p, 1):
+    every q-power is 1 and [n]_{q^b} = n, so all twists trivialize."""
 
     def __init__(self, p, alpha):
-        self.p, self.alpha = p, alpha
-        self.tw = p ** (alpha + 1)
-        self.k = self.tw + 1
+        super().__init__(p, alpha, "absolute")
 
     def zero(self):
-        return 0
+        return PadicInt(self.p, 1, 0)
 
     def one(self):
-        return 1
+        return PadicInt(self.p, 1, 1)
 
     def const(self, c):
-        return c % self.p
+        return PadicInt(self.p, 1, c)
 
     def q_pow(self, k):
-        return 1
+        return self.one()
+
+    def q_analogue(self, n, base):
+        return self.const(n)
 
     def is_zero(self, s):
-        return s % self.p == 0
+        return s.residue == 0
 
-    def droppable(self, s):
-        return s % self.p == 0
+    droppable = is_zero
 
     def gamma0(self, s):
         return s
 
     def partial(self, s):
-        return 0
-
-    def nabla_factor(self, j):
-        return (j * self.p) % self.p
-
-    def gamma_t_factor(self, j):
-        return 1
-
-    def s0(self):
-        return pow(self.k % self.p, -1, self.p)
-
-    def s0_inv(self):
-        return self.k % self.p
-
-    def s1(self):
-        # -e mod (p, q-1): e = sum_{i=1}^{p-1} i p^alpha q^(i p^alpha - 1)
-        e = (self.p**self.alpha * (self.p - 1) * self.p // 2) % self.p
-        return (-e) % self.p
-
-    def d_coeffs(self):
-        c2 = (math.comb(self.k, 2) * pow(self.k % self.p, -1, self.p)) % self.p
-        out = {2: c2}
-        for j in range(3, self.k + 1):
-            out[j] = 0
-        return out
+        return self.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +311,7 @@ class OreAlgebra:
         ne1 = [0] * self.m
         ne1[i] = 1
         put(z, ne1, 1, s0i)                       # s0^-1 nabla_i partial
-        # const(-1) keeps residue-field coefficients reduced mod p
-        put(z, ne1, 0, ctx.const(-1) * s1)
+        put(z, ne1, 0, -s1)
         for j, cj in dcs.items():
             if ctx.is_zero(cj):
                 continue

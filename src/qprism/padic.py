@@ -1357,17 +1357,6 @@ class TPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        out = TPoly.one(self.p, self.N, self.M, self.cap)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     def __eq__(self, other):
         return (self - self._coerce(other)).is_zero()
 
@@ -1389,9 +1378,6 @@ class TPoly:
     def times_p_pow(self, a: int, cap_prec: int) -> "TPoly":
         return TPoly(self.p, min(self.N + a, cap_prec), self.M, self.cap,
                      {j: s.times_p_pow(a, cap_prec) for j, s in self.terms.items()})
-
-    def coeff(self, j: int) -> TruncSeries:
-        return self.terms.get(j, TruncSeries.zero(self.p, self.N, self.M))
 
     def render(self) -> str:
         if not self.terms:

@@ -24,7 +24,6 @@ from . import crystal, descent, exactcore, ore, witt
 from .padic import (
     PrecisionError,
     QuotientRing,
-    TruncSeries,
     teichmuller,
     vp_factorial,
 )
@@ -226,16 +225,7 @@ def suite_witt_b(cfg: RunConfig):
             p, a, L if backend == "series" else min(L, 3), N, M, backend=backend))
     # unit property: invert the ghosts in the series model
     with cases.check("b is a unit (b * b^(-1) = 1)") as verdict:
-        base = witt.EpsSeriesBase(p, N + L - 1, M, a, target_N=N)
-        pres = witt._eps_pres(p, a)
-        ghosts = [witt._series_of_poly(base, witt._ghost_b(pres, n)) for n in range(L)]
-        inv_ghosts = []
-        for g in ghosts:
-            h = g.g * (TruncSeries.one(p, N + L - 1, M) + base.sq * g.g).unit_inverse()
-            inv_ghosts.append(witt.EpsPair(g.f, -h, base))
-        bw = witt.from_ghost(base, ghosts, check_dwork=False)
-        binv = witt.from_ghost(base, inv_ghosts, check_dwork=False)
-        verdict(witt.witt_mul(bw, binv) == witt.witt_one(base, L))
+        verdict(witt.b_is_unit(p, a, L, N, M))
     return cases
 
 
@@ -479,7 +469,7 @@ def suite_koszul(cfg: RunConfig):
             r = rng.choice((2, 3))
             N1 = _random_strict_upper(ring, r, rng)
             N2 = _commuting_partner(ring, N1, r, rng)
-            mod = crystal.QConnModule(ring, r, D=None, N_list=[N1, N2], tag="relative")
+            mod = crystal.QConnModule(ring, r, D=None, N_list=[N1, N2])
             if not mod.certify_commuting_nablas():
                 continue
             cx = crystal.qdr_complex(mod)
@@ -494,7 +484,7 @@ def suite_koszul(cfg: RunConfig):
         for _ in range(3):
             N1 = [[ring_s.const(p * rng.randrange(p))]]
             N2 = [[ring_s.const(p * rng.randrange(p))]]
-            mod = crystal.QConnModule(ring_s, 1, D=None, N_list=[N1, N2], tag="relative")
+            mod = crystal.QConnModule(ring_s, 1, D=None, N_list=[N1, N2])
             cx = crystal.qdr_complex(mod)
             if (p**N_small) ** max(cx.ranks) > 200000:
                 continue
@@ -547,7 +537,7 @@ def suite_ht_regular_rep(cfg: RunConfig):
         with cases.check(f"[{variables} var] regular representation") as verdict:
             rep = crystal.ht_regular_rep(cfg.dp_degree, cfg.p, cfg.alpha,
                                          cfg.p_prec, variables=variables)
-            for check, ok in rep.checks.items():
+            for check, ok in rep.items():
                 verdict(ok, case_id=f"[{variables} var] {check}")
     return cases
 
@@ -613,7 +603,7 @@ def suite_epsilon_action(cfg: RunConfig):
         with cases.check(f"alpha={level}: action on eps") as verdict:
             rep = descent.epsilon_action_suite(cfg.p, level, cfg.p_prec,
                                                min(cfg.t_prec, 24))
-            for check, ok in rep.checks.items():
+            for check, ok in rep.items():
                 verdict(ok, case_id=f"alpha={level}: {check}")
     return cases
 

@@ -5,11 +5,16 @@ Witt arithmetic is done through ghost coordinates
 
     w_n(x) = sum_{i<=n} p^i * x_i^(p^(n-i)),
 
-inverted by certified division by p^n.  Series-backed bases carry a
-guard of L-1 extra p-digits so that length-L answers come out certified
-at the requested precision.  The exact bases (integer polynomial rings,
+inverted by certified division by p^n.  Series-backed bases work with
+a guard of L-1 extra p-digits, N + L - 1 in all, so that coordinate n,
+divided by p^n, keeps N + L - 1 - n >= N digits; the guard digits are
+not reduced back to N.  The exact bases (integer polynomial rings,
 possibly with an eps generator) have no precision to lose and certify
 identities on the nose.
+
+A base supplies the ring: const, phi, divide_p_pow, times_p_pow,
+is_zero, congruent_mod_p_pow and ``transport``, which carries an exact
+BigPoly into the base's elements.
 """
 
 from __future__ import annotations
@@ -60,16 +65,15 @@ class ExactPolyBase:
     def congruent_mod_p_pow(self, x, a: int) -> bool:
         return x.coefficients_divisible_by(self.p**a)
 
-    def reduce_target(self, x):
-        return x
+    def transport(self, poly: BigPoly):
+        return poly
 
 
 class SeriesBase:
     """W(k)[[q-1]] truncated at (p^N_work, t^M)."""
 
-    def __init__(self, p: int, N_work: int, M: int, target_N: int = None):
+    def __init__(self, p: int, N_work: int, M: int):
         self.p, self.N, self.M = p, N_work, M
-        self.target_N = target_N if target_N is not None else N_work
         self.has_phi = True
 
     def const(self, c):
@@ -90,8 +94,21 @@ class SeriesBase:
     def congruent_mod_p_pow(self, x, a) -> bool:
         return x.reduce_prec(N=min(a, x.N)).is_zero()
 
-    def reduce_target(self, x):
-        return x.reduce_prec(N=self.target_N)
+    def _sectors(self, poly: BigPoly, twisted: bool = False) -> dict:
+        """The terms of ``poly`` grouped by eps sector (and, when twisted,
+        by T-degree), each group made a series in one pass."""
+        sectors = {}  # (has eps, T-degree) -> {q-exponent: coefficient}
+        for (qe, ee, te), cval in poly.terms.items():
+            qc = sectors.setdefault((any(ee), te[0] if twisted and te else 0), {})
+            qc[qe] = qc.get(qe, 0) + cval
+        return {key: TruncSeries.from_q_poly(self.p, self.N, self.M, qc)
+                for key, qc in sectors.items()}
+
+    def transport(self, poly: BigPoly):
+        series = self._sectors(poly)
+        if (True, 0) in series:
+            raise ValueError("eps term in a plain series base")
+        return series.get((False, 0), TruncSeries.zero(self.p, self.N, self.M))
 
 
 class EpsPair:
@@ -133,8 +150,8 @@ class EpsPair:
 class EpsSeriesBase(SeriesBase):
     """A + eps*A with eps^2 = q*(q^(p^alpha)-1)*eps over truncated series."""
 
-    def __init__(self, p, N_work, M, alpha, target_N=None):
-        super().__init__(p, N_work, M, target_N)
+    def __init__(self, p, N_work, M, alpha):
+        super().__init__(p, N_work, M)
         self.alpha = alpha
         self.sq = (TruncSeries.q_power(p, N_work, M, p**alpha + 1)
                    - TruncSeries.q_power(p, N_work, M, 1))
@@ -173,16 +190,17 @@ class EpsSeriesBase(SeriesBase):
         return (x.f.reduce_prec(N=min(a, x.f.N)).is_zero()
                 and x.g.reduce_prec(N=min(a, x.g.N)).is_zero())
 
-    def reduce_target(self, x):
-        return EpsPair(x.f.reduce_prec(N=self.target_N),
-                       x.g.reduce_prec(N=self.target_N), self)
+    def transport(self, poly: BigPoly):
+        series = self._sectors(poly)
+        zero = TruncSeries.zero(self.p, self.N, self.M)
+        return EpsPair(series.get((False, 0), zero), series.get((True, 0), zero), self)
 
 
 class TEpsSeriesBase(EpsSeriesBase):
     """A<T> + eps*dT * A<T> with (eps dT)^2 = (q^(p^alpha)-1) * T * eps dT."""
 
-    def __init__(self, p, N_work, M, alpha, tcap, target_N=None):
-        SeriesBase.__init__(self, p, N_work, M, target_N)
+    def __init__(self, p, N_work, M, alpha, tcap):
+        SeriesBase.__init__(self, p, N_work, M)
         self.alpha = alpha
         self.tcap = tcap
         self.beta = (TruncSeries.q_power(p, N_work, M, p**alpha)
@@ -208,9 +226,12 @@ class TEpsSeriesBase(EpsSeriesBase):
                        for s in tp.terms.values())
         return ok(x.f) and ok(x.g)
 
-    def reduce_target(self, x):
-        red = lambda tp: tp.map_terms(lambda j, s: (j, s.reduce_prec(N=self.target_N)))
-        return EpsPair(red(x.f), red(x.g), self)
+    def transport(self, poly: BigPoly):
+        series = self._sectors(poly, twisted=True)
+        fr, gr = (TPoly(self.p, self.N, self.M, self.tcap,
+                        {te: s for (eps, te), s in series.items() if eps == side})
+                  for side in (False, True))
+        return EpsPair(fr, gr, self)
 
 
 class QuotBase:
@@ -234,8 +255,8 @@ class QuotBase:
     def is_zero(self, x):
         return x.is_zero()
 
-    def reduce_target(self, x):
-        return x
+    def transport(self, poly: BigPoly):
+        return self.ring.from_q_poly(poly.q_coefficients())
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +291,6 @@ class WittVector:
     def __eq__(self, other):
         return all(self.base.is_zero(a - b)
                    for a, b in zip(self.coords, other.coords))
-
-    def reduce_target(self) -> "WittVector":
-        return WittVector(self.base, [self.base.reduce_target(x) for x in self.coords])
 
     def render(self) -> str:
         bits = []
@@ -363,37 +381,27 @@ def _ghost_c(pres: RingPresentation, n: int) -> BigPoly:
     return pres.eps(0) * pres.q_pow(p**n - 1) * q_analogue(pres, p**n, p**alpha)
 
 
-def _series_of_poly(base, poly: BigPoly):
-    """Transport a BigPoly with one optional eps into a series eps-pair.
-
-    The terms are grouped by eps sector (and, over a T-twisted base, by
-    T-degree), and each group becomes a series in one pass."""
-    p, N, M = base.p, base.N, base.M
-    twisted = isinstance(base, TEpsSeriesBase)
-    sectors = {}  # (has eps, T-degree) -> {q-exponent: coefficient}
-    for (qe, ee, te), cval in poly.terms.items():
-        qc = sectors.setdefault((any(ee), te[0] if twisted and te else 0), {})
-        qc[qe] = qc.get(qe, 0) + cval
-    series = {key: TruncSeries.from_q_poly(p, N, M, qc)
-              for key, qc in sectors.items()}
-    if twisted:
-        fr, gr = (TPoly(p, N, M, base.tcap,
-                        {te: s for (eps, te), s in series.items() if eps == side})
-                  for side in (False, True))
-        return EpsPair(fr, gr, base)
-    zero = TruncSeries.zero(p, N, M)
-    fr = series.get((False, 0), zero)
-    gr = series.get((True, 0), zero)
-    if isinstance(base, EpsSeriesBase):
-        return EpsPair(fr, gr, base)
-    if (True, 0) in series:
-        raise ValueError("eps term in a plain series base")
-    return fr
-
-
 def _eps_pres(p, alpha):
     return RingPresentation(p, alpha, m=0, has_eps0=True,
                             max_qdeg=1 << 30)
+
+
+def _phi_n_d(pres: RingPresentation, L: int) -> list:
+    """phi^n(d) = [p]_{q^(p^(n+alpha))} for n < L."""
+    p, alpha = pres.p, pres.alpha
+    return [q_analogue(pres, p, p ** (n + alpha)) for n in range(L)]
+
+
+def _multiply_back(name: str, base, ghost_polys, d_img, rhs_polys,
+                   checks: dict, check_name: str) -> Construction:
+    """Solve x from its ghosts and certify phi^n(d)-tilde * x = rhs on
+    coordinates; every ghost is transported into ``base`` once."""
+    ghosts = [base.transport(g) for g in ghost_polys]
+    x = from_ghost(base, ghosts, check_dwork=True, strict_dwork=True)
+    fd = from_ghost(base, [base.transport(g) for g in d_img], check_dwork=False)
+    rhs = from_ghost(base, [base.transport(g) for g in rhs_polys], check_dwork=False)
+    checks[check_name] = witt_mul(fd, x) == rhs
+    return Construction(name, x, ghosts, checks)
 
 
 def construct_b(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
@@ -403,12 +411,13 @@ def construct_b(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
     Ghosts r_n are written down in closed form; the certification checks
     (i) phi(r_n) = r_(n+1) exactly, (ii) the ghost identity
     psi(phi^n(d)) = phi^n(d) * r_n against an independent evaluation of
-    psi on the polynomial phi^n(d), and (iii) the coordinate-level
-    multiply-back ftilde(d) * b = gtilde(d).
+    psi on the polynomial phi^n(d), (iii) r_0 against its written-out
+    form, and (iv) the coordinate-level multiply-back
+    ftilde(d) * b = gtilde(d).
     """
     pres = _eps_pres(p, alpha)
     ghost_polys = [_ghost_b(pres, n) for n in range(L)]
-    d_img = [q_analogue(pres, p, p ** (n + alpha)) for n in range(L)]  # phi^n(d)
+    d_img = _phi_n_d(pres, L)
     psi_d = []
     for n in range(L):
         acc = pres.zero()
@@ -421,22 +430,31 @@ def construct_b(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
         ghost_polys[n].frobenius() == ghost_polys[n + 1] for n in range(L - 1))
     checks["ghost identity psi(phi^n(d)) = phi^n(d) * r_n"] = all(
         psi_d[n] == d_img[n] * ghost_polys[n] for n in range(L))
-    b0 = _ghost_b(pres, 0)
+    # b_0 = 1 + eps sum_{i<p} q^(i p^alpha - 1) [i p^alpha]_{q^(p^(alpha+1))}
+    b0 = pres.one()
+    for i in range(1, p):
+        b0 = b0 + (pres.eps(0) * pres.q_pow(i * p**alpha - 1)
+                   * q_analogue(pres, i * p**alpha, p ** (alpha + 1)))
     checks["b_0 closed form"] = ghost_polys[0] == b0
 
-    if backend == "exact":
-        base = ExactPolyBase(pres)
-        ghosts = ghost_polys
-    else:
-        base = EpsSeriesBase(p, N + L - 1, M, alpha, target_N=N)
-        ghosts = [_series_of_poly(base, g) for g in ghost_polys]
-    bw = from_ghost(base, ghosts, check_dwork=True, strict_dwork=True)
-    fd = from_ghost(base, [_series_of_poly(base, g) if backend != "exact" else g
-                           for g in d_img], check_dwork=False)
-    gd = from_ghost(base, [_series_of_poly(base, g) if backend != "exact" else g
-                           for g in psi_d], check_dwork=False)
-    checks["multiply-back ftilde(d) * b = gtilde(d)"] = witt_mul(fd, bw) == gd
-    return Construction("b", bw, ghosts, checks)
+    base = (ExactPolyBase(pres) if backend == "exact"
+            else EpsSeriesBase(p, N + L - 1, M, alpha))
+    return _multiply_back("b", base, ghost_polys, d_img, psi_d, checks,
+                          "multiply-back ftilde(d) * b = gtilde(d)")
+
+
+def b_is_unit(p: int, alpha: int, L: int, N: int = 8, M: int = 32) -> bool:
+    """b * b^(-1) = 1 in the series model.  Each ghost of b is
+    1 + eps*g, whose inverse is 1 - eps*g/(1 + sq*g) since eps^2 = sq*eps."""
+    base = EpsSeriesBase(p, N + L - 1, M, alpha)
+    pres = _eps_pres(p, alpha)
+    ghosts = [base.transport(_ghost_b(pres, n)) for n in range(L)]
+    one = TruncSeries.one(p, N + L - 1, M)
+    inv_ghosts = [EpsPair(g.f, -(g.g * (one + base.sq * g.g).unit_inverse()), base)
+                  for g in ghosts]
+    bw = from_ghost(base, ghosts, check_dwork=False)
+    binv = from_ghost(base, inv_ghosts, check_dwork=False)
+    return witt_mul(bw, binv) == witt_one(base, L)
 
 
 def construct_c(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
@@ -444,31 +462,20 @@ def construct_c(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
     """c with gtilde(q) - ftilde(q) = ftilde(d) * c."""
     pres = _eps_pres(p, alpha)
     ghost_polys = [_ghost_c(pres, n) for n in range(L)]
-    q_img = [pres.q_pow(p**n) for n in range(L)]
-    psi_q = [psi_q_power(pres, p**n) for n in range(L)]
-    d_img = [q_analogue(pres, p, p ** (n + alpha)) for n in range(L)]
+    q_diff = [psi_q_power(pres, p**n) - pres.q_pow(p**n) for n in range(L)]
+    d_img = _phi_n_d(pres, L)
 
     checks = {}
     checks["phi(r_n) = r_(n+1) exactly"] = all(
         ghost_polys[n].frobenius() == ghost_polys[n + 1] for n in range(L - 1))
     checks["ghost identity psi(q^(p^n)) - q^(p^n) = phi^n(d) * r_n"] = all(
-        psi_q[n] - q_img[n] == d_img[n] * ghost_polys[n] for n in range(L))
+        q_diff[n] == d_img[n] * ghost_polys[n] for n in range(L))
     checks["c_0 = eps"] = ghost_polys[0] == pres.eps(0)
 
-    if backend == "exact":
-        base = ExactPolyBase(pres)
-        conv = lambda g: g
-    else:
-        base = EpsSeriesBase(p, N + L - 1, M, alpha, target_N=N)
-        conv = lambda g: _series_of_poly(base, g)
-    cw = from_ghost(base, [conv(g) for g in ghost_polys],
-                    check_dwork=True, strict_dwork=True)
-    fd = from_ghost(base, [conv(g) for g in d_img], check_dwork=False)
-    diff = from_ghost(base, [conv(psi_q[n] - q_img[n]) for n in range(L)],
-                      check_dwork=False)
-    checks["multiply-back ftilde(d) * c = gtilde(q) - ftilde(q)"] = \
-        witt_mul(fd, cw) == diff
-    return Construction("c", cw, ghosts=[conv(g) for g in ghost_polys], checks=checks)
+    base = (ExactPolyBase(pres) if backend == "exact"
+            else EpsSeriesBase(p, N + L - 1, M, alpha))
+    return _multiply_back("c", base, ghost_polys, d_img, q_diff, checks,
+                          "multiply-back ftilde(d) * c = gtilde(q) - ftilde(q)")
 
 
 @dataclass
@@ -492,19 +499,19 @@ def construct_c_u(p: int, alpha: int, L: int, u, N: int = 8, M: int = 32):
     u_int = u if isinstance(u, int) else None
     if u_int is not None and u_int % mod == 1 % mod and u_int >= 1:
         v = (u_int - 1) // mod
-        pres = RingPresentation(p, alpha, m=0, has_eps0=True, max_qdeg=1 << 30)
+        pres = _eps_pres(p, alpha)
         ghosts = []
         for n in range(L):
             g = (pres.q_pow(p**n)
                  * (pres.q_pow(p ** (n + alpha)) - pres.one())
                  * q_analogue(pres, v, p ** (n + alpha + 1)))
             ghosts.append(g)
+        d_img = _phi_n_d(pres, L)
         checks = {}
         checks["phi(r_n) = r_(n+1) exactly"] = all(
             ghosts[n].frobenius() == ghosts[n + 1] for n in range(L - 1))
         checks["ghost identity q^(u p^n) - q^(p^n) = phi^n(d) * r_n"] = all(
-            pres.q_pow(u_int * p**n) - pres.q_pow(p**n)
-            == q_analogue(pres, p, p ** (n + alpha)) * ghosts[n]
+            pres.q_pow(u_int * p**n) - pres.q_pow(p**n) == d_img[n] * ghosts[n]
             for n in range(L))
         base = ExactPolyBase(pres)
         cw = from_ghost(base, ghosts, check_dwork=True, strict_dwork=True)
@@ -547,45 +554,31 @@ def construct_c_psi(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
         pres.t_pow(0, p**n - 1) * q_analogue(pres, p**n, p**alpha) * pres.eps(0)
         for n in range(L)
     ]
-    t_img = [pres.t_pow(0, p**n) for n in range(L)]
-    psi_t = [psi_t_power(pres, 0, p**n) for n in range(L)]
-    d_img = [q_analogue(pres, p, p ** (n + alpha)) for n in range(L)]
+    t_diff = [psi_t_power(pres, 0, p**n) - pres.t_pow(0, p**n) for n in range(L)]
+    d_img = _phi_n_d(pres, L)
 
     checks = {}
     checks["phi(r_n) = r_(n+1) exactly"] = all(
         ghost_polys[n].frobenius() == ghost_polys[n + 1] for n in range(L - 1))
     checks["ghost identity psi(T^(p^n)) - T^(p^n) = phi^n(d) * r_n"] = all(
-        psi_t[n] - t_img[n] == d_img[n] * ghost_polys[n] for n in range(L))
+        t_diff[n] == d_img[n] * ghost_polys[n] for n in range(L))
     checks["r_0 = eps dT"] = ghost_polys[0] == pres.eps(0)
 
     if backend == "exact":
         base = ExactPolyBase(pres)
-        conv = lambda g: g
     else:
         cap = tcap if tcap is not None else 2 * p ** (L - 1) + 2
-        base = TEpsSeriesBase(p, N + L - 1, M, alpha, cap, target_N=N)
-        conv = lambda g: _series_of_poly(base, g)
-    cw = from_ghost(base, [conv(g) for g in ghost_polys],
-                    check_dwork=True, strict_dwork=True)
-    fd = from_ghost(base, [conv(g) for g in d_img], check_dwork=False)
-    diff = from_ghost(base, [conv(psi_t[n] - t_img[n]) for n in range(L)],
-                      check_dwork=False)
-    checks["multiply-back d-tilde * c_psi = psi-tilde(T) - iota-tilde(T)"] = \
-        witt_mul(fd, cw) == diff
-    return Construction("c_psi", cw, ghosts=[conv(g) for g in ghost_polys],
-                        checks=checks)
+        base = TEpsSeriesBase(p, N + L - 1, M, alpha, cap)
+    return _multiply_back("c_psi", base, ghost_polys, d_img, t_diff, checks,
+                          "multiply-back d-tilde * c_psi = psi-tilde(T) - iota-tilde(T)")
 
 
 def d_as_V1(p: int, alpha: int, L: int, N: int = 8) -> Construction:
     """The delta-lift of d into the Witt vectors of A/d has ghosts
     (0, p, p, ...) and coordinates V(1)."""
-    pres = RingPresentation(p, alpha, m=0, has_eps0=True, max_qdeg=1 << 30)
     ring = QuotientRing(p, N + L - 1, alpha, 1)
     base = QuotBase(ring)
-    imgs = []
-    for n in range(L):
-        poly = q_analogue(pres, p, p ** (n + alpha))  # phi^n(d) upstairs
-        imgs.append(ring.from_q_poly(poly.q_coefficients()))
+    imgs = [base.transport(g) for g in _phi_n_d(_eps_pres(p, alpha), L)]
     checks = {}
     expected = [ring.const(0)] + [ring.const(p)] * (L - 1)
     checks["ghost sequence is (0, p, p, ...)"] = all(
@@ -596,8 +589,7 @@ def d_as_V1(p: int, alpha: int, L: int, N: int = 8) -> Construction:
     return Construction("d = V(1)", w, imgs, checks)
 
 
-def delta_power_membership(n: int, k: int, p: int, N: int = 8, M: int = 30,
-                           cross_check_exact: bool = True) -> bool:
+def delta_power_membership(n: int, k: int, p: int, N: int = 8, M: int = 30) -> bool:
     """delta^k((q-1)^n) lies in ((q-1)^n).
 
     Computed in truncated series with certified divisions by p, and
@@ -613,9 +605,7 @@ def delta_power_membership(n: int, k: int, p: int, N: int = 8, M: int = 30,
         series_ok = True
     except DivisionCertificateError:
         series_ok = False
-    if not cross_check_exact:
-        return series_ok
-    pres = RingPresentation(p, 0, m=0, has_eps0=True, max_qdeg=1 << 30)
+    pres = _eps_pres(p, 0)
     g = (pres.q_pow(1) - pres.one()) ** n
     for _ in range(k):
         g = (g.frobenius() - g**p).divide_coefficients(p)

@@ -233,7 +233,7 @@ def test_criterion_10_regular_rep():
     for (p, a) in [(3, 0), (2, 1)]:
         for variables in (1, 2):
             rep = crystal.ht_regular_rep(12, p, a, 8, variables=variables)
-            ok = ok and rep.ok
+            ok = ok and all(rep.values())
     verdict(10, "divided-power regular representation", ok)
 
 

@@ -199,7 +199,8 @@ class TestGuardedChecks:
 
 
 SWEEP_SUITES = ["ht-regular-rep", "nilpotence", "ore-akj", "ore-assoc",
-                "ore-master-relation", "witt-cu", "bk-twists", "double-complex",
+                "ore-master-relation", "witt-b", "witt-c", "witt-cpsi", "witt-cu",
+                "witt-dv1", "delta-power", "bk-twists", "double-complex",
                 "koszul", "tensor", "sen-qconn", "e-beta"]
 
 

@@ -176,7 +176,7 @@ class TestKoszul:
     def test_m1_two_term(self):
         ring = QuotientRing(3, 3, 0, 1)
         n1 = [[ring.const(3)]]
-        m = QConnModule(ring, 1, D=None, N_list=[n1], tag="relative")
+        m = QConnModule(ring, 1, D=None, N_list=[n1])
         cx = qdr_complex(m)
         assert len(cx.diffs) == 1 and cx.d_squared_zero()
 
@@ -187,7 +187,7 @@ class TestKoszul:
         for _ in range(3):
             n1 = [[ring.const(p * rng.randrange(p))]]
             n2 = [[ring.const(p * rng.randrange(p))]]
-            m = QConnModule(ring, 1, D=None, N_list=[n1, n2], tag="relative")
+            m = QConnModule(ring, 1, D=None, N_list=[n1, n2])
             cx = qdr_complex(m)
             assert cx.d_squared_zero()
             mine = [p ** sum(cx.cohomology(i)) for i in range(3)]
@@ -200,7 +200,7 @@ class TestKoszul:
         ring = QuotientRing(3, 3, 0, 1)
         a = [[ring.q_power(1)]]
         b = [[ring.const(2)]]
-        m = QConnModule(ring, 1, D=None, N_list=[a, b], tag="relative")
+        m = QConnModule(ring, 1, D=None, N_list=[a, b])
         assert qdr_complex(m).d_squared_zero()
 
 
@@ -285,8 +285,7 @@ class TestCorrectionOperator:
         nabla = [[ring.q_power(1) + 2, ring.const(3)],
                  [ring.q_power(2), ring.const(5)]]
         mod = QConnModule(ring, 2, D=None, N_list=[nabla],
-                          theta_list=None if theta is None else [theta(ring)],
-                          tag="mixed")
+                          theta_list=None if theta is None else [theta(ring)])
         return mod, QuotScalars(ring).d_coeffs()
 
     def _check_against_reference(self, theta):
@@ -453,8 +452,7 @@ class TestZeroCorrectionSkip:
         ring, r = base.ring, base.rank
         mod = QConnModule(ring, r, D=base.D, N_list=base.N_list,
                           theta_list=None if thetas is None
-                          else [_theta(kind, ring, r) for kind in thetas],
-                          tag="mixed")
+                          else [_theta(kind, ring, r) for kind in thetas])
         sc = QuotScalars(ring)
         dcs = sc.d_coeffs()
         nonzero = [not mod.flat_correction(i, dcs).is_zero() for i in range(2)]
@@ -555,8 +553,7 @@ def _random_module(p, alpha, n, N, r, m, rng):
     def mat():
         return [[entry() for _ in range(r)] for _ in range(r)]
 
-    return QConnModule(ring, r, D=mat(), N_list=[mat() for _ in range(m)],
-                       tag="mixed")
+    return QConnModule(ring, r, D=mat(), N_list=[mat() for _ in range(m)])
 
 
 class TestRowAssembly:
@@ -699,9 +696,9 @@ class TestRegularRep:
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (5, 0)])
     def test_report(self, p, a):
         rep = ht_regular_rep(12, p, a, 8, variables=1)
-        assert rep.ok, rep.checks
+        assert all(rep.values()), rep
         rep2 = ht_regular_rep(12, p, a, 8, variables=2)
-        assert rep2.ok, rep2.checks
+        assert all(rep2.values()), rep2
 
     def test_unit_column_is_zero(self):
         # partial(a^[0]) = 0: the degree-0 column of the group-law

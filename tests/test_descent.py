@@ -152,20 +152,20 @@ class TestEpsilonAction:
     @pytest.mark.parametrize("p", [3, 5])
     def test_alpha0(self, p):
         rep = epsilon_action_suite(p, 0, 8, 20)
-        assert rep.ok, rep.checks
+        assert all(rep.values()), rep
 
     def test_alpha1_well_definedness(self):
         rep = epsilon_action_suite(3, 1, 6, 20)
         # the alpha = 0 identities (well-definedness, equivariance) are
         # checked at the alpha = 0 chart; the quotient-model invariance
         # runs at the configured alpha
-        assert rep.checks["action well defined on eps^2"]
-        assert rep.checks["psi is unit-group equivariant"]
+        assert rep["action well defined on eps^2"]
+        assert rep["psi is unit-group equivariant"]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_e_beta_needs_no_t_digit(self, p):
         assert e_beta_is_p_mod_d(p, 8) and e_beta_is_p_mod_d(p, 1)
-        assert "e * q(q-1) = p mod d" not in epsilon_action_suite(p, 0, 4, 8).checks
+        assert "e * q(q-1) = p mod d" not in epsilon_action_suite(p, 0, 4, 8)
         with pytest.raises(PrecisionError):
             epsilon_action_suite(p, 0, 4, 1)
 

@@ -1,6 +1,7 @@
 """Twisted Ore algebras: rewriting, the mixed law, specializations."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -427,6 +428,26 @@ class TestSpecialize:
         # residue coefficients stay reduced mod 2
         assert (commutator_mod_residue(2, 0).render()
                 == "(1)*nabla1^1 + (1)*T1^1*nabla1^2")
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_residue_scalars_match_closed_forms(self, p, alpha):
+        # the mixed-law scalars from the shared formulas, against their
+        # values written out mod (p, d, q-1), where q = 1 and [n] = n
+        ctx = ResidueScalars(p, alpha)
+        k = p ** (alpha + 1) + 1
+        e = (p**alpha * (p - 1) * p // 2) % p  # sum_{i<p} i p^alpha
+        want_d = {j: 0 for j in range(2, k + 1)}
+        want_d[2] = (math.comb(k, 2) * pow(k % p, -1, p)) % p
+        assert ctx.s0().residue == pow(k % p, -1, p)
+        assert ctx.s0_inv().residue == k % p
+        assert ctx.s1().residue == (-e) % p
+        assert {j: c.residue for j, c in ctx.d_coeffs().items()} == want_d
+        for j in range(8):
+            assert ctx.nabla_factor(j).residue == (j * p) % p
+            assert ctx.gamma_t_factor(j).residue == 1
+        values = [ctx.s0(), ctx.s0_inv(), ctx.s1(), *ctx.d_coeffs().values()]
+        assert all(v.prec == 1 for v in values)
 
     def test_mod_d_algebra_products(self):
         ring = QuotientRing(3, 8, 0, 1)

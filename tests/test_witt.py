@@ -63,12 +63,27 @@ def eps_part(f: BigPoly, idx: int) -> BigPoly:
 
 
 def series_base(p=3, L=3, N=8, M=16):
-    return SeriesBase(p, N + L - 1, M, target_N=N)
+    return SeriesBase(p, N + L - 1, M)
 
 
 def rand_series(base, rng):
     return TruncSeries(base.p, base.N, base.M,
                        [rng.randrange(base.p**base.N) for _ in range(6)])
+
+
+class TestTransport:
+    def test_each_base_carries_an_exact_polynomial(self):
+        p, N, M = 3, 6, 12
+        pres = RingPresentation(p, 0, m=0, has_eps0=True, max_qdeg=1 << 30)
+        poly = pres.q_pow(2) * 5 + pres.one()
+        eps_q = pres.eps(0) * pres.q_pow(1)
+        series = TruncSeries.from_q_poly(p, N, M, {2: 5, 0: 1})
+        assert ExactPolyBase(pres).transport(poly) is poly
+        assert SeriesBase(p, N, M).transport(poly) == series
+        with pytest.raises(ValueError):
+            SeriesBase(p, N, M).transport(eps_q)
+        pair = EpsSeriesBase(p, N, M, 0).transport(poly + eps_q)
+        assert pair.f == series and pair.g == TruncSeries.q_power(p, N, M, 1)
 
 
 class TestGhost:
@@ -375,6 +390,14 @@ class TestConstructions:
             reduced_target = reduced_target + pres.q_pow(i * p**a - 1) * (i * p**a)
         diff = eps_part(b0, 0) - reduced_target
         assert divides_exactly(diff, pres.d_poly())
+
+    @pytest.mark.parametrize("backend", ["series", "exact"])
+    def test_b0_check_fails_on_a_wrong_ghost(self, monkeypatch, backend):
+        # the check compares _ghost_b(pres, 0) with the written-out form,
+        # so a wrong ghost formula cannot pass it
+        import qprism.witt as witt
+        monkeypatch.setattr(witt, "_ghost_b", lambda pres, n: pres.one())
+        assert not construct_b(3, 1, 1, backend=backend).checks["b_0 closed form"]
 
     @pytest.mark.parametrize("p,a", ACCEPT_TRIPLES)
     def test_c(self, p, a):
