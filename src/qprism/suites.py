@@ -12,6 +12,10 @@ times its cases on the monotonic clock, and a check that runs out of
 certified digits (``PrecisionError``) is not-certified on its own while
 the suite's other blocks keep their verdicts.  ``run_suites`` puts the
 same guard around each whole suite.
+
+Each runner imports the layers it calls in its first lines, outside its
+blocks, so a run loads only the layers of its suites and no case's time
+includes an import.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 
-from . import crystal, descent, exactcore, ore, witt
 from .padic import (
     PrecisionError,
     QuotientRing,
+    d_prime_elem,
     teichmuller,
     vp_factorial,
 )
@@ -176,6 +180,7 @@ def _failing(checks: dict) -> str:
 
 
 def suite_q_identities(cfg: RunConfig):
+    from . import exactcore
     p, a = cfg.p, cfg.alpha
     cases = Cases()
     with cases.check("psi multiplicative + closed form (k<=50)") as verdict:
@@ -193,13 +198,14 @@ def suite_q_identities(cfg: RunConfig):
 
 
 def suite_e_beta(cfg: RunConfig):
+    from . import exactcore
     cases = Cases()
     with cases.check(f"d'(q) q (q^(p^a)-1) = p^(a+1) mod d "
                      f"(p={cfg.p}, a={cfg.alpha})") as verdict:
         verdict(exactcore.verify_e_beta(cfg.p, cfg.alpha), "exact remainder in Z[q]")
     with cases.check("same identity in the quotient model") as verdict:
         ring = QuotientRing(cfg.p, cfg.p_prec, cfg.alpha, 1)
-        e = crystal.d_prime_elem(ring)
+        e = d_prime_elem(ring)
         beta = ring.q_power(cfg.p**cfg.alpha + 1) - ring.q_power(1)
         verdict(e * beta == ring.const(cfg.p ** (cfg.alpha + 1)))
     return cases
@@ -219,6 +225,7 @@ def _construction_cases(cfg, name, builder):
 
 
 def suite_witt_b(cfg: RunConfig):
+    from . import witt
     p, a, L, N, M = cfg.p, cfg.alpha, cfg.witt_len, cfg.p_prec, cfg.t_prec
     cases = _construction_cases(
         cfg, "b", lambda backend: witt.construct_b(
@@ -230,6 +237,7 @@ def suite_witt_b(cfg: RunConfig):
 
 
 def suite_witt_c(cfg: RunConfig):
+    from . import witt
     return _construction_cases(
         cfg, "c", lambda backend: witt.construct_c(
             cfg.p, cfg.alpha, cfg.witt_len if backend == "series" else min(cfg.witt_len, 3),
@@ -237,6 +245,7 @@ def suite_witt_c(cfg: RunConfig):
 
 
 def suite_witt_cpsi(cfg: RunConfig):
+    from . import witt
     return _construction_cases(
         cfg, "c_psi", lambda backend: witt.construct_c_psi(
             cfg.p, cfg.alpha, cfg.witt_len if backend == "series" else min(cfg.witt_len, 2),
@@ -244,6 +253,7 @@ def suite_witt_cpsi(cfg: RunConfig):
 
 
 def suite_witt_cu(cfg: RunConfig):
+    from . import witt
     p, a, L = cfg.p, cfg.alpha, cfg.witt_len
     cases = Cases()
     with cases.check("u=1+p^(a+1): construction") as verdict:
@@ -261,6 +271,7 @@ def suite_witt_cu(cfg: RunConfig):
 
 
 def suite_witt_dv1(cfg: RunConfig):
+    from . import witt
     cases = Cases()
     with cases.check("d = V(1)") as verdict:
         res = witt.d_as_V1(cfg.p, cfg.alpha, cfg.witt_len, cfg.p_prec)
@@ -270,6 +281,7 @@ def suite_witt_dv1(cfg: RunConfig):
 
 
 def suite_delta_power(cfg: RunConfig):
+    from . import witt
     cases = Cases()
     for (n, k) in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
         with cases.check(f"delta^{k}((q-1)^{n}) in ((q-1)^{n})") as verdict:
@@ -279,6 +291,7 @@ def suite_delta_power(cfg: RunConfig):
 
 
 def _random_ore_element(alg, rng, nterms=2):
+    from . import ore
     terms = {}
     for _ in range(nterms):
         te = tuple(rng.randrange(2) for _ in range(alg.m))
@@ -290,6 +303,7 @@ def _random_ore_element(alg, rng, nterms=2):
 
 
 def suite_ore_assoc(cfg: RunConfig):
+    from . import ore
     cases = Cases()
     rng = random.Random(cfg.seed)
     # alpha > 0 costs (N+1)(degree of the distinguished factor) t-digits
@@ -344,6 +358,7 @@ def suite_ore_assoc(cfg: RunConfig):
 
 
 def suite_ore_master(cfg: RunConfig):
+    from . import ore
     cases = Cases()
     with cases.check("mixed commutation law on q^a T^b (a,b <= 6)") as verdict:
         checks = ore.verify_master_relation(cfg.p, cfg.alpha, bound=6,
@@ -357,6 +372,7 @@ def suite_ore_master(cfg: RunConfig):
 
 
 def suite_ore_akj(cfg: RunConfig):
+    from . import ore
     p, a = cfg.p, cfg.alpha
     cases = Cases()
     k = p ** (a + 1) + 1
@@ -379,6 +395,7 @@ def suite_ore_akj(cfg: RunConfig):
 
 
 def suite_bk_twists(cfg: RunConfig):
+    from . import crystal
     cases = Cases()
     p = cfg.p
     for k in range(-30, 31):
@@ -458,6 +475,7 @@ def _brute_force_cohomology(diffs, ranks, p, N):
 
 
 def suite_koszul(cfg: RunConfig):
+    from . import crystal
     cases = Cases()
     rng = random.Random(cfg.seed)
     p = cfg.p
@@ -506,6 +524,7 @@ def suite_koszul(cfg: RunConfig):
 
 
 def suite_double_complex(cfg: RunConfig):
+    from . import crystal, ore
     cases = Cases()
     rng = random.Random(cfg.seed)
     p, a = cfg.p, cfg.alpha
@@ -532,6 +551,7 @@ def suite_double_complex(cfg: RunConfig):
 
 
 def suite_ht_regular_rep(cfg: RunConfig):
+    from . import crystal
     cases = Cases()
     for variables in (1, 2):
         with cases.check(f"[{variables} var] regular representation") as verdict:
@@ -543,6 +563,7 @@ def suite_ht_regular_rep(cfg: RunConfig):
 
 
 def suite_nilpotence(cfg: RunConfig):
+    from . import crystal
     cases = Cases()
     p, a = cfg.p, cfg.alpha
     with cases.check("twist operator vanishes in the residue field") as verdict:
@@ -567,6 +588,7 @@ def suite_nilpotence(cfg: RunConfig):
 
 
 def suite_wcart(cfg: RunConfig):
+    from . import descent
     cases = Cases()
     p, K = cfg.p, cfg.descent_degree
     ctx = None
@@ -594,6 +616,7 @@ def suite_wcart(cfg: RunConfig):
 
 
 def suite_epsilon_action(cfg: RunConfig):
+    from . import descent
     cases = Cases()
     # an identity of A/d, in its own block: it certifies even when the
     # t-precision leaves no digit for the X_u division below
@@ -609,6 +632,7 @@ def suite_epsilon_action(cfg: RunConfig):
 
 
 def suite_sen_qconn(cfg: RunConfig):
+    from . import crystal
     cases = Cases()
     for k in (0, 1, 4, 9):
         with cases.check(f"1 + q beta (twist scalar) = (1+p^(a+1))^k for k={k}") as verdict:
@@ -617,6 +641,7 @@ def suite_sen_qconn(cfg: RunConfig):
 
 
 def suite_tensor(cfg: RunConfig):
+    from . import crystal
     cases = Cases()
     p, a = cfg.p, cfg.alpha
     with cases.check("twist(j) (x) twist(k) = twist(j+k)") as verdict:

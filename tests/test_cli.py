@@ -215,6 +215,43 @@ def test_low_precision_sweep_has_no_unregistered_failure(p, alpha, N, M):
     assert failed == []
 
 
+# the qprism modules a CLI run has loaded when it ends
+_LOADED = ("import contextlib, io, sys\n"
+           "from qprism.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    code = main(sys.argv[1:])\n"
+           "print(code, *sorted(m for m in sys.modules if m.startswith('qprism')))\n")
+
+
+class TestImportFootprint:
+    def loaded(self, args):
+        e = dict(os.environ)
+        e["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, e.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _LOADED, *args],
+                              capture_output=True, text=True, env=e)
+        code, *modules = proc.stdout.split()
+        assert code == "0", proc.stderr
+        return set(modules)
+
+    def test_list_suites_loads_no_layer(self):
+        assert self.loaded(["--list-suites"]) == {
+            "qprism", "qprism.cli", "qprism.padic", "qprism.suites"}
+
+    def test_a_run_loads_only_its_layers(self):
+        modules = self.loaded(["--suite", "ore-akj"])
+        assert {"qprism.exactcore", "qprism.ore"} <= modules
+        assert not modules & {"qprism.crystal", "qprism.descent", "qprism.witt"}
+
+    def test_every_suite_runs_without_failure(self):
+        # a runner that calls a layer it does not import fails its block;
+        # this also covers the suites that SWEEP_SUITES leaves out
+        cfg = RunConfig(p=3, alpha=0, p_prec=2, t_prec=4, suites=list(suites.REGISTRY))
+        reports = run_suites(cfg)
+        assert sorted(r.name for r in reports) == sorted(suites.REGISTRY)
+        assert [(r.name, c.case_id, c.witness)
+                for r in reports for c in r.failed] == []
+
+
 class TestConfigLayers:
     def test_env_override(self):
         proc = run_cli(["--suite", "e-beta"], env={"QPRISM_P": "5"})

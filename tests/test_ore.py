@@ -12,19 +12,23 @@ from qprism.exactcore import (
     RingPresentation,
     q_analogue,
 )
-from qprism.padic import QuotElem, QuotientRing, TruncSeries
+from qprism import ore
+from qprism.padic import PadicInt, QuotElem, QuotientRing, TruncSeries
 from qprism.ore import (
     OreAlgebra,
     OreElement,
     QuotScalars,
     ResidueScalars,
+    SeriesScalars,
     _nabla_times,
     akj_exact,
     akj_mod_d_binomial,
     akj_nabla,
     akj_operator_oracle,
+    base_D_op,
     base_add,
     base_eq,
+    base_mul_scalar,
     base_nabla,
     base_partial,
     commutator_mod_residue,
@@ -126,6 +130,8 @@ def scalar_state(s):
         return (s.N, s.M, tuple(s.c))
     if isinstance(s, QuotElem):
         return (s.prec, tuple(s.coeffs))
+    if isinstance(s, PadicInt):
+        return (s.prec, s.residue)
     return s
 
 
@@ -406,6 +412,160 @@ class TestMasterRelation:
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1)])
     def test_double_complex_rows(self, p, a):
         assert all(verify_double_complex_rows(p, a, bound=2, M=48).values())
+
+
+# ---------------------------------------------------------------------------
+# the correction operator D_i with nabla_i^(j-1) f rebuilt from f for every
+# j, and the double-complex rows that build nabla(W1 f) twice: the
+# references that the single walk must equal term by term
+# ---------------------------------------------------------------------------
+
+
+def ref_base_D_op(alg, i, f):
+    ctx = alg.ctx
+    out = {}
+    for j, cj in ctx.d_coeffs().items():
+        if ctx.is_zero(cj):
+            continue
+        g = f
+        for _ in range(j - 1):
+            g = base_nabla(alg, i, g)
+        for mono, s in g.items():
+            up = list(mono)
+            up[i] += j - 1
+            key = tuple(up)
+            val = s * cj
+            out[key] = out[key] + val if key in out else val
+    return {k: v for k, v in out.items() if not ctx.droppable(v)}
+
+
+def ref_verify_double_complex_rows(p, alpha, bound, N=8, M=32):
+    alg = make_absolute_algebra(p, alpha, m=2, N=N, M=M,
+                                tcap=2 * bound + 6 * p ** (alpha + 1) + 8)
+    ctx = alg.ctx
+    s0, s1 = ctx.s0(), ctx.s1()
+    bq = ctx.beta * ctx.q_pow(1)
+
+    def neg(f):
+        return {k: -v for k, v in f.items()}
+
+    def W1(f, j):
+        out = base_mul_scalar(alg, base_partial(alg, f), s0)
+        out = base_add(alg, out, base_mul_scalar(alg, f, s0 * s1))
+        return base_add(alg, out, neg(ref_base_D_op(alg, j, f)))
+
+    def W0(f):
+        out = base_mul_scalar(alg, base_partial(alg, f), s0 * s0)
+        out = base_add(alg, out, base_mul_scalar(alg, f, (s0 + s0 * s0) * s1))
+        out = base_add(alg, out, neg(ref_base_D_op(alg, 0, f)))
+        out = base_add(alg, out, neg(ref_base_D_op(alg, 1, f)))
+        dd = ref_base_D_op(alg, 0, ref_base_D_op(alg, 1, f))
+        return base_add(alg, out, base_mul_scalar(alg, dd, -bq))
+
+    checks = {}
+    for a in range(bound + 1):
+        for b in range(bound + 1):
+            for c in range(bound + 1):
+                f = {(b, c): ctx.q_pow(a)}
+                for wedge, other in ((1, 0), (0, 1)):
+                    lhs = W0(base_nabla(alg, wedge, f))
+                    rhs = base_nabla(alg, wedge, W1(f, other))
+                    rhs = base_add(alg, rhs, base_mul_scalar(
+                        alg, ref_base_D_op(alg, wedge,
+                                           base_nabla(alg, wedge, W1(f, other))),
+                        bq))
+                    checks[f"q^{a}T1^{b}T2^{c} wedge{wedge + 1}"] = base_eq(alg, lhs, rhs)
+    return checks
+
+
+def _series_reduced(ctx, s):
+    return s.reduce_prec(N=ctx.N - 2, M=ctx.M - 5)
+
+
+def _quot_reduced(ctx, s):
+    return QuotElem(ctx.ring, s.coeffs, ctx.ring.N - 2)
+
+
+D_OP_CONTEXTS = {
+    "series p=3 a=1 absolute": (lambda: SeriesScalars(3, 6, 16, 1), _series_reduced),
+    "series p=2 a=0 absolute": (lambda: SeriesScalars(2, 6, 16, 0), _series_reduced),
+    "series p=3 relative": (lambda: SeriesScalars(3, 6, 16, 0, "relative"),
+                            _series_reduced),
+    "quot A/d p=3 a=1": (lambda: QuotScalars(QuotientRing(3, 6, 1, 1)), _quot_reduced),
+    "quot A/d^2 p=2 a=1": (lambda: QuotScalars(QuotientRing(2, 6, 1, 2)),
+                           _quot_reduced),
+    "residue p=3 a=1": (lambda: ResidueScalars(3, 1), None),
+}
+
+
+def _d_op_inputs(ctx, reduced):
+    """Monomials T1^b T2^c up past the last power D uses, and sums of a few
+    of them, some with reduced-precision scalars."""
+    rng = random.Random(7)
+    top = ctx.k + 1
+    inputs = [{(b, c): ctx.q_pow(b + 2 * c)} for b in range(top + 1)
+              for c in (0, 1, top)]
+    for _ in range(6):
+        f = {}
+        for _ in range(3):
+            s = ctx.q_pow(rng.randrange(4)) * rng.randrange(1, 9)
+            if reduced is not None and rng.randrange(2):
+                s = reduced(ctx, s)
+            f[(rng.randrange(top + 1), rng.randrange(top + 1))] = s
+        inputs.append(f)
+    return inputs
+
+
+class TestCorrectionOperator:
+    @pytest.mark.parametrize("zeroed", [(), (2, 4)], ids=["own c_j", "c_2 c_4 zero"])
+    @pytest.mark.parametrize("name", list(D_OP_CONTEXTS))
+    def test_single_walk_equals_per_j_reference(self, name, zeroed):
+        make, reduced = D_OP_CONTEXTS[name]
+        ctx = make()
+        if zeroed:
+            # a zero c_j still advances the power the walk stands at
+            ctx._cache["dc"] = {j: ctx.zero() if j in zeroed else c
+                                for j, c in ctx.d_coeffs().items()}
+        alg = OreAlgebra(ctx, m=2, with_partial=False, tcap=64)
+        for f in _d_op_inputs(ctx, reduced):
+            for i in (0, 1):
+                got, want = base_D_op(alg, i, f), ref_base_D_op(alg, i, f)
+                assert ({k: scalar_state(v) for k, v in got.items()}
+                        == {k: scalar_state(v) for k, v in want.items()}), (f, i)
+
+    @pytest.mark.parametrize("p,a", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_double_complex_rows_equal_reference(self, p, a):
+        assert (verify_double_complex_rows(p, a, bound=2, M=48)
+                == ref_verify_double_complex_rows(p, a, bound=2, M=48))
+
+
+class TestCorrectionNegativeControl:
+    """With the first nonzero c_j moved by p^(N-1), both relation checks
+    that run D must report a failure."""
+
+    N = 8
+
+    @pytest.fixture
+    def bumped_c_j(self, monkeypatch):
+        orig = ore._QScalars.d_coeffs
+
+        def bumped(ctx):
+            out = dict(orig(ctx))
+            j = min(j for j, c in out.items() if not ctx.is_zero(c))
+            out[j] = out[j] + ctx.const(ctx.p ** (self.N - 1))
+            return out
+
+        monkeypatch.setattr(ore._QScalars, "d_coeffs", bumped)
+
+    @pytest.mark.parametrize("p,a", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_master_relation_fails(self, bumped_c_j, p, a):
+        checks = verify_master_relation(p, a, bound=6, N=self.N, M=48)
+        assert not all(checks.values())
+
+    @pytest.mark.parametrize("p,a", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_double_complex_rows_fail(self, bumped_c_j, p, a):
+        checks = verify_double_complex_rows(p, a, bound=2, N=self.N, M=48)
+        assert not all(checks.values())
 
 
 class TestSpecialize:
