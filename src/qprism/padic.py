@@ -206,8 +206,9 @@ def _poly_mul(a, b, mod: int, n: int = None) -> list:
 
 
 @functools.cache
-def _q_subst_cols(p: int, N: int, M: int, k: int) -> tuple:
-    """The matrix of f(q) -> f(q^k) on t-coefficients mod (p^N, t^M).
+def _q_subst_cols(p: int, N: int, M: int, k) -> tuple:
+    """The matrix of f(q) -> f(q^k) on t-coefficients mod (p^N, t^M), for
+    k an integer or PadicInt.
 
     Column n is (q^k - 1)^n.  As t divides q^k - 1, the matrix is lower
     triangular, and it is stored by rows: row i holds the t^i coefficients
@@ -215,11 +216,37 @@ def _q_subst_cols(p: int, N: int, M: int, k: int) -> tuple:
     of one Horner substitution.
     """
     mod = p**N
-    s = [0] + [math.comb(k, n) % mod for n in range(1, min(M, k + 1))]
+    s = [0] + TruncSeries.q_power(p, N, M, k).c[1:]
     cols = [[1 % mod] + [0] * (M - 1)]
     for _ in range(M - 1):
         cols.append(_poly_mul(cols[-1], s, mod, M))
     return tuple(tuple(col[i] for col in cols[:i + 1]) for i in range(M))
+
+
+@functools.cache
+def _unit_part_inverses(p: int, N: int, M: int) -> tuple:
+    """(v_p(n), the inverse mod p^N of n / p^v_p(n)) for n = 1..M-1."""
+    out = []
+    for n in range(1, M):
+        v = vp_int(n, p)
+        out.append((v, pow(n // p**v, -1, p**N)))
+    return tuple(out)
+
+
+@functools.cache
+def _distinguished_inverse(p: int, N: int, P: tuple) -> tuple:
+    """l = sum_(k=0..N) (-pC)^k t^(r(N-k)) mod p^N, for P = t^r + pC.
+
+    Expanded in t^-1, 1/P = sum_k (-pC)^k t^(-r(k+1)), and the terms
+    k > N vanish mod p^(N+1); so l = t^(r(N+1))/P to that precision."""
+    r, mod = len(P) - 1, p**N
+    minus_pC = [-x for x in P[:r]]
+    out, y = [0] * (r * N + 1), [1]
+    for k in range(N + 1):
+        s = r * (N - k)
+        out[s:s + len(y)] = map(add, out[s:s + len(y)], y)
+        y = _poly_mul(y, minus_pC, mod)
+    return tuple(x % mod for x in out)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +306,9 @@ class TruncSeries:
         multiply mod p^N.  Otherwise its valuation v, exact below k.prec,
         and its unit part are read from the residue mod p^k.prec; that unit
         part is right only mod p^(k.prec - v), which suffices, as
-        e + k.prec - v >= k.prec - v_p(n!) >= N.  If k = n to full
+        e + k.prec - v >= k.prec - v_p(n!) >= N.  The valuation and the
+        unit-part inverse of each n + 1 come from one table per (p, N, M),
+        ``_unit_part_inverses``.  If k = n to full
         precision, every later coefficient is divisible by
         p^(k.prec - v_p((M-1)!)), so is 0 mod p^N.  The digit loss
         v_p((M-1)!) is checked against the precision of the exponent.
@@ -301,6 +330,7 @@ class TruncSeries:
         r = k.residue
         r_N, r_p = r % mod, r % p
         p_pows = [p**i for i in range(N)]
+        units = _unit_part_inverses(p, N, M)
         cs, e, u = [1], 0, 1
         for n in range(M - 1):
             if n % p != r_p:
@@ -312,14 +342,12 @@ class TruncSeries:
                 v = vp_int(x, p)
                 e += v
                 u = u * (x // p**v) % mod
-            dv = n + 1
-            v = vp_int(dv, p)
+            v, inv = units[n]
             if v:
                 e -= v
                 if e < 0:
                     raise ArithmeticError("binomial iteration lost exactness")
-                dv //= p**v
-            u = u * pow(dv, -1, mod) % mod
+            u = u * inv % mod
             cs.append(u * p_pows[e] % mod if e < N else 0)
         return TruncSeries(p, N, M, cs)
 
@@ -453,10 +481,9 @@ class TruncSeries:
     def subst(self, image: "TruncSeries") -> "TruncSeries":
         """Composition f(q) -> f(image); image must be 1 mod t.
 
-        Horner over M - 1 packed multiplies.  It serves ``phi`` and
-        ``gamma_u`` (also with a PadicInt exponent), whose few calls per
-        image would not repay an M x M table.  ``gamma0`` goes through
-        ``_subst_q_power`` and its cached table.
+        Horner over M - 1 packed multiplies: the general composition.
+        Substitutions q -> q^k (``phi``, ``gamma0``, ``gamma_u``) go
+        through ``_subst_q_power`` and its table, cached per exponent.
         """
         image, N, M = self._join(image)
         if image.c[0] % self.p**N != 1 % self.p**N:
@@ -469,10 +496,10 @@ class TruncSeries:
 
     def phi(self) -> "TruncSeries":
         """Frobenius lift q -> q^p."""
-        return self.subst(TruncSeries.q_power(self.p, self.N, self.M, self.p))
+        return self._subst_q_power(self.p)
 
-    def _subst_q_power(self, k: int) -> "TruncSeries":
-        """f(q) -> f(q^k) for an integer k >= 0: one triangular
+    def _subst_q_power(self, k) -> "TruncSeries":
+        """f(q) -> f(q^k) for an integer or PadicInt k: one triangular
         matrix-vector product with the cached table, one reduction per
         entry."""
         p, N, M = self.p, self.N, self.M
@@ -487,7 +514,7 @@ class TruncSeries:
 
     def gamma_u(self, u) -> "TruncSeries":
         """q -> q^u for a unit exponent (int or PadicInt)."""
-        return self.subst(TruncSeries.q_power(self.p, self.N, self.M, u))
+        return self._subst_q_power(u)
 
     def derivative_q(self) -> "TruncSeries":
         """d/dq = d/dt."""
@@ -528,59 +555,43 @@ class TruncSeries:
         all non-leading coefficients divisible by p.  Returns
         (Q, R, r_prec): f = Q*P + R with deg_t R < r.
 
-        Precision accounting: the iteration replaces t^r by -p*C, gaining
-        a factor p while consuming r known t-digits, so the unknown tail
-        of f contaminates the t-degree-j part of the quotient at level
-        p^(ceil((M-j)/r) - 1).  The quotient is returned on the largest
-        uniform box holding full p-precision, which costs (N+1)*r
-        t-digits; the remainder coefficients are certified mod p^r_prec
-        with r_prec = min(N, floor(M/r) - 1)-ish from the same count.
+        Write P = t^r + pC.  The quotient is the part of f/P at t-degrees
+        >= 0, with 1/P expanded in t^-1 (``_distinguished_inverse``), so it
+        is read off one product: Q is the slice from t^(r(N+1)) of f*l,
+        and R = (f - P*Q) below t^r.  Precision accounting: a tail term t^j
+        reduces to a multiple of p^floor(j/r), so the unknown tail of f
+        contaminates the t-degree-j part of the quotient at level
+        p^(ceil((M-j)/r) - 1) and the remainder at p^floor(M/r).  The
+        quotient is returned on the largest uniform box holding
+        N_q = min(N, floor(M/r) - 1) p-digits, which costs (N_q+1)*r
+        t-digits; the remainder is certified mod p^r_prec with
+        r_prec = min(N, floor(M/r)).
         """
-        p = self.p
+        p, N, M = self.p, self.N, self.M
         r = len(P) - 1
         if P[r] != 1:
             raise ValueError("distinguished polynomial must be monic in t")
         if any(x % p for x in P[:r]):
             raise ValueError("lower coefficients must be divisible by p")
-        if self.M <= r:
+        if M <= r:
             raise PrecisionError("t-precision does not reach the divisor degree")
-        minus_pC = [-x for x in P[:r]]  # -p*C, where P = t^r + p*C
-        mod = p**self.N
-        g = self.c
-        Mg = self.M
-        Q = [0] * (self.M - r)
-        R = [0] * r
-        cert = self.N
-        k = 0
-        while True:
-            if all(x % mod == 0 for x in g):
-                break
-            if Mg < r:
-                cert = min(cert, k)
-                break
-            # at most N + 1 rounds, so the sums stay small; they are
-            # reduced once, by the constructors below
-            high = g[r:Mg]
-            R = list(map(add, R, g[:r]))
-            Q[:len(high)] = map(add, Q, high)
-            if k >= self.N:
-                break
-            # g <- -p*C*D(g)
-            g = _poly_mul(minus_pC, high, mod, Mg - r)
-            Mg = Mg - r
-            k += 1
-        cert = min(cert, self.N)
-        N_q = min(self.N, self.M // r - 1)
+        N_q = min(N, M // r - 1)
         if N_q < 1:
             raise PrecisionError("quotient would carry no certified digits")
-        M_q = self.M - (N_q + 1) * r + 1
-        Qs = TruncSeries(p, N_q, max(M_q, 1), Q[: max(M_q, 1)])
-        return Qs, [x % p**max(cert, 1) for x in R], cert
+        M_q = M - (N_q + 1) * r + 1
+        mod = p**N
+        # l has t-degree <= rN, so f below t^r does not reach the slice
+        Q = _poly_mul(self.c[r:], _distinguished_inverse(p, N, tuple(P)),
+                      mod, r * N + max(M_q, r))[r * N:]
+        cert = min(N, M // r)
+        R = [(self.c[i] - sum(P[i - j] * Q[j] for j in range(i + 1))) % p**cert
+             for i in range(r)]
+        return TruncSeries(p, N_q, M_q, Q[:M_q]), R, cert
 
     def weierstrass_divide_exact(self, P: Sequence[int]) -> "TruncSeries":
         """Certified exact division by a distinguished polynomial."""
         Q, R, cert = self.weierstrass_divmod(P)
-        if cert < 1 or any(x % self.p**cert for x in R):
+        if any(x % self.p**cert for x in R):
             raise DivisionCertificateError(
                 "nonzero remainder in distinguished division")
         return Q

@@ -326,6 +326,27 @@ def test_traced_suite_span_covers_its_work(tmp_path, suite):
     assert suite_wall[f"suites.{suite}"] >= kernels
 
 
+def test_benchmark_boundaries_resolve():
+    """Every (module, attribute) in perfbench/spans.py BOUNDARIES names a
+    function or a method defined on its class in qprism, as the tracer
+    wraps it, so that removing or renaming one fails here rather than in a
+    traced benchmark run."""
+    bench = os.path.join(os.path.dirname(SRC), "perfbench")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(bench, "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, modname, attr in spans.BOUNDARIES:
+        mod = importlib.import_module(f"qprism.{modname}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(mod, cls_name)).get(meth)), attr
+        else:
+            assert callable(getattr(mod, attr, None)), attr
+    assert {f"padic.{f}" for f in spans.LINALG} <= {
+        name for name, _, _ in spans.BOUNDARIES}
+
+
 @pytest.mark.parametrize("workload,seed", [
     pytest.param("cohomology-a1", 0, id="cohomology-a1"),
     # the four CLI seeds one cohomology-a1 cycle runs: which corrections

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import qprism.descent as descent
+
 from qprism.descent import (
     averaging_projector_check,
     build_context,
@@ -47,6 +49,26 @@ class TestContext:
 
     def test_gamma_1_trivial(self, ctx3):
         assert ctx3.checks["gamma_u(ptilde) = ptilde (direct substitution)"]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("K", [None, 1, 8])
+    def test_invariance_checks_fail_on_a_perturbed_lift(self, monkeypatch, p, K):
+        """Negative control: with the lift of 2 moved by p^K, neither
+        check of gamma_u(ptilde) = ptilde holds, although the series of
+        equal exponents are computed once.  The digit chain is stubbed,
+        as a perturbed ptilde is not invariant."""
+        true_lift = descent.teichmuller
+
+        def lift(p_, e, prec):
+            x = true_lift(p_, e, prec)
+            return x if K is None or e != 2 else PadicInt(p_, prec, x.residue + p_**K)
+
+        monkeypatch.setattr(descent, "teichmuller", lift)
+        monkeypatch.setattr(descent, "_digit_chain",
+                            lambda p_, h, u_inv, d_t, count: [(0, 8)] * count)
+        checks = build_context(p, 8, 5).checks
+        for name in ("exponent permutation", "direct substitution"):
+            assert checks[f"gamma_u(ptilde) = ptilde ({name})"] is (K is None)
 
     def test_w_polynomial_at_p3(self, ctx3):
         assert ctx3.w_poly_residuals == []

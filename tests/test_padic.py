@@ -177,6 +177,18 @@ class TestBinomialSeries:
                     assert (got.N, got.M) == (N, M)
                     assert got.c == want.c, (M, prec, x)
 
+    def test_descent_size_matches_reference(self):
+        # the p = 5 digit chain's size, and the table of unit-part
+        # inverses shared by calls at one (p, N, M)
+        p, N, M = 5, 8, 1720
+        prec = N + vp_factorial(p, M - 1) + 2
+        rng = random.Random(5)
+        lifts = [teichmuller(p, u, prec) for u in range(1, p)]
+        for k in lifts + [x * 6 for x in lifts] + [
+                PadicInt(p, prec, rng.randrange(p**prec)) for _ in range(2)]:
+            got = TruncSeries.q_power(p, N, M, k)
+            assert _same_series(got, reference_q_power_padic(p, N, M, k))
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_precision_below_need_raises(self, p):
         for N in (1, 2, 4, 8):
@@ -210,9 +222,12 @@ class TestBinomialSeries:
 
 
 def reference_weierstrass_divmod(f, P):
-    """The division loop that adds each round's low and high parts into
-    R and Q entry by entry, reducing every entry every round: the
-    reference for TruncSeries.weierstrass_divmod."""
+    """The division loop that applies the divisor P = t^r + pC in up to
+    N + 1 rounds g <- -pC g[r:], adding each round's low and high parts
+    into R and Q entry by entry and reducing every entry every round: the
+    reference for TruncSeries.weierstrass_divmod.  The remainder is
+    certified mod p^min(N, floor(M/r)), as a tail term t^j reduces to a
+    multiple of p^floor(j/r)."""
     p, r = f.p, len(P) - 1
     if f.M <= r:
         raise PrecisionError("t-precision does not reach the divisor degree")
@@ -220,13 +235,8 @@ def reference_weierstrass_divmod(f, P):
     mod = p**f.N
     g, Mg = list(f.c), f.M
     Q, R = [0] * (f.M - r), [0] * r
-    cert, k = f.N, 0
-    while True:
-        if all(x % mod == 0 for x in g):
-            break
-        if Mg < r:
-            cert = min(cert, k)
-            break
+    k = 0
+    while Mg >= r and any(x % mod for x in g):
         low, high = g[:r], g[r:Mg]
         for i in range(r):
             R[i] = (R[i] + low[i]) % mod
@@ -238,17 +248,17 @@ def reference_weierstrass_divmod(f, P):
         g = _poly_mul(minus_pC, high, mod, Mg - r)
         Mg = Mg - r
         k += 1
-    cert = min(cert, f.N)
+    cert = min(f.N, f.M // r)
     N_q = min(f.N, f.M // r - 1)
     if N_q < 1:
         raise PrecisionError("quotient would carry no certified digits")
     M_q = f.M - (N_q + 1) * r + 1
     Qs = TruncSeries(p, N_q, max(M_q, 1), Q[: max(M_q, 1)])
-    return Qs, [x % p**max(cert, 1) for x in R], cert
+    return Qs, [x % p**cert for x in R], cert
 
 
 class TestWeierstrassSlices:
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_reference(self, p):
         rng = random.Random(p)
         divisors = [d_poly_t(p, 0), d_poly_t(p, 1),
@@ -257,9 +267,10 @@ class TestWeierstrassSlices:
         for P in divisors:
             r = len(P) - 1
             for N in (1, 2, 5, 8):
-                # from one t-digit past the degree to more than (N+2)r,
-                # so some inputs run out of t-digits before p-digits
-                for M in (r + 1, 2 * r, 3 * r + 1, (N + 3) * r):
+                # every M from one t-digit past the degree to (N+3)r, so
+                # some inputs run out of t-digits before p-digits, and the
+                # size of the descent digit chain
+                for M in [*range(r + 1, (N + 3) * r + 1), 1720]:
                     mod = p**N
                     inputs = [TruncSeries(p, N, M, [rng.randrange(mod) for _ in range(M)]),
                               TruncSeries.zero(p, N, M)]
@@ -291,6 +302,55 @@ class TestWeierstrassSlices:
             Qw, Rw, certw = reference_weierstrass_divmod(f, P)
             assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
             f = Q
+
+
+class TestWeierstrassCertificate:
+    """The remainder of a truncation agrees with that of a long extension
+    to the digits it claims, and no further in general."""
+
+    def test_truncations_agree_with_extension(self):
+        rng = random.Random(17)
+        checked = short = one_more_wrong = 0
+        for p in (2, 3, 5, 7):
+            for alpha in (0, 1):
+                P = d_poly_t(p, alpha)
+                r = len(P) - 1
+                for N in (2, 5, 8):
+                    L = (N + 4) * r + 10
+                    for _ in range(2):
+                        F = [rng.randrange(p**N) for _ in range(L)]
+                        _, R_long, cert_long = TruncSeries(p, N, L, F).weierstrass_divmod(P)
+                        assert cert_long == N
+                        for M in range(2 * r, (N + 3) * r + 1):
+                            _, R, cert = TruncSeries(p, N, M, F[:M]).weierstrass_divmod(P)
+                            assert cert == min(N, M // r)
+                            assert all((x - y) % p**cert == 0 for x, y in zip(R, R_long))
+                            checked += 1
+                            if cert < N:
+                                short += 1
+                                one_more_wrong += any(
+                                    (x - y) % p**(cert + 1) for x, y in zip(R, R_long))
+        assert checked > 3000
+        # claiming one more digit than floor(M/r) would nearly always be
+        # wrong
+        assert one_more_wrong >= 0.9 * short
+
+    def test_divisible_length_does_not_overclaim(self):
+        # p = 3, alpha = 0, N = 8, M = 4: the last tail is empty, and the
+        # remainder carries floor(4/2) = 2 digits, not 8
+        rng = random.Random(3)
+        P = d_poly_t(3, 0)
+        wrong_at_8 = 0
+        for _ in range(50):
+            F = [rng.randrange(3**8) for _ in range(400)]
+            _, R, cert = TruncSeries(3, 8, 4, F[:4]).weierstrass_divmod(P)
+            _, R_long, _ = TruncSeries(3, 8, 400, F).weierstrass_divmod(P)
+            assert cert == 2
+            assert all((x - y) % 3**2 == 0 for x, y in zip(R, R_long))
+            wrong_at_8 += any((x - y) % 3**8 for x, y in zip(R, R_long))
+        assert wrong_at_8 > 40
+        _, R, cert = TruncSeries.zero(3, 8, 4).weierstrass_divmod(P)
+        assert (R, cert) == ([0, 0], 2)
 
 
 class TestSubstitution:
@@ -362,6 +422,31 @@ class TestSubstTable:
         g = f.gamma0(1)
         assert (g.N, g.M) == (5, 20)
         assert _same_series(g, f.subst(TruncSeries.q_power(3, 5, 20, 10)))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_phi_and_gamma_u_equal_horner(self, p):
+        rng = random.Random(p)
+        for N, M in [(1, 1), (4, 9), (8, 32), (8, 48)]:
+            n_t = N + vp_factorial(p, M) + 2
+            exps = ([1, 2, p + 1, -1, 1 - p]
+                    + [teichmuller(p, u, n_t) for u in range(1, p)]
+                    + [PadicInt(p, n_t, rng.randrange(p**n_t)) for _ in range(2)])
+            f = TruncSeries(p, N, M, [rng.randrange(p**N) for _ in range(M)])
+            # the table is the one of the input's own (N, M)
+            for g in (f, f.reduce_prec(N=max(N - 3, 1), M=max(M // 2, 1))):
+                image = TruncSeries.q_power(p, g.N, g.M, p)
+                assert _same_series(g.phi(), g.subst(image))
+                for k in exps:
+                    image = TruncSeries.q_power(p, g.N, g.M, k)
+                    assert _same_series(g.gamma_u(k), g.subst(image))
+
+    def test_gamma_u_exponent_below_need_raises(self):
+        p, N, M = 3, 6, 20
+        need = N + vp_factorial(p, M - 1)
+        f = TruncSeries(p, N, M, list(range(M)))
+        with pytest.raises(PrecisionError):
+            f.gamma_u(PadicInt(p, need - 1, 2))
+        assert _same_series(f.gamma_u(PadicInt(p, need, 2)), f.gamma_u(2))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("N,M", [(1, 1), (1, 5), (4, 8), (8, 48), (8, 64)])
