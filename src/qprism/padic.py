@@ -862,28 +862,83 @@ def inv_mod(A, p: int, N: int) -> "ModMat":
     return _mat_mul(V, U, p**N)
 
 
+def _row_slots(mod: int, terms: int) -> tuple:
+    """(w, b) for packed matrix rows whose slots hold sums of at most
+    `terms` products of residues below mod: such a sum has at most b bits,
+    and w-byte slots with 8w >= 2b + 2 also hold the Barrett product of
+    that sum (``_barrett``).  w is a whole number of 8-byte words when a
+    residue fits one, so that ``struct`` reads the low word of each slot."""
+    b = (terms * (mod - 1) ** 2).bit_length()
+    w = (2 * b + 9) // 8
+    return (-(-w // 8) * 8 if mod <= 1 << 64 else w), b
+
+
+@functools.cache
+def _barrett(mod: int, w: int, n: int, b: int) -> tuple:
+    """(s, c, mask, full) that reduce every slot of a packed row of n
+    w-byte slots, each below 2^b, in one step: x - mod*((x*c >> s) & mask)
+    (Barrett, CRYPTO '86, on all slots at once).  With s = b + bits(mod)
+    and c = ceil(2^s/mod), x*c/2^s exceeds x/mod by less than 1/mod, so
+    the quotient is floor(x/mod) exactly and no correction step follows.
+    A slot's x*c stays below 2^(2b+1), inside its own slot, and the mask
+    keeps the quotient bits of each slot from those the shift brings down
+    from the next.  ``full`` holds mod in every slot, for differences."""
+    s = b + mod.bit_length()
+    ones = ((1 << (8 * w * n)) - 1) // ((1 << (8 * w)) - 1)
+    return s, -(-(1 << s) // mod), ((1 << max(8 * w - s, 0)) - 1) * ones, mod * ones
+
+
+def _read_rows(packed: list, w: int, n: int, mod: int) -> tuple:
+    """The rows of n residues below mod of the packed rows in w-byte
+    slots, read in one pass: the low word of each slot by ``struct`` when
+    a residue fits one, else the residue's bytes of each slot."""
+    if not n:
+        return ((),) * len(packed)
+    buf = b"".join([x.to_bytes(w * n, "little") for x in packed])
+    if mod <= 1 << 64:
+        vals = struct.unpack(f"<{len(buf) // 8}Q", buf)[::w // 8]
+    else:
+        r = (mod.bit_length() + 7) // 8
+        vals = [int.from_bytes(buf[i:i + r], "little") for i in range(0, len(buf), w)]
+    return tuple([tuple(vals[i:i + n]) for i in range(0, len(vals), n)])
+
+
 class ModMat:
-    """An immutable matrix over Z/mod: tuple rows of residues in [0, mod).
+    """An immutable matrix over Z/mod.
 
-    A product packs each row of its right operand into one int, the first
-    time the matrix is a right operand, and keeps the packed rows, as the
-    cohomology layer multiplies by the same cached operators again and
-    again.  ``==`` compares residues mod ``mod``, also against a list of
-    lists.  Rows index, iterate and measure like a list of rows, so the
-    elimination routines take a ModMat as is."""
+    Its native form is one packed int per row, with the residues in
+    [0, mod) in little-endian w-byte slots (``_row_slots``).  Products,
+    sums, differences and negations build packed rows and reduce them by
+    one Barrett step each, so ``==``, ``is_zero``, ``+``, ``-`` and a
+    product by this matrix on the right never unpack or repack.  The
+    tuple rows (``rows``) are read from the packed ones the first time a
+    left operand, the elimination routines or block assembly ask for
+    them; a matrix built from rows packs them the first time it needs the
+    packed form.  ``==`` compares residues mod ``mod``, also against a
+    list of lists.  Rows index, iterate and measure like a list of rows,
+    so the elimination routines take a ModMat as is."""
 
-    __slots__ = ("rows", "mod", "_packed")
+    __slots__ = ("_rows", "_packed", "_w", "cols", "mod")
 
     def __init__(self, rows, mod: int):
-        self.rows = tuple(tuple([x % mod for x in row]) for row in rows)
-        self.mod = mod
-        self._packed = None
+        self._rows = rows = tuple(tuple([x % mod for x in row]) for row in rows)
+        self.cols = len(rows[0]) if rows else 0
+        self.mod, self._packed, self._w = mod, None, 0
 
     @staticmethod
     def of_reduced(rows, mod: int) -> "ModMat":
         """A ModMat of rows whose entries are residues in [0, mod) already."""
         out = ModMat.__new__(ModMat)
-        out.rows, out.mod, out._packed = tuple(map(tuple, rows)), mod, None
+        out._rows = rows = tuple(map(tuple, rows))
+        out.cols = len(rows[0]) if rows else 0
+        out.mod, out._packed, out._w = mod, None, 0
+        return out
+
+    @staticmethod
+    def of_packed(packed: list, mod: int, w: int, cols: int) -> "ModMat":
+        """A ModMat of reduced rows packed in w-byte slots (``_row_slots``)."""
+        out = ModMat.__new__(ModMat)
+        out._rows, out._packed, out._w, out.cols, out.mod = None, packed, w, cols, mod
         return out
 
     @staticmethod
@@ -895,8 +950,24 @@ class ModMat:
     def zero(n: int, mod: int) -> "ModMat":
         return ModMat.of_reduced(((0,) * n,) * n, mod)
 
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = _read_rows(self._packed, self._w, self.cols, self.mod)
+        return self._rows
+
+    def packed_at(self, w: int = 0) -> tuple:
+        """(packed rows, their slot width): the kept ones when their slots
+        are at least w bytes wide, else the rows packed at w, then kept.
+        w = 0 asks for the kept ones, or, when there are none, for rows
+        packed in the slots of a product by this matrix."""
+        if self._w < w or not self._w:
+            w = w or _row_slots(self.mod, len(self))[0]
+            self._packed, self._w = [_pack(row, w) for row in self.rows], w
+        return self._packed, self._w
+
     def __len__(self):
-        return len(self.rows)
+        return len(self._packed) if self._rows is None else len(self._rows)
 
     def __getitem__(self, i):
         return self.rows[i]
@@ -907,31 +978,51 @@ class ModMat:
     def __matmul__(self, other) -> "ModMat":
         return mat_mul_mod(self, other, self.mod)
 
+    def _linear(self, other, sign: int) -> "ModMat":
+        """self + other (sign 1), self - other (sign -1) or -self (other
+        None) on the packed rows: a slot holds at most 2 mod - 1 before
+        its Barrett step."""
+        mod, n = self.mod, self.cols
+        w = self.packed_at()[1]
+        if other is not None:
+            if not isinstance(other, ModMat) or other.mod != mod:
+                other = ModMat(other, mod)
+            w = max(w, other.packed_at()[1])
+            ys = other.packed_at(w)[0]
+        xs = self.packed_at(w)[0]
+        s, c, mask, full = _barrett(mod, w, n, (2 * mod).bit_length())
+        if other is None:
+            out = [full - x for x in xs]
+        elif sign > 0:
+            out = list(map(add, xs, ys))
+        else:
+            out = [x + full - y for x, y in zip(xs, ys)]
+        return ModMat.of_packed([x - mod * (x * c >> s & mask) for x in out], mod, w, n)
+
     def __add__(self, other) -> "ModMat":
-        mod = self.mod
-        return ModMat.of_reduced([[(x + y) % mod for x, y in zip(ra, rb)]
-                                  for ra, rb in zip(self.rows, other)], mod)
+        return self._linear(other, 1)
 
     def __sub__(self, other) -> "ModMat":
-        mod = self.mod
-        return ModMat.of_reduced([[(x - y) % mod for x, y in zip(ra, rb)]
-                                  for ra, rb in zip(self.rows, other)], mod)
+        return self._linear(other, -1)
 
     def __neg__(self) -> "ModMat":
-        mod = self.mod
-        return ModMat.of_reduced([[-x % mod for x in row] for row in self.rows], mod)
+        return self._linear(None, -1)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ModMat):
-            return self.mod == other.mod and self.rows == other.rows
+            if self.mod != other.mod or len(self) != len(other):
+                return False
+            if self._w and self._w == other._w:
+                return self.cols == other.cols and self._packed == other._packed
+            return self.rows == other.rows
         if not isinstance(other, (list, tuple)):
             return NotImplemented
         mod = self.mod
-        return len(self.rows) == len(other) and all(
+        return len(self) == len(other) and all(
             ra == tuple([y % mod for y in rb]) for ra, rb in zip(self.rows, other))
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
+        return not any(self._packed) if self._w else not any(map(any, self._rows))
 
 
 def mat_mul_mod(A, B, mod: int) -> ModMat:
@@ -943,28 +1034,26 @@ def mat_mul_mod(A, B, mod: int) -> ModMat:
 
 
 def _mat_mul(A, B, mod: int) -> ModMat:
-    """A*B mod `mod` by Kronecker rows: each row of B is packed once per
-    ModMat B into one int, in slots sized for a sum of len(B) products of
-    residues.  Output row i is then sum(a_ik * packed_k) over the nonzero
-    entries a_ik of row i of A, one bigint multiply-add each, read back
-    and reduced once.  The entries of a list A (or of a ModMat A over
-    another modulus) are reduced first, so an unreduced or negative one
-    cannot overflow a slot."""
+    """A*B mod `mod` by packed rows: output row i is sum(a_ik * packed_k)
+    over the nonzero entries a_ik of row i of A, one bigint multiply-add
+    each, then one Barrett step (``_barrett``); it stays packed.  B's rows
+    are packed in slots sized for a sum of len(B) products of residues,
+    unless they are packed at least that wide already.  The entries of a
+    list A (or of a ModMat A over another modulus) are reduced first, so
+    an unreduced or negative one cannot overflow a slot."""
     if not isinstance(B, ModMat) or B.mod != mod:
         B = ModMat(B, mod)
-    w = _slot_bytes(mod, len(B.rows))
-    if B._packed is None:
-        B._packed = [_pack(row, w) for row in B.rows]
-    packed = B._packed
-    cols = len(B.rows[0]) if B.rows else 0
+    w, b = _row_slots(mod, len(B))
+    packed, w = B.packed_at(w)
+    cols = B.cols
     if not isinstance(A, ModMat) or A.mod != mod:
         A = [[x % mod for x in row] for row in A]
-    zero = (0,) * cols
+    s, c, mask, _ = _barrett(mod, w, cols, b)
     out = []
     for Ai in A:
-        acc = sum(map(mul, compress(Ai, Ai), compress(packed, Ai)))
-        out.append(_unpack_mod(acc, w, cols, mod) if acc else zero)
-    return ModMat.of_reduced(out, mod)
+        x = sum(map(mul, compress(Ai, Ai), compress(packed, Ai)))
+        out.append(x - mod * (x * c >> s & mask))
+    return ModMat.of_packed(out, mod, w, cols)
 
 
 def mat_identity(n: int) -> list:
@@ -1197,6 +1286,11 @@ class QuotElem:
         if isinstance(other, int):
             return self._linear([a * other for a in self.coeffs], self.prec)
         other, pr = self._join(other)
+        # a constant operand (no q^i term for i >= 1) scales the other one
+        if not any(other.coeffs[1:]):
+            return self._linear([a * other.coeffs[0] for a in self.coeffs], pr)
+        if not any(self.coeffs[1:]):
+            return self._linear([a * self.coeffs[0] for a in other.coeffs], pr)
         ring = self.ring
         out = QuotElem.__new__(QuotElem)
         out.ring, out.prec = ring, pr
@@ -1224,6 +1318,8 @@ class QuotElem:
         if isinstance(other, int):
             other = self.ring.const(other)
         pr = min(self.prec, other.prec)
+        if pr <= 0:
+            raise PrecisionError("quotient-ring comparison on zero p-digits")
         mod = self.ring.p**pr
         return all((a - b) % mod == 0 for a, b in zip(self.coeffs, other.coeffs))
 
@@ -1281,119 +1377,3 @@ class QuotElem:
 
     def __repr__(self):
         return f"QuotElem({self.render()})"
-
-
-# ---------------------------------------------------------------------------
-# TPoly: polynomials in one chart coordinate T over TruncSeries
-# ---------------------------------------------------------------------------
-
-
-class TPoly:
-    """Sum of T^j * (series in t), with a hard cap on the T-degree.
-
-    Exceeding the cap is an error, not silent truncation: the twists in
-    play only rescale T-degrees, so overflow indicates misuse.
-    """
-
-    __slots__ = ("p", "N", "M", "cap", "terms")
-
-    def __init__(self, p, N, M, cap, terms=None):
-        self.p, self.N, self.M, self.cap = p, N, M, cap
-        clean = {}
-        for j, s in (terms or {}).items():
-            if j > cap:
-                raise PrecisionError(f"T-degree {j} exceeds cap {cap}")
-            if j < 0:
-                raise ValueError("negative T-degree")
-            if not s.is_zero():
-                clean[j] = s
-        self.terms = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(p, N, M, cap):
-        return TPoly(p, N, M, cap)
-
-    @staticmethod
-    def scalar(p, N, M, cap, s: TruncSeries):
-        return TPoly(p, N, M, cap, {0: s})
-
-    @staticmethod
-    def const(p, N, M, cap, c: int):
-        return TPoly(p, N, M, cap, {0: TruncSeries.const(p, N, M, c)})
-
-    @staticmethod
-    def one(p, N, M, cap):
-        return TPoly.const(p, N, M, cap, 1)
-
-    @staticmethod
-    def t_power(p, N, M, cap, j: int, s: TruncSeries = None):
-        return TPoly(p, N, M, cap, {j: s if s is not None else TruncSeries.one(p, N, M)})
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return TPoly.const(self.p, self.N, self.M, self.cap, other)
-        if isinstance(other, TruncSeries):
-            return TPoly.scalar(self.p, self.N, self.M, self.cap, other)
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for j, s in other.terms.items():
-            out[j] = out[j] + s if j in out else s
-        return TPoly(self.p, self.N, self.M, self.cap, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TPoly(self.p, self.N, self.M, self.cap,
-                     {j: -s for j, s in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int) or isinstance(other, TruncSeries):
-            return TPoly(self.p, self.N, self.M, self.cap,
-                         {j: s * other for j, s in self.terms.items()})
-        out: dict = {}
-        for j1, s1 in self.terms.items():
-            for j2, s2 in other.terms.items():
-                j = j1 + j2
-                prod = s1 * s2
-                out[j] = out[j] + prod if j in out else prod
-        return TPoly(self.p, self.N, self.M, self.cap, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (self - self._coerce(other)).is_zero()
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.terms.values())
-
-    def map_terms(self, fn) -> "TPoly":
-        """Apply (j, series) -> (j', series') to every term."""
-        out: dict = {}
-        for j, s in self.terms.items():
-            j2, s2 = fn(j, s)
-            out[j2] = out[j2] + s2 if j2 in out else s2
-        return TPoly(self.p, self.N, self.M, self.cap, out)
-
-    def divide_p_pow(self, a: int) -> "TPoly":
-        return TPoly(self.p, max(self.N - a, 1), self.M, self.cap,
-                     {j: s.divide_p_pow(a) for j, s in self.terms.items()})
-
-    def times_p_pow(self, a: int, cap_prec: int) -> "TPoly":
-        return TPoly(self.p, min(self.N + a, cap_prec), self.M, self.cap,
-                     {j: s.times_p_pow(a, cap_prec) for j, s in self.terms.items()})
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"T^{j}*({s.render()})" for j, s in sorted(self.terms.items()))
-
-    def __repr__(self):
-        return f"TPoly({self.render()})"

@@ -24,10 +24,126 @@ from dataclasses import dataclass
 from .exactcore import BigPoly, RingPresentation, psi_q_power, psi_t_power, q_analogue
 from .padic import (
     DivisionCertificateError,
+    PrecisionError,
     QuotientRing,
-    TPoly,
     TruncSeries,
 )
+
+
+# ---------------------------------------------------------------------------
+# TPoly: polynomials in one chart coordinate T over TruncSeries
+# ---------------------------------------------------------------------------
+
+
+class TPoly:
+    """Sum of T^j * (series in t), with a hard cap on the T-degree.
+
+    Exceeding the cap is an error, not silent truncation: the twists in
+    play only rescale T-degrees, so overflow indicates misuse.
+    """
+
+    __slots__ = ("p", "N", "M", "cap", "terms")
+
+    def __init__(self, p, N, M, cap, terms=None):
+        self.p, self.N, self.M, self.cap = p, N, M, cap
+        clean = {}
+        for j, s in (terms or {}).items():
+            if j > cap:
+                raise PrecisionError(f"T-degree {j} exceeds cap {cap}")
+            if j < 0:
+                raise ValueError("negative T-degree")
+            if not s.is_zero():
+                clean[j] = s
+        self.terms = clean
+
+    # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def zero(p, N, M, cap):
+        return TPoly(p, N, M, cap)
+
+    @staticmethod
+    def scalar(p, N, M, cap, s: TruncSeries):
+        return TPoly(p, N, M, cap, {0: s})
+
+    @staticmethod
+    def const(p, N, M, cap, c: int):
+        return TPoly(p, N, M, cap, {0: TruncSeries.const(p, N, M, c)})
+
+    @staticmethod
+    def one(p, N, M, cap):
+        return TPoly.const(p, N, M, cap, 1)
+
+    @staticmethod
+    def t_power(p, N, M, cap, j: int, s: TruncSeries = None):
+        return TPoly(p, N, M, cap, {j: s if s is not None else TruncSeries.one(p, N, M)})
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return TPoly.const(self.p, self.N, self.M, self.cap, other)
+        if isinstance(other, TruncSeries):
+            return TPoly.scalar(self.p, self.N, self.M, self.cap, other)
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for j, s in other.terms.items():
+            out[j] = out[j] + s if j in out else s
+        return TPoly(self.p, self.N, self.M, self.cap, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TPoly(self.p, self.N, self.M, self.cap,
+                     {j: -s for j, s in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        if isinstance(other, int) or isinstance(other, TruncSeries):
+            return TPoly(self.p, self.N, self.M, self.cap,
+                         {j: s * other for j, s in self.terms.items()})
+        out: dict = {}
+        for j1, s1 in self.terms.items():
+            for j2, s2 in other.terms.items():
+                j = j1 + j2
+                prod = s1 * s2
+                out[j] = out[j] + prod if j in out else prod
+        return TPoly(self.p, self.N, self.M, self.cap, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (self - self._coerce(other)).is_zero()
+
+    def is_zero(self) -> bool:
+        return all(s.is_zero() for s in self.terms.values())
+
+    def map_terms(self, fn) -> "TPoly":
+        """Apply (j, series) -> (j', series') to every term."""
+        out: dict = {}
+        for j, s in self.terms.items():
+            j2, s2 = fn(j, s)
+            out[j2] = out[j2] + s2 if j2 in out else s2
+        return TPoly(self.p, self.N, self.M, self.cap, out)
+
+    def divide_p_pow(self, a: int) -> "TPoly":
+        return TPoly(self.p, max(self.N - a, 1), self.M, self.cap,
+                     {j: s.divide_p_pow(a) for j, s in self.terms.items()})
+
+    def times_p_pow(self, a: int, cap_prec: int) -> "TPoly":
+        return TPoly(self.p, min(self.N + a, cap_prec), self.M, self.cap,
+                     {j: s.times_p_pow(a, cap_prec) for j, s in self.terms.items()})
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"T^{j}*({s.render()})" for j, s in sorted(self.terms.items()))
+
+    def __repr__(self):
+        return f"TPoly({self.render()})"
 
 
 class GhostSolveError(Exception):
@@ -522,7 +638,7 @@ def construct_c_u(p: int, alpha: int, L: int, u, N: int = 8, M: int = 32):
     # non-congruent unit: witness the divisibility failure at n = 0;
     # the witness needs room for one distinguished division regardless
     # of the configured truncation
-    from .padic import PrecisionError, d_poly_t, vp_factorial
+    from .padic import d_poly_t, vp_factorial
     deg = (p - 1) * p**alpha
     M_wit = 3 * deg + 6
     if not isinstance(u, int):

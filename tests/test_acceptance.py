@@ -231,9 +231,9 @@ def test_criterion_10_regular_rep():
     vectors."""
     ok = True
     for (p, a) in [(3, 0), (2, 1)]:
+        rep = crystal.HTRegularRep(12, p, a, 8)
         for variables in (1, 2):
-            rep = crystal.ht_regular_rep(12, p, a, 8, variables=variables)
-            ok = ok and all(rep.values())
+            ok = ok and all(getattr(rep, name) for _, name in rep.checks(variables))
     verdict(10, "divided-power regular representation", ok)
 
 

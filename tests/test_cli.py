@@ -242,6 +242,13 @@ class TestImportFootprint:
         assert {"qprism.exactcore", "qprism.ore"} <= modules
         assert not modules & {"qprism.crystal", "qprism.descent", "qprism.witt"}
 
+    def test_double_complex_loads_no_ore_layer(self):
+        # its scalar context comes from qprism.scalars, which needs padic only
+        modules = self.loaded(["--suite", "double-complex"])
+        assert {"qprism.crystal", "qprism.scalars"} <= modules
+        assert not modules & {"qprism.ore", "qprism.exactcore", "qprism.descent",
+                              "qprism.witt"}
+
     def test_every_suite_runs_without_failure(self):
         # a runner that calls a layer it does not import fails its block;
         # this also covers the suites that SWEEP_SUITES leaves out

@@ -7,6 +7,7 @@ import pytest
 
 from qprism.crystal import (
     DividedPowerAlgebra,
+    HTRegularRep,
     QConnModule,
     bk_twist,
     conjugate_module,
@@ -15,7 +16,6 @@ from qprism.crystal import (
     double_complex,
     fib_partial,
     graded_mixed_module,
-    ht_regular_rep,
     nilpotence_check,
     normalized_twist_h1,
     qdr_complex,
@@ -24,7 +24,7 @@ from qprism.crystal import (
     tensor,
     twist_unit_scalar,
 )
-from qprism.ore import QuotScalars
+from qprism.scalars import QuotScalars
 from qprism.padic import (
     ModMat,
     QuotientRing,
@@ -586,6 +586,30 @@ class TestRowAssembly:
         assert self._reduced(row.diffs + total + [mod.flat_partial()], p, N)
 
 
+class TestFlatteningTables:
+    """Flattenings are built from one packed table per (ring, rank), and
+    flattened scalars and block diagonal operators are kept there, shared
+    by every module of that shape."""
+
+    @pytest.mark.parametrize("p,alpha,n", [(3, 1, 1), (2, 1, 2), (5, 0, 3)])
+    def test_shared_per_ring_and_rank(self, p, alpha, n):
+        N = 5
+        a = _random_module(p, alpha, n, N, 3, 1, random.Random(p + n))
+        b = _random_module(p, alpha, n, N, 3, 1, random.Random(p + n + 1))
+        c = _random_module(p, alpha, n, N, 2, 1, random.Random(p + n + 2))
+        x = a.ring.q_power(2) + 5
+        assert a.flat_scalar(x) is b.flat_scalar(b.ring.q_power(2) + 5)
+        assert a._kron_base(a.ring.partial_matrix()) is b._kron_base(b.ring.partial_matrix())
+        assert c.flat_scalar(x) is not a.flat_scalar(x)
+        for mod in (a, b, c):
+            assert mod.flat_scalar(x) == _flat_of_blocks_reference(mod, mod.scalar_matrix(x))
+            for base in (mod.ring.partial_matrix(), mod.ring.endo_matrix(p + 1)):
+                assert mod._kron_base(base) == _kron_base_reference(mod, base)
+        # a flattening keeps its packed rows and reads its entries on demand
+        F = b._flat_of_blocks(b.N_list[0])
+        assert F._rows is None and F == _flat_of_blocks_reference(b, b.N_list[0])
+
+
 def _conjugate_reference(mod, P):
     """P^-1 B P for every operator B, as sums of QuotElem products; P^-1
     is read back from the inverse of P's flattening."""
@@ -609,16 +633,31 @@ def _entries(B):
 
 class TestConjugateModule:
     def _graded(self, p, alpha, N, shape, seed):
-        """A graded mixed module and a random change of basis for it."""
+        """A graded mixed module, a random change of basis for it and the
+        inverse built with it."""
         rng = random.Random(seed)
         mod = graded_mixed_module(p, alpha, N, shape, rng)
-        return mod, random_unit_matrix(mod.ring, mod.rank, rng)
+        return (mod, *random_unit_matrix(mod.ring, mod.rank, rng))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("alpha,N,r", [(0, 6, 4), (1, 4, 3), (1, 8, 6)])
+    def test_inverse_is_the_smith_inverse(self, p, alpha, N, r):
+        # the inverse built by the column operations is the one that
+        # elimination finds on P's flattening
+        rng = random.Random(100 * p + 10 * N + r)
+        ring = QuotientRing(p, N, alpha, 1)
+        mod = QConnModule(ring, r)
+        for _ in range(3):
+            P, P_inv = random_unit_matrix(ring, r, rng)
+            flat_P = mod._flat_of_blocks(P)
+            assert mod._flat_of_blocks(P_inv) == inv_mod(flat_P, p, N)
+            assert (mod._flat_of_blocks(P_inv) @ flat_P) == ModMat.identity(r * ring.deg, p**N)
 
     @pytest.mark.parametrize("p,alpha,N,shape", [(3, 0, 6, (3, 2)), (2, 1, 6, (2, 2)),
                                                  (3, 1, 8, (2, 3)), (5, 0, 4, (2,))])
     def test_matches_quotelem_formula(self, p, alpha, N, shape):
-        mod, P = self._graded(p, alpha, N, shape, 20 + p + N)
-        got = conjugate_module(mod, P)
+        mod, P, P_inv = self._graded(p, alpha, N, shape, 20 + p + N)
+        got = conjugate_module(mod, P, P_inv)
         D, N_list = _conjugate_reference(mod, P)
         assert _entries(got.D) == _entries(D)
         assert [_entries(B) for B in got.N_list] == [_entries(B) for B in N_list]
@@ -626,12 +665,12 @@ class TestConjugateModule:
         assert {x.prec for B in [got.D, *got.N_list] for row in B for x in row} == {N}
 
     def test_reduced_precision_entries(self):
-        mod, P = self._graded(3, 1, 6, (2, 2), 31)
+        mod, P, P_inv = self._graded(3, 1, 6, (2, 2), 31)
         ring = mod.ring
         P = [row[:] for row in P]
         P[1][2] = ring.elem(P[1][2].coeffs, 4)
         mod.N_list[0][3][0] = ring.elem(mod.N_list[0][3][0].coeffs, 5)
-        got = conjugate_module(mod, P)
+        got = conjugate_module(mod, P, P_inv)
         D, N_list = _conjugate_reference(mod, P)
         assert _entries(got.D) == _entries(D)
         assert [_entries(B) for B in got.N_list] == [_entries(B) for B in N_list]
@@ -695,10 +734,41 @@ class TestTensor:
 class TestRegularRep:
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (5, 0)])
     def test_report(self, p, a):
-        rep = ht_regular_rep(12, p, a, 8, variables=1)
-        assert all(rep.values()), rep
-        rep2 = ht_regular_rep(12, p, a, 8, variables=2)
-        assert all(rep2.values()), rep2
+        rep = HTRegularRep(12, p, a, 8)
+        for variables in (1, 2):
+            checks = {cid: getattr(rep, name) for cid, name in rep.checks(variables)}
+            assert len(checks) == 3 + variables and all(checks.values()), checks
+
+    def test_suite_decides_each_check_in_its_own_block(self, monkeypatch):
+        # at one p-digit the geometric checks run out of digits in the
+        # factorial divisions; the law, the u-unit and coassociativity
+        # checks are still decided, and each shared check is computed once
+        from qprism import crystal
+        from qprism.suites import NOT_CERTIFIED, PASS, REGISTRY, RunConfig
+
+        calls = []
+        orig = crystal.divided_beta_powers
+
+        def counted(ring, kind, jmax):
+            calls.append(kind)
+            return orig(ring, kind, jmax)
+
+        monkeypatch.setattr(crystal, "divided_beta_powers", counted)
+        cases = REGISTRY["ht-regular-rep"].runner(RunConfig(p=2, p_prec=1))
+        status = {c.case_id: c.status for c in cases}
+        assert len(status) == 9
+        for v in (1, 2):
+            assert status[f"[{v} var] arithmetic coefficient law (degrees <= 12)"] == PASS
+            assert status[f"[{v} var] comultiplication coassociative (degrees <= 3)"] == PASS
+            assert status[f"[{v} var] geometric diagonal = 1"] == NOT_CERTIFIED
+            assert status[f"[{v} var] geometric entries certified"] == NOT_CERTIFIED
+        assert status["[2 var] diagonal u unit (u * u^(-1) = 1 on truncation)"] == PASS
+        # tau once; sigma raises, so each of its four blocks tries it
+        assert calls.count("tau") == 1 and calls.count("sigma") == 4
+        calls.clear()
+        cases = REGISTRY["ht-regular-rep"].runner(RunConfig(p=3))
+        assert [c.status for c in cases] == [PASS] * 9
+        assert sorted(calls) == ["sigma", "tau"]
 
     def test_unit_column_is_zero(self):
         # partial(a^[0]) = 0: the degree-0 column of the group-law

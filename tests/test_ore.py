@@ -12,7 +12,7 @@ from qprism.exactcore import (
     RingPresentation,
     q_analogue,
 )
-from qprism import ore
+from qprism import ore, scalars
 from qprism.padic import PadicInt, QuotElem, QuotientRing, TruncSeries
 from qprism.ore import (
     OreAlgebra,
@@ -547,7 +547,7 @@ class TestCorrectionNegativeControl:
 
     @pytest.fixture
     def bumped_c_j(self, monkeypatch):
-        orig = ore._QScalars.d_coeffs
+        orig = scalars._QScalars.d_coeffs
 
         def bumped(ctx):
             out = dict(orig(ctx))
@@ -555,7 +555,7 @@ class TestCorrectionNegativeControl:
             out[j] = out[j] + ctx.const(ctx.p ** (self.N - 1))
             return out
 
-        monkeypatch.setattr(ore._QScalars, "d_coeffs", bumped)
+        monkeypatch.setattr(scalars._QScalars, "d_coeffs", bumped)
 
     @pytest.mark.parametrize("p,a", [(2, 0), (2, 1), (3, 0), (3, 1)])
     def test_master_relation_fails(self, bumped_c_j, p, a):

@@ -17,7 +17,10 @@ from qprism.padic import (
     TruncSeries,
     _mat_mul,
     _poly_mod,
+    _barrett,
+    _pack,
     _poly_mul,
+    _row_slots,
     _slot_bytes,
     coker_invariants_mod,
     d_poly_t,
@@ -1053,18 +1056,26 @@ class TestMatMulKernel:
             B = [[1, -mod], [mod - 1, 3 * mod]]
             assert _mat_mul(A, B, mod) == loop_mat_mul(A, B, mod) == [[0, 0], [mod - 1, 0]]
 
-    # one modulus per slot path: 4-byte, 8-byte and wide slots (11 and 19
-    # bytes), at inner dimensions K up to 108
-    SLOT_PATHS = [(3, 6, 4), (5, 8, 8), (2, 40, 11), (5, 30, 19)]
+    # one modulus per slot path of the Kronecker kernels (``_slot_bytes``:
+    # 4-byte, 8-byte and wide slots of 11 and 19 bytes), at inner
+    # dimensions K up to 108; the matrix rows use the Barrett slots of
+    # ``_row_slots``, one or two words up to 2^64 and whole bytes beyond
+    SLOT_PATHS = [(3, 6, 4), (5, 8, 8), (3, 8, 8), (3, 13, 8), (2, 40, 11), (5, 30, 19)]
 
     @pytest.mark.parametrize("p,N,w", SLOT_PATHS)
     def test_slot_paths_against_loop(self, p, N, w):
         rng = random.Random(p * N)
         mod = p**N
         assert _slot_bytes(mod, 1) <= _slot_bytes(mod, 108) == w
+        row_w, b = _row_slots(mod, 108)
+        assert 8 * row_w >= 2 * b + 2 and b == (108 * (mod - 1) ** 2).bit_length()
+        assert row_w % 8 == 0 if mod <= 1 << 64 else 8 * (row_w - 1) < 2 * b + 2
+        for terms in (1, 12, 36, 108):
+            _check_barrett(rng, mod, *_row_slots(mod, terms))
         shapes = [(2, 108, 3), (5, 36, 7), (1, 1, 1), (3, 72, 1), (4, 12, 12)]
         for rows, inner, cols in shapes:
             assert _slot_bytes(mod, inner) <= w
+            assert _row_slots(mod, inner)[0] <= row_w
             for density in (0.1, 0.6, 1.0):
                 # unreduced and negative entries on the left, zero rows on
                 # both sides
@@ -1077,6 +1088,7 @@ class TestMatMulKernel:
                 assert _mat_mul(A, Bm, mod) == want, (rows, inner, cols, density)
                 assert _mat_mul(ModMat(A, mod), Bm, mod) == want
                 assert _mat_mul(A, B, mod) == want
+                _check_packed_linear(rng, A, B, mod)
         # the largest entries fill every slot to its bound
         A = [[mod - 1] * 108]
         B = [[mod - 1] * 5 for _ in range(108)]
@@ -1098,7 +1110,78 @@ class TestMatMulKernel:
         A = [[mod - 1] * 7, [1 - mod] * 7]
         B = [[mod - 1] * 3 for _ in range(7)]
         assert _mat_mul(A, B, mod) == loop_mat_mul(A, B, mod)
+        # the Barrett slots of the same sums: 8w >= 2b + 2 with b = 2N + 3
+        row_w, b = _row_slots(mod, 7)
+        assert b == 2 * N + 3 and row_w == 8 * -(-(2 * b + 2) // 64)
+        _check_packed_linear(random.Random(N), A, B, mod)
 
+    # (modulus, terms) whose largest sum has b bits with 2b + 2 at a slot
+    # boundary (8w = 2b + 2), and one bit past it, which takes the next
+    # slot: b = 31 and 32 at one word, 63 and 64 at two, and 159 and 160
+    # for the byte slots beyond 64-bit residues
+    BARRETT_EDGES = [(2**15, 2, 31, 8), (2**15, 3, 32, 16),
+                     (2**31, 2, 63, 16), (2**31, 3, 64, 24),
+                     (5**30, 2**19, 159, 40), (5**30, 2**20, 160, 41)]
+
+    @pytest.mark.parametrize("mod,terms,b,w", BARRETT_EDGES)
+    def test_barrett_slot_edges(self, mod, terms, b, w):
+        assert _row_slots(mod, terms) == (w, b)
+        assert 8 * w >= 2 * b + 2
+        rng = random.Random(b)
+        _check_barrett(rng, mod, w, b)
+        if terms <= 4:
+            A = [[mod - 1] * terms, [1] * terms]
+            B = [[mod - 1] * 3 for _ in range(terms)]
+            assert _mat_mul(A, B, mod) == loop_mat_mul(A, B, mod)
+            _check_packed_linear(rng, A, B, mod)
+
+    def test_barrett_reduces_every_slot_exactly(self):
+        # every sum below 2^b in every slot position, at small moduli
+        for mod in (2, 3, 9, 25, 27, 32):
+            b = (3 * (mod - 1) ** 2).bit_length()
+            w, _ = _row_slots(mod, 3)
+            xs = list(range(1 << b))
+            s, c, mask, _ = _barrett(mod, w, len(xs), b)
+            packed = sum(x << (8 * w * i) for i, x in enumerate(xs))
+            reduced = packed - mod * (packed * c >> s & mask)
+            assert ModMat.of_packed([reduced], mod, w, len(xs)).rows == (
+                tuple(x % mod for x in xs),)
+
+
+def _check_barrett(rng, mod, w, b):
+    """One Barrett step on packed sums below 2^b against x % mod: the
+    largest sums, sums just off multiples of mod, and the largest sums
+    that leave mod - 1, where an estimate of x/mod too large by 1/mod
+    would first show."""
+    top = (1 << b) - 1
+    xs = [top, top - 1, 0, mod - 1, mod, 2 * mod - 1,
+          top // mod * mod - 1, (top - mod + 1) // mod * mod + mod - 1,
+          *(rng.randrange(top // mod) * mod + rng.choice((0, 1, mod - 1))
+            for _ in range(20))]
+    s, c, mask, _ = _barrett(mod, w, len(xs), b)
+    packed = sum(x << (8 * w * i) for i, x in enumerate(xs))
+    reduced = packed - mod * (packed * c >> s & mask)
+    assert [(reduced >> (8 * w * i)) & ((1 << (8 * w)) - 1)
+            for i in range(len(xs))] == [x % mod for x in xs]
+
+
+def _check_packed_linear(rng, A, B, mod):
+    """Sums, differences, negations, ``==`` and ``is_zero`` of packed
+    products against the same operations on the triple loop's entries."""
+    C = _sparse_matrix(rng, len(A), len(A[0]) if A else 0, mod, 0.7, -mod, 2 * mod)
+    P, Q = _mat_mul(A, B, mod), _mat_mul(C, B, mod)
+    want_p, want_q = loop_mat_mul(A, B, mod), loop_mat_mul(C, B, mod)
+    cases = [(P + Q, lambda x, y: x + y), (P - Q, lambda x, y: x - y),
+             (Q - P, lambda x, y: y - x), (-P, lambda x, y: -x)]
+    for got, op in cases:
+        want = [[op(x, y) % mod for x, y in zip(rp, rq)] for rp, rq in zip(want_p, want_q)]
+        assert got == want
+        assert got.is_zero() == (not any(map(any, want)))
+    assert (P - P).is_zero() and (P + -P).is_zero()
+    assert P.is_zero() == (not any(map(any, want_p)))
+    assert (P == Q) == (want_p == want_q)
+    assert P == _mat_mul(A, ModMat(B, mod), mod) == ModMat(want_p, mod)
+    assert P + Q == ModMat(want_p, mod) + ModMat(want_q, mod)
 
 
 class TestModMat:
@@ -1155,20 +1238,59 @@ class TestModMat:
                 assert got == want and got.rows == tuple(map(tuple, want))
 
     def test_packed_rows_built_once(self):
+        # a matrix built from rows packs them the first time it is a right
+        # operand and keeps them; a product keeps its packed rows and reads
+        # its entries only when they are asked for
         mod = 3**3
         B = ModMat([[0, 5], [7, 0], [0, 0]], mod)
         assert B._packed is None
         first = ModMat([[1, 2, 3]], mod) @ B
-        packed = B._packed
-        w = _slot_bytes(mod, 3)
+        packed, w = B._packed, B._w
+        assert (w, _row_slots(mod, 3)[0]) == (8, 8)
         assert packed == [5 << (8 * w), 7, 0]
         second = mat_mul_mod([[4, 0, 1], [0, 1, 0]], B, mod)
         assert B._packed is packed
+        # a product by a product reuses its packed rows as they are
+        third = ModMat([[1, 1]], mod) @ second
+        assert first._rows is None and second._rows is None
+        assert first._packed == [(2 * 7) + (5 << (8 * w))] and first._w == w
         assert first == loop_mat_mul([[1, 2, 3]], B.rows, mod)
         assert second == loop_mat_mul([[4, 0, 1], [0, 1, 0]], B.rows, mod)
-        # a product is a new value: its own rows are packed only when it
-        # is a right operand in turn
-        assert first._packed is None and second._packed is None
+        assert first._rows == ((14, 5),) and third == [[7, 20]]
+
+    def test_product_compared_only_never_builds_its_rows(self):
+        rng = random.Random(11)
+        mod = 3**6
+        a, b = (_sparse_matrix(rng, 12, 12, mod, 0.15) for _ in range(2))
+        A, B = ModMat(a, mod), ModMat(b, mod)
+        AB, BA = A @ B, B @ A
+        S = AB + BA
+        D = AB - AB
+        assert (AB == ModMat(a, mod) @ ModMat(b, mod)) and not (AB != A @ B)
+        assert S == BA + AB and D.is_zero() and not S.is_zero()
+        assert (-S + S).is_zero() and B @ S == (B @ AB) + (B @ BA)
+        assert all(M._rows is None for M in (AB, BA, S, D))
+        # the same packed ints over more columns are another matrix
+        one = ModMat([[1]], mod)
+        assert one @ ModMat([[1, 2]], mod) != one @ ModMat([[1, 2, 0]], mod)
+        # rows of a wider kept packing are reused, not repacked
+        C = ModMat(b, mod)
+        C.packed_at(16)
+        assert (A @ C)._w == 16 and A @ C == AB and (A @ C) + AB == AB + AB
+
+    def test_packed_rows_across_widths(self):
+        # a product by a matrix kept in wider slots, summed with one in
+        # narrower slots, and both compared: the values decide, not the slots
+        mod = 2**40
+        rng = random.Random(4)
+        a = _sparse_matrix(rng, 3, 3, mod, 1.0)
+        narrow, wide = ModMat(a, mod), ModMat(a, mod)
+        narrow.packed_at()
+        wide.packed_at(3 * narrow._w)
+        assert narrow._w < wide._w
+        assert narrow == wide and (narrow - wide).is_zero()
+        assert narrow + wide == wide + narrow == loop_mat_mul(a, [[2, 0, 0], [0, 2, 0], [0, 0, 2]], mod)
+        assert ModMat([[1, 0, 0]], mod) @ wide == [a[0]]
 
 
 class TestReductionTable:
@@ -1241,3 +1363,40 @@ class TestQuotElemLinearOps:
                 want = QuotElem(R, raw, prec)
                 assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
                 assert len(got.coeffs) == R.deg
+
+    @pytest.mark.parametrize("p,N,alpha,n", [(2, 8, 1, 2), (3, 6, 1, 1),
+                                             (3, 4, 0, 3), (5, 7, 0, 2)])
+    def test_constant_operand_product(self, p, N, alpha, n):
+        # a product by a constant (no q^i term for i >= 1) scales the other
+        # operand; it must equal the packed product through the reduction
+        # table, with the smaller precision, on either side
+        rng = random.Random(7 * p + N + n)
+        R = QuotientRing(p, N, alpha, n)
+        mod = p**N
+
+        def packed_product(x, y):
+            return R._fold(_pack(x.coeffs, R._slot) * _pack(y.coeffs, R._slot))
+
+        for _ in range(30):
+            x = R.elem([rng.randrange(mod) for _ in range(R.deg)], rng.randrange(1, N + 1))
+            for c in (0, 1, mod - 1, rng.randrange(mod)):
+                k = R.elem([c], rng.randrange(1, N + 1))
+                for got in (x * k, k * x):
+                    assert got.coeffs == packed_product(x, k)
+                    assert got.prec == min(x.prec, k.prec)
+                    assert len(got.coeffs) == R.deg
+            assert (R.one() * R.zero()).coeffs == [0] * R.deg
+
+
+class TestQuotElemZeroDigits:
+    """A comparison decided on no p-digit certifies nothing: it raises."""
+
+    def test_eq_at_zero_digits_raises(self):
+        R = QuotientRing(3, 4, 1, 1)
+        x = R.elem([1, 2], 0)
+        for a, b in [(x, R.elem([5], 4)), (R.one(), x), (x, x), (x, 1)]:
+            with pytest.raises(PrecisionError):
+                a == b
+        # one digit decides
+        y = R.elem([1, 2], 1)
+        assert y == R.elem([4, 5], 4) and not (y == R.elem([2, 2], 4))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qprism.exactcore import BigPoly, RingPresentation, q_analogue
-from qprism.padic import TPoly, TruncSeries, teichmuller, vp_factorial
+from qprism.padic import TruncSeries, teichmuller, vp_factorial
 from qprism.witt import (
     EpsPair,
     EpsSeriesBase,
@@ -15,6 +15,7 @@ from qprism.witt import (
     NonexistenceWitness,
     SeriesBase,
     TEpsSeriesBase,
+    TPoly,
     WittVector,
     construct_b,
     construct_c,
