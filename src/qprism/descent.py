@@ -31,6 +31,7 @@ indices, never dropped.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import add, sub
 
@@ -38,6 +39,7 @@ from .padic import (
     PadicInt,
     QuotientRing,
     TruncSeries,
+    _exponent_key,
     _poly_mul,
     d_poly_t,
     d_prime_elem,
@@ -88,7 +90,7 @@ def _digit_chain(p: int, h: TruncSeries, u_inv: TruncSeries, d_t: list,
                 "remainder is not a constant: input is not in the "
                 "invariant power-series ring at this precision")
         digits.append((c0, cert))
-        cur = Q * u_inv.reduce_prec(M=Q.M)
+        cur = Q * u_inv  # joined at Q's smaller (N, M)
     return digits
 
 
@@ -113,9 +115,10 @@ def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
     series = {}
 
     def qp(e):
-        if e not in series:
-            series[e] = TruncSeries.q_power(p, N, M_work, e)
-        return series[e]
+        key = _exponent_key(e)
+        if key not in series:
+            series[key] = TruncSeries.q_power(p, N, M_work, e)
+        return series[key]
 
     ptilde = TruncSeries.one(p, N, M_work)
     for u in range(1, p):
@@ -337,57 +340,71 @@ def averaging_projector_check(p: int, N: int = 6, M: int = 24,
 # ---------------------------------------------------------------------------
 
 
-def epsilon_action_suite(p: int, alpha: int = 0, N: int = 8,
-                         M: int = 24) -> dict:
-    """Well-definedness and equivariance of the unit-group action on the
-    square-zero extension, plus the invariant generator v = e*eps; the
-    checks by case id."""
-    checks = {}
-    n_t = N + vp_factorial(p, M) + 2
-    lifts = {u: teichmuller(p, u, n_t) for u in range(1, p)}
-    one = TruncSeries.one(p, N, M)
-    q = TruncSeries.q_power(p, N, M, 1)
+class EpsilonAction:
+    """The unit-group action on the square-zero extension, one check at a
+    time: well-definedness on eps^2, equivariance of psi, and the
+    invariant generator v = e*eps mod d.
 
-    def qpow(e):
-        return TruncSeries.q_power(p, N, M, e)
+    X_u, with gamma_u(eps) = X_u * eps, is built once, on first use, and
+    shared by the checks.  Its division by t raises ``PrecisionError``
+    when no t-digit is left, and so does each check that reads it.
+    """
 
-    # X_u with gamma_u(eps) = X_u * eps:  q^([u]-1) (q^[u]-1)/(q-1)
-    X = {}
-    for u in range(1, p):
-        X[u] = qpow(lifts[u] - 1) * (qpow(lifts[u]) - one).divide_t_pow(1)
+    CHECKS = (("action well defined on eps^2", "well_defined"),
+              ("psi is unit-group equivariant", "equivariant"),
+              ("v = e*eps is invariant mod d", "invariant_mod_d"))
 
-    ok = True
-    beta_ht = q * (q - one)
-    for u in range(1, p):
-        lhs = X[u] * X[u] * beta_ht
-        rhs = qpow(lifts[u]) * (qpow(lifts[u]) - one) * X[u]
-        ok = ok and (lhs == rhs)
-    checks["action well defined on eps^2"] = ok
+    def __init__(self, p: int, alpha: int = 0, N: int = 8, M: int = 24):
+        self.p, self.alpha, self.N, self.M = p, alpha, N, M
+        n_t = N + vp_factorial(p, M) + 2
+        self.lifts = {u: teichmuller(p, u, n_t) for u in range(1, p)}
+        self.one = TruncSeries.one(p, N, M)
 
-    ok = True
-    d = TruncSeries.d_series(p, N, M, 0)
-    for u in range(1, p):
-        lhs = (qpow(lifts[u] * p) - one).divide_t_pow(1) * qpow(lifts[u] - 1)
-        rhs = d.gamma_u(lifts[u]) * X[u]
-        ok = ok and (lhs == rhs)
-    checks["psi is unit-group equivariant"] = ok
+    def qpow(self, e) -> TruncSeries:
+        return TruncSeries.q_power(self.p, self.N, self.M, e)
 
-    ring = QuotientRing(p, N, alpha, 1)
-    e_el = d_prime_elem(ring)
-    ok = True
-    for u in range(1, p):
-        ge = ring.from_series(TruncSeries.d_series(p, N, M, alpha)
-                              .derivative_q().gamma_u(lifts[u]))
-        xu = ring.from_series(X[u])
-        ok = ok and (ge * xu == e_el)
-    checks["v = e*eps is invariant mod d"] = ok
-    return checks
+    @functools.cached_property
+    def X(self) -> dict:
+        """X_u = q^([u]-1) (q^[u]-1)/(q-1) for each unit u."""
+        return {u: self.qpow(lift - 1) * (self.qpow(lift) - self.one).divide_t_pow(1)
+                for u, lift in self.lifts.items()}
+
+    @functools.cached_property
+    def well_defined(self) -> bool:
+        q = self.qpow(1)
+        beta_ht = q * (q - self.one)
+        ok = True
+        for u, lift in self.lifts.items():
+            xu, qu = self.X[u], self.qpow(lift)
+            ok = ok and (xu * xu * beta_ht == qu * (qu - self.one) * xu)
+        return ok
+
+    @functools.cached_property
+    def equivariant(self) -> bool:
+        d = TruncSeries.d_series(self.p, self.N, self.M, 0)
+        ok = True
+        for u, lift in self.lifts.items():
+            lhs = (self.qpow(lift * self.p) - self.one).divide_t_pow(1) * self.qpow(lift - 1)
+            ok = ok and (lhs == d.gamma_u(lift) * self.X[u])
+        return ok
+
+    @functools.cached_property
+    def invariant_mod_d(self) -> bool:
+        p, N, M = self.p, self.N, self.M
+        ring = QuotientRing(p, N, self.alpha, 1)
+        e_el = d_prime_elem(ring)
+        d_prime = TruncSeries.d_series(p, N, M, self.alpha).derivative_q()
+        ok = True
+        for u, lift in self.lifts.items():
+            ge = ring.from_series(d_prime.gamma_u(lift))
+            ok = ok and (ge * ring.from_series(self.X[u]) == e_el)
+        return ok
 
 
 def e_beta_is_p_mod_d(p: int, N: int = 8) -> bool:
     """e * q(q-1) = p in A/d at alpha = 0, with e = d'(q).  The identity
     lives in A/d and needs no t-digit, unlike the checks of
-    ``epsilon_action_suite``, which divide by t to build X_u."""
+    ``EpsilonAction``, which divide by t to build X_u."""
     ring = QuotientRing(p, N, 0, 1)
     beta_el = ring.q_power(1) * (ring.q_power(1) - 1)
     return d_prime_elem(ring) * beta_el == ring.const(p)

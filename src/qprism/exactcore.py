@@ -134,14 +134,16 @@ class BigPoly:
     Terms map (q-exponent, eps-exponents, T-exponents) to a nonzero int;
     after reduction every eps exponent is 0 or 1 and at most one eps is
     present per term.  The product kernel relies on this: it files each
-    term under its one eps, or none.
+    term under its one eps, or none.  A polynomial keeps that split
+    (``sectors``) once a product has made it.
     """
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ("pres", "terms", "_sectors")
 
     def __init__(self, pres: RingPresentation, terms: dict):
         self.pres = pres
         self.terms = terms
+        self._sectors = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -194,10 +196,24 @@ class BigPoly:
                 [(key, c)] = one.items()
                 if not any(key[1]):
                     return BigPoly(self.pres, _mul_by_term(self.pres, many, key, c))
-        return BigPoly(self.pres, _packed_mul(self.pres, a, b))
+        return BigPoly(self.pres, _packed_mul(self.pres, [(self, other)]))
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    @staticmethod
+    def sum_of_products(pres: RingPresentation, pairs) -> "BigPoly":
+        """sum a * b over the (a, b) pairs of polynomials of ``pres``, in
+        one packed box: each operand is packed once and each target
+        sector read once, however many pairs there are."""
+        pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+        return BigPoly(pres, _packed_mul(pres, pairs) if pairs else {})
+
+    def sectors(self) -> dict:
+        """The terms split by eps sector (``_split``), made once."""
+        if self._sectors is None:
+            self._sectors = _split(self.terms, _eps_sectors(self.pres.n_eps)[1])
+        return self._sectors
 
     def __pow__(self, n: int):
         if n < 0:
@@ -437,28 +453,39 @@ def _unpack(x, ee, lo, dims, width, out):
         pos = skip(raw, pos + width).end()
 
 
-def _packed_mul(pres, a, b):
-    """The reduced terms of a * b, for nonempty term dicts a and b."""
-    keys, sector_of = _eps_sectors(pres.n_eps)
-    sa_all, sb_all = _split(a, sector_of), _split(b, sector_of)
-    # (a sector, b sector, target sector, [(exponent shift, coefficient)])
-    pairs = []
-    for sa in sa_all:
-        for sb in sb_all:
-            if not (sa and sb):
-                pairs.append((sa, sb, sa or sb, [((0,) * (pres.m + 1), 1)]))
-            elif sa == sb:
-                fac = pres.eps_square_factor(sa - 1)
-                pairs.append((sa, sb, sa, [((fq, *ft), fc)
-                                           for (fq, _, ft), fc in fac.terms.items()]))
-    if not pairs:
+def _packed_mul(pres, pairs):
+    """The reduced terms of sum a * b over the (a, b) pairs of nonempty
+    polynomials, read from one packed box."""
+    keys, _ = _eps_sectors(pres.n_eps)
+    # (a, b, a sector, b sector, target sector, [(exponent shift, coefficient)])
+    jobs = []
+    bound = 0
+    for a, b in pairs:
+        sa_all, sb_all = a.sectors(), b.sectors()
+        per_term = 1
+        for sa in sa_all:
+            for sb in sb_all:
+                if not (sa and sb):
+                    jobs.append((a, b, sa, sb, sa or sb, [((0,) * (pres.m + 1), 1)]))
+                elif sa == sb:
+                    fac = pres.eps_square_factor(sa - 1).terms
+                    jobs.append((a, b, sa, sb, sa, [((fq, *ft), fc)
+                                                    for (fq, _, ft), fc in fac.items()]))
+                    per_term = max(per_term, 1 + sum(map(abs, fac.values())))
+        # Slot width: an output slot of a * b takes at most one product
+        # per term of a when no eps^2 is rewritten and at most 1 + |F|
+        # with one, so no output coefficient of the sum exceeds the summed
+        # bound; two spare bits keep each signed slot exact under the bias.
+        bound += (max(map(abs, a.terms.values())) * max(map(abs, b.terms.values()))
+                  * min(len(a.terms), len(b.terms)) * per_term)
+    if not jobs:
         return {}
-    # The exponent box of the product.  Each of its extremes is attained
-    # by a real term pair (after the eps^2 rewrite, before cancellation),
-    # so checking the extremes checks every term.
+    # The exponent box of the sum.  Each of its extremes is attained by a
+    # real term pair of one product (after the eps^2 rewrite, before
+    # cancellation), so checking the extremes checks every term.
     lo = hi = None
-    for sa, sb, _, shifts in pairs:
-        A, B = sa_all[sa], sb_all[sb]
+    for a, b, sa, sb, _, shifts in jobs:
+        A, B = a.sectors()[sa], b.sectors()[sb]
         cols = list(zip(*(f for f, _ in shifts)))
         plo = [x + y + min(f) for x, y, f in zip(A[2], B[2], cols)]
         phi = [x + y + max(f) for x, y, f in zip(A[3], B[3], cols)]
@@ -470,22 +497,20 @@ def _packed_mul(pres, a, b):
     strides = [1]
     for d in dims[:-1]:
         strides.append(strides[-1] * d)
-    # Slot width: an output slot takes at most one product per term of a
-    # when no eps^2 is rewritten and at most 1 + |F| with one, so no
-    # output coefficient exceeds the bound; two spare bits keep each
-    # signed slot exact under the bias.
-    per_term = 1 + max((sum(abs(c) for _, c in shifts)
-                        for sa, sb, _, shifts in pairs if sa and sb), default=0)
-    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
-             * min(len(a), len(b)) * per_term)
     width = (bound.bit_length() + 2 + 7) // 8
     bits = 8 * width
-    packed_a = {sa: _pack(sa_all[sa], strides, width) for sa in {p[0] for p in pairs}}
-    packed_b = {sb: _pack(sb_all[sb], strides, width) for sb in {p[1] for p in pairs}}
+    packed = {}  # (id of the polynomial, sector) -> packed int, for this box
+
+    def pack(x, sec):
+        key = (id(x), sec)
+        if key not in packed:
+            packed[key] = _pack(x.sectors()[sec], strides, width)
+        return packed[key]
+
     acc = {}
-    for sa, sb, target, shifts in pairs:
-        prod = packed_a[sa] * packed_b[sb]
-        base = [x + y - l for x, y, l in zip(sa_all[sa][2], sb_all[sb][2], lo)]
+    for a, b, sa, sb, target, shifts in jobs:
+        prod = pack(a, sa) * pack(b, sb)
+        base = [x + y - l for x, y, l in zip(a.sectors()[sa][2], b.sectors()[sb][2], lo)]
         for f, fc in shifts:
             k = sum((x + y) * s for x, y, s in zip(base, f, strides))
             acc[target] = acc.get(target, 0) + ((fc * prod) << (bits * k))

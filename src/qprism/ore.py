@@ -203,13 +203,20 @@ class OreElement:
     def mul(self, other: "OreElement", order_rng=None) -> "OreElement":
         alg = self.alg
         acc: dict = {}
+        # the piece nabla^ne partial^b * other depends on (ne, b) alone and
+        # is made once per product, except when order_rng randomizes each
+        # rewrite on purpose
+        pieces = {}
         for (te, ne, b), s in self.terms.items():
-            piece = other
-            for _ in range(b):
-                piece = _partial_times(alg, piece, order_rng)
-            for i in range(alg.m):
-                for _ in range(ne[i]):
-                    piece = _nabla_times(alg, i, piece)
+            piece = pieces.get((ne, b)) if order_rng is None else None
+            if piece is None:
+                piece = other
+                for _ in range(b):
+                    piece = _partial_times(alg, piece, order_rng)
+                for i in range(alg.m):
+                    for _ in range(ne[i]):
+                        piece = _nabla_times(alg, i, piece)
+                pieces[(ne, b)] = piece
             _add_terms(acc, s, te, 0, piece.terms)
         return OreElement(alg, acc)
 
@@ -226,13 +233,17 @@ class OreElement:
         arithmetic derivation, nabla_i via the geometric one."""
         alg = self.alg
         out: dict = {}
+        images = {}  # nabla^ne partial^b f, once per (ne, b)
         for (te, ne, b), s in self.terms.items():
-            g = f
-            for _ in range(b):
-                g = base_partial(alg, g)
-            for i in range(alg.m):
-                for _ in range(ne[i]):
-                    g = base_nabla(alg, i, g)
+            g = images.get((ne, b))
+            if g is None:
+                g = f
+                for _ in range(b):
+                    g = base_partial(alg, g)
+                for i in range(alg.m):
+                    for _ in range(ne[i]):
+                        g = base_nabla(alg, i, g)
+                images[(ne, b)] = g
             for mono, c in g.items():
                 key = tuple(x + y for x, y in zip(mono, te))
                 val = s * c
@@ -482,12 +493,14 @@ def akj_exact(p: int, alpha: int, kmax: int) -> dict:
     pres = RingPresentation(p, alpha, m=0, has_eps0=True, max_qdeg=1 << 30)
     tw = p ** (alpha + 1)
     bd = pres.q_pow(tw) - pres.one()
+    # 1 + beta d [j], once per j
+    factor = {j: pres.one() + bd * q_analogue(pres, j, tw) for j in range(1, kmax + 1)}
     table = {(1, 1): pres.one()}
     for k in range(1, kmax):
         for j in range(1, k + 2):
             prev = table.get((k, j), pres.zero())
             prev_lower = table.get((k, j - 1), pres.one() if j == 1 else pres.zero())
-            table[(k + 1, j)] = prev * (pres.one() + bd * q_analogue(pres, j, tw)) + prev_lower
+            table[(k + 1, j)] = prev * factor[j] + prev_lower
     return table
 
 
@@ -517,16 +530,18 @@ def akj_operator_oracle(p: int, alpha: int, kmax: int, nmax: int = 8) -> bool:
     tw = p ** (alpha + 1)
     beta = pres.q_pow(p**alpha) - pres.one()
     t_beta = pres.t_pow(0) * beta
-
-    table = akj_exact(p, alpha, kmax)
-    # a_{k,j} beta^j q^(j(j-1)tw/2) T^j, once per (k, j); a_{k,j} lives
-    # in Z[q] with the plain-eps presentation
+    # beta^j q^(j(j-1)tw/2) T^j once per j, then times a_{k,j} once per
+    # (k, j); a_{k,j} lives in Z[q] with the plain-eps presentation
+    factor, beta_j = {}, pres.one()
+    for j in range(1, kmax + 1):
+        beta_j = beta_j * beta
+        factor[j] = beta_j * pres.q_pow(j * (j - 1) // 2 * tw) * pres.t_pow(0, j)
     lead = {}
-    for (k, j), a in table.items():
+    for (k, j), a in akj_exact(p, alpha, kmax).items():
         a_here = BigPoly(pres, {pres._key(e, (), ()): c
                                 for e, c in a.q_coefficients().items()})
-        lead[(k, j)] = (a_here * beta**j * pres.q_pow(j * (j - 1) // 2 * tw)
-                        * pres.t_pow(0, j))
+        lead[(k, j)] = a_here * factor[j]
+    one = pres.one()
     for n in range(1, nmax + 1):
         t_n = pres.t_pow(0, n)
         nabla_pows = [t_n]  # nabla^j (T^n)
@@ -534,9 +549,9 @@ def akj_operator_oracle(p: int, alpha: int, kmax: int, nmax: int = 8) -> bool:
         for k in range(1, kmax + 1):
             actual = actual + t_beta * akj_nabla(pres, actual)
             nabla_pows.append(akj_nabla(pres, nabla_pows[-1]))
-            expected = t_n
-            for j in range(1, k + 1):
-                expected = expected + lead[(k, j)] * nabla_pows[j]
+            expected = BigPoly.sum_of_products(
+                pres, [(one, t_n)] + [(lead[(k, j)], nabla_pows[j])
+                                      for j in range(1, k + 1)])
             if actual != expected:
                 return False
     return True

@@ -44,9 +44,10 @@ def vp_int(x: int, p: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PadicInt:
-    """Element of Z/p^N with N = prec absolute digits."""
+    """Element of Z/p^N with N = prec absolute digits.  Not hashable, as
+    ``==`` compares at the smaller precision (see ``_exponent_key``)."""
 
     p: int
     prec: int
@@ -92,8 +93,7 @@ class PadicInt:
         n = min(self.prec, other.prec)
         return (self.residue - other.residue) % self.p**n == 0
 
-    def __hash__(self):
-        return hash((self.p, self.prec, self.residue))
+    __hash__ = None
 
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
@@ -198,17 +198,26 @@ def _poly_mul(a, b, mod: int, n: int = None) -> list:
         return [0] * n
     w = _slot_bytes(mod, min(len(a), len(b)))
     k = min(n, len(a) + len(b) - 1)
-    # the slots past k are dropped before they are read
-    prod = (_pack(a, w) * _pack(b, w)) & ((1 << (8 * w * k)) - 1)
-    out = _unpack_mod(prod, w, k, mod)
+    out = _packed_product(_pack(a, w), _pack(b, w), w, k, mod)
     out.extend([0] * (n - k))
     return out
+
+
+def _packed_product(x: int, y: int, w: int, k: int, mod: int) -> list:
+    """Slots 0..k-1 of x*y, for x and y packed in w-byte slots, each
+    reduced mod `mod`; the slots past k are dropped before they are read."""
+    return _unpack_mod((x * y) & ((1 << (8 * w * k)) - 1), w, k, mod)
+
+
+def _exponent_key(k):
+    """A cache key for an int or PadicInt exponent."""
+    return k if isinstance(k, int) else (k.prec, k.residue)
 
 
 @functools.cache
 def _q_subst_cols(p: int, N: int, M: int, k) -> tuple:
     """The matrix of f(q) -> f(q^k) on t-coefficients mod (p^N, t^M), for
-    k an integer or PadicInt.
+    k an integer or the ``_exponent_key`` of a PadicInt.
 
     Column n is (q^k - 1)^n.  As t divides q^k - 1, the matrix is lower
     triangular, and it is stored by rows: row i holds the t^i coefficients
@@ -216,6 +225,7 @@ def _q_subst_cols(p: int, N: int, M: int, k) -> tuple:
     of one Horner substitution.
     """
     mod = p**N
+    k = k if isinstance(k, int) else PadicInt(p, *k)
     s = [0] + TruncSeries.q_power(p, N, M, k).c[1:]
     cols = [[1 % mod] + [0] * (M - 1)]
     for _ in range(M - 1):
@@ -255,9 +265,10 @@ def _distinguished_inverse(p: int, N: int, P: tuple) -> tuple:
 
 
 class TruncSeries:
-    """Truncated power series in t = q - 1 with capped p-precision."""
+    """Truncated power series in t = q - 1 with capped p-precision; it
+    keeps its packing for the (N, M) of its last product (``_pack_at``)."""
 
-    __slots__ = ("p", "N", "M", "c")
+    __slots__ = ("p", "N", "M", "c", "_packed")
 
     def __init__(self, p: int, N: int, M: int, coeffs: Sequence[int]):
         if N < 1 or M < 1:
@@ -269,12 +280,13 @@ class TruncSeries:
         cs = [x % mod for x in coeffs[:M]]
         cs.extend([0] * (M - len(cs)))
         self.c = cs
+        self._packed = None
 
     @staticmethod
     def _of_reduced(p, N, M, cs: list) -> "TruncSeries":
         """Wrap M coefficients already reduced mod p^N, without a copy."""
         out = TruncSeries.__new__(TruncSeries)
-        out.p, out.N, out.M, out.c = p, N, M, cs
+        out.p, out.N, out.M, out.c, out._packed = p, N, M, cs, None
         return out
 
     # -- constructors --------------------------------------------------------
@@ -422,11 +434,21 @@ class TruncSeries:
             return TruncSeries(self.p, self.N, self.M,
                                [(x * other) % mod for x in self.c])
         other, N, M = self._join(other)
-        # _poly_mul returns a new list of M residues mod p^N
-        return TruncSeries._of_reduced(self.p, N, M,
-                                       _poly_mul(self.c, other.c, self.p**N, M))
+        mod = self.p**N  # w as in _poly_mul on M residues each side
+        w = _slot_bytes(mod, M)
+        return TruncSeries._of_reduced(self.p, N, M, _packed_product(
+            self._pack_at(N, M, w), other._pack_at(N, M, w), w, M, mod))
 
     __rmul__ = __mul__
+
+    def _pack_at(self, N: int, M: int, w: int) -> int:
+        """c[:M] mod p^N in w-byte slots, kept for the last (N, M)."""
+        if self._packed is None or self._packed[0] != (N, M):
+            cs = self.c[:M]
+            if N < self.N:
+                cs = [x % self.p**N for x in cs]
+            self._packed = ((N, M), _pack(cs, w))
+        return self._packed[1]
 
     def __pow__(self, k: int):
         if k < 0:
@@ -506,7 +528,7 @@ class TruncSeries:
         mod, c = p**N, self.c
         return TruncSeries._of_reduced(
             p, N, M, [sum(map(mul, c, row)) % mod
-                      for row in _q_subst_cols(p, N, M, k)])
+                      for row in _q_subst_cols(p, N, M, _exponent_key(k))])
 
     def gamma0(self, alpha: int) -> "TruncSeries":
         """q -> q^(p^(alpha+1)+1)."""
@@ -517,7 +539,9 @@ class TruncSeries:
         return self._subst_q_power(u)
 
     def derivative_q(self) -> "TruncSeries":
-        """d/dq = d/dt."""
+        """d/dq = d/dt, which costs one t-digit."""
+        if self.M <= 1:
+            raise PrecisionError("no t-digits left after differentiation")
         mod = self.p**self.N
         out = [(self.c[n] * n) % mod for n in range(1, self.M)] + [0]
         return TruncSeries(self.p, self.N, self.M - 1, out[: self.M - 1])

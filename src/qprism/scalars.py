@@ -10,7 +10,7 @@ no Ore or exact-polynomial code.
 
 from __future__ import annotations
 
-from .padic import PadicInt, QuotientRing, TruncSeries, partial_arith
+from .padic import PadicInt, QuotientRing, TruncSeries, _exponent_key, partial_arith
 
 
 class _QScalars:
@@ -27,8 +27,8 @@ class _QScalars:
         self.tw = p ** (alpha + 1) if convention == "absolute" else p
         self.beta_alpha = alpha if convention == "absolute" else 0
         self.k = self.tw + 1
-        self.beta = self.q_pow(p**self.beta_alpha) - self.one()
         self._cache = {}
+        self.beta = self.q_pow(p**self.beta_alpha) - self.one()
 
     def is_zero(self, s):
         return s.is_zero()
@@ -74,13 +74,14 @@ class _QScalars:
     def akj_table(self, kmax: int) -> dict:
         """a_{k,j}: a_{k+1,j} = a_{k,j}(1 + beta d [j]) + a_{k,j-1}."""
         bd = self.q_pow(self.tw) - self.one()  # beta * d
+        factor = {j: self.one() + bd * self.q_analogue(j, self.tw)
+                  for j in range(1, kmax + 1)}
         table = {(1, 1): self.one()}
         for k in range(1, kmax):
             for j in range(1, k + 2):
                 prev = table.get((k, j), self.zero())
                 prev_lower = table.get((k, j - 1), self.one() if j == 1 else self.zero())
-                bracket = self.q_analogue(j, self.tw)
-                table[(k + 1, j)] = prev * (self.one() + bd * bracket) + prev_lower
+                table[(k + 1, j)] = prev * factor[j] + prev_lower
         return table
 
     def d_coeffs(self) -> dict:
@@ -100,7 +101,12 @@ class _QScalars:
 
 
 class SeriesScalars(_QScalars):
-    """Scalars in the truncated series ring A = (Z/p^N)[[t]]/(t^M)."""
+    """Scalars in the truncated series ring A = (Z/p^N)[[t]]/(t^M).
+
+    ``q_pow`` is kept per exponent and ``partial`` per value, keyed by
+    (N, M, residues): the residues are reduced mod p^N, so equal keys
+    are equal values at equal stated precision.
+    """
 
     def __init__(self, p, N, M, alpha, convention="absolute"):
         self.N, self.M = N, M
@@ -116,7 +122,10 @@ class SeriesScalars(_QScalars):
         return TruncSeries.const(self.p, self.N, self.M, c)
 
     def q_pow(self, k):
-        return TruncSeries.q_power(self.p, self.N, self.M, k)
+        key = ("q", _exponent_key(k))
+        if key not in self._cache:
+            self._cache[key] = TruncSeries.q_power(self.p, self.N, self.M, k)
+        return self._cache[key]
 
     def q_analogue(self, n, base):
         return TruncSeries.q_analogue(self.p, self.N, self.M, n, base)
@@ -131,7 +140,10 @@ class SeriesScalars(_QScalars):
         return s.gamma0(self.beta_alpha)
 
     def partial(self, s):
-        return partial_arith(s, self.beta_alpha)
+        key = ("d", s.N, s.M, tuple(s.c))
+        if key not in self._cache:
+            self._cache[key] = partial_arith(s, self.beta_alpha)
+        return self._cache[key]
 
 
 class QuotScalars(_QScalars):

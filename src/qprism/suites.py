@@ -624,12 +624,13 @@ def suite_epsilon_action(cfg: RunConfig):
     # t-precision leaves no digit for the X_u division below
     with cases.check("alpha=0: e * q(q-1) = p mod d") as verdict:
         verdict(descent.e_beta_is_p_mod_d(cfg.p, cfg.p_prec))
+    # one block per check, so a check left without digits leaves the
+    # others decided; X_u is built once per level and shared
     for level in sorted({0, cfg.alpha}):
-        with cases.check(f"alpha={level}: action on eps") as verdict:
-            rep = descent.epsilon_action_suite(cfg.p, level, cfg.p_prec,
-                                               min(cfg.t_prec, 24))
-            for check, ok in rep.items():
-                verdict(ok, case_id=f"alpha={level}: {check}")
+        act = descent.EpsilonAction(cfg.p, level, cfg.p_prec, min(cfg.t_prec, 24))
+        for check, name in act.CHECKS:
+            with cases.check(f"alpha={level}: {check}") as verdict:
+                verdict(getattr(act, name))
     return cases
 
 

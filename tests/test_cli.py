@@ -110,8 +110,8 @@ class TestExitCodes:
         assert "ncrt" in proc.stdout and "PrecisionError" in proc.stdout
 
     def test_precision_monotonic_decides_at_t_prec_1(self):
-        # at M = 1 only epsilon-action's batch runs out of digits; that is
-        # one not-certified case inside the called suite, so
+        # at M = 1 only epsilon-action's checks on X_u run out of digits;
+        # they are not-certified cases inside the called suite, so
         # precision-monotonic still compares every other verdict
         proc = run_cli(["--t-prec", "1", "--suite", "precision-monotonic",
                         "--report", "json"])

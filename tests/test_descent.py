@@ -11,7 +11,7 @@ from qprism.descent import (
     averaging_projector_check,
     build_context,
     e_beta_is_p_mod_d,
-    epsilon_action_suite,
+    EpsilonAction,
     f_leibniz_check,
     f_map,
     f_on_powers,
@@ -170,26 +170,61 @@ class TestWCart:
         assert idx > 5 and val is not None
 
 
+def epsilon_checks(p, alpha, N, M):
+    rep = EpsilonAction(p, alpha, N, M)
+    return {case: getattr(rep, name) for case, name in EpsilonAction.CHECKS}
+
+
 class TestEpsilonAction:
     @pytest.mark.parametrize("p", [3, 5])
     def test_alpha0(self, p):
-        rep = epsilon_action_suite(p, 0, 8, 20)
+        rep = epsilon_checks(p, 0, 8, 20)
         assert all(rep.values()), rep
 
     def test_alpha1_well_definedness(self):
-        rep = epsilon_action_suite(3, 1, 6, 20)
+        rep = EpsilonAction(3, 1, 6, 20)
         # the alpha = 0 identities (well-definedness, equivariance) are
         # checked at the alpha = 0 chart; the quotient-model invariance
         # runs at the configured alpha
-        assert rep["action well defined on eps^2"]
-        assert rep["psi is unit-group equivariant"]
+        assert rep.well_defined
+        assert rep.equivariant
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_e_beta_needs_no_t_digit(self, p):
         assert e_beta_is_p_mod_d(p, 8) and e_beta_is_p_mod_d(p, 1)
-        assert "e * q(q-1) = p mod d" not in epsilon_action_suite(p, 0, 4, 8)
-        with pytest.raises(PrecisionError):
-            epsilon_action_suite(p, 0, 4, 1)
+        assert "e * q(q-1) = p mod d" not in epsilon_checks(p, 0, 4, 8)
+        # at M = 1 the division by t that builds X_u has no digit left,
+        # and each check that reads X_u says so on its own
+        rep = EpsilonAction(p, 0, 4, 1)
+        for _, name in EpsilonAction.CHECKS:
+            with pytest.raises(PrecisionError):
+                getattr(rep, name)
+
+    def test_x_u_built_once(self, monkeypatch):
+        # the three checks share one X_u
+        calls = []
+        orig = TruncSeries.divide_t_pow
+
+        def counted(self, b):
+            calls.append(b)
+            return orig(self, b)
+
+        monkeypatch.setattr(TruncSeries, "divide_t_pow", counted)
+        assert all(epsilon_checks(5, 0, 6, 20).values())
+        # one division per unit for X_u, one per unit in the equivariance
+        assert len(calls) == 2 * (5 - 1)
+
+    def test_suite_decides_each_check_in_its_own_block(self):
+        # at one p-digit the invariance mod d compares on zero digits; the
+        # two checks in A are still decided, at alpha = 0 and at alpha = 1
+        from qprism.suites import NOT_CERTIFIED, PASS, REGISTRY, RunConfig
+        cases = REGISTRY["epsilon-action"].runner(
+            RunConfig(p=3, alpha=1, p_prec=1, t_prec=2))
+        status = {c.case_id: c.status for c in cases}
+        assert status.pop("alpha=0: e * q(q-1) = p mod d") == PASS
+        assert status == {
+            f"alpha={a}: {check}": NOT_CERTIFIED if "mod d" in check else PASS
+            for a in (0, 1) for check, _ in EpsilonAction.CHECKS}
 
     def test_u1_trivial(self):
         # u = 1 contributes the identity substitution everywhere

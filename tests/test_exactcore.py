@@ -428,3 +428,77 @@ class TestBigPolyKernel:
             assert got == outcome(BigPoly.__mul__, y, x)
             seen.add(got if isinstance(got, type) else dict)
         assert seen == {NegativeQPower, ExponentOverflow, dict}
+
+
+def sequential_sum(P, pairs):
+    out = P.zero()
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
+class TestSumOfProducts:
+    """``BigPoly.sum_of_products`` (one packed box for all pairs) equals
+    the sequential sum of products, in the terms it returns and in the
+    exception it raises."""
+
+    @pytest.mark.parametrize("kw", TestBigPolyKernel.PRESENTATIONS)
+    def test_random_sums_match_sequential(self, kw):
+        rng = random.Random("sum" + repr(sorted(kw.items())))
+        for bound in (DEFAULT_MAX_QDEG, 14):
+            P = RingPresentation(max_qdeg=bound, max_tdeg=bound // 2 + 1, **kw)
+            qmin = -6 if P.q_invertible else 0
+            for _ in range(30):
+                # operands recur across pairs and within one pair
+                polys = [random_poly(P, rng, rng.randint(1, 6),
+                                     rng.choice((3, 40, 130)), qmin)
+                         for _ in range(4)]
+                pairs = [(rng.choice(polys), rng.choice(polys))
+                         for _ in range(rng.randint(1, 5))]
+                assert (outcome(BigPoly.sum_of_products, P, pairs)
+                        == outcome(sequential_sum, P, pairs))
+
+    def test_eps_sectors_and_cancellation(self):
+        P = pres(3, 1, m=2, has_eps0=True)
+        parts = [P.const(2) - P.q_pow(3) * P.t_pow(1)] + [
+            P.eps(i) * (P.q_pow(i) - P.t_pow(0, 2) * 5) for i in range(P.n_eps)]
+        pairs = [(x, y) for x in parts for y in parts]
+        assert (BigPoly.sum_of_products(P, pairs).terms
+                == sequential_sum(P, pairs).terms)
+        # every eps_i^2 rewrite, and a sum that cancels to zero
+        squares = [(P.eps(i), P.eps(i) * -3) for i in range(P.n_eps)]
+        assert (BigPoly.sum_of_products(P, squares).terms
+                == sequential_sum(P, squares).terms)
+        x, y = parts[1], parts[1] + parts[0]
+        assert not BigPoly.sum_of_products(P, [(x, y), (-x, y)])
+        assert not BigPoly.sum_of_products(P, [(P.zero(), x), (P.eps(1), P.eps(2))])
+
+    def test_exceptions_at_the_degree_bounds(self):
+        P = pres(3, 0, m=1, max_qdeg=20, max_tdeg=5)
+        Pinv = pres(3, 0, m=1, max_qdeg=20, max_tdeg=5, q_invertible=True)
+        fine = (P.q_pow(2) + P.eps(0), P.one() + P.t_pow(0))
+        cases = [
+            (P, [fine, (P.q_pow(-1), P.one() + P.q_pow(3))]),        # negative q
+            (P, [fine, (P.q_pow(15) + P.one(), P.q_pow(6) + P.one())]),  # q over
+            (P, [fine, (P.q_pow(10) + P.one(), P.q_pow(10) + P.one())]),  # q at bound
+            (P, [(P.t_pow(0, 3) + P.one(), P.t_pow(0, 3) + P.one()), fine]),  # T over
+            (P, [fine, (P.eps(0) * P.q_pow(9), P.eps(0) * P.q_pow(9))]),  # via eps^2
+            (P, [fine, (P.eps(0) * P.q_pow(19), P.eps(1) * P.q_pow(19))]),  # dropped
+            (Pinv, [(Pinv.q_pow(-15) + Pinv.one(), Pinv.q_pow(-6) + Pinv.one()),
+                    (Pinv.q_pow(3), Pinv.eps(1))]),
+        ]
+        seen = set()
+        for Q, pairs in cases:
+            got = outcome(BigPoly.sum_of_products, Q, pairs)
+            assert got == outcome(sequential_sum, Q, pairs)
+            seen.add(got if isinstance(got, type) else dict)
+        assert seen == {NegativeQPower, ExponentOverflow, dict}
+
+    def test_split_kept_on_the_operand(self):
+        P = pres(3, 0, m=1)
+        x = P.eps(0) * P.q_pow(2) + P.t_pow(0) * 3 - P.one()
+        y = x * x
+        sectors = x.sectors()
+        assert x.sectors() is sectors
+        assert (x * y).terms == reference_mul(x, y)
+        assert x.sectors() is sectors

@@ -306,6 +306,97 @@ class TestAssociativity:
         assert factored * alg.partial() == rest
 
 
+def ref_act(x, f):
+    """x acting on the base element f, every image nabla^ne partial^b f
+    recomputed for each term of x."""
+    alg = x.alg
+    out = {}
+    for (te, ne, b), s in x.terms.items():
+        g = f
+        for _ in range(b):
+            g = base_partial(alg, g)
+        for i in range(alg.m):
+            for _ in range(ne[i]):
+                g = base_nabla(alg, i, g)
+        for mono, c in g.items():
+            key = tuple(a + t for a, t in zip(mono, te))
+            out[key] = out[key] + s * c if key in out else s * c
+    return {k: v for k, v in out.items() if not alg.ctx.droppable(v)}
+
+
+class TestPieces:
+    """``OreElement.mul`` and ``act`` make nabla^ne partial^b once per
+    (ne, b); every term that shares it must come out as in the references
+    that recompute it, with each scalar's stated (N, M)."""
+
+    MAKERS = [
+        lambda: make_absolute_algebra(3, 0, m=1, N=6, M=8),
+        lambda: make_absolute_algebra(2, 1, m=1, N=4, M=20),
+        lambda: make_absolute_algebra(3, 0, m=2, N=4, M=8),
+        lambda: make_relative_algebra(3, m=2, N=6, M=8),
+    ]
+
+    @staticmethod
+    def shared_operand(alg, rng):
+        # every T-monomial in {0, 1}^m next to each (ne, b) drawn, so
+        # several terms share one piece; scalars at reduced precision too
+        ctx = alg.ctx
+        terms = {}
+        for _ in range(2):
+            ne = tuple(rng.randrange(2) for _ in range(alg.m))
+            b = rng.randrange(2) if alg.with_partial else 0
+            for bits in range(2 ** alg.m):
+                te = tuple((bits >> i) & 1 for i in range(alg.m))
+                s = ctx.q_pow(rng.randrange(3)) * rng.randrange(1, 7)
+                if rng.randrange(2):
+                    s = s.reduce_prec(N=ctx.N - rng.randrange(2),
+                                      M=ctx.M - rng.randrange(3))
+                terms[(te, ne, b)] = s
+        return OreElement(alg, terms)
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    def test_mul_equals_recursive_reference(self, maker):
+        alg = maker()
+        rng = random.Random(29)
+        for _ in range(6):
+            x, y = self.shared_operand(alg, rng), self.shared_operand(alg, rng)
+            assert same_terms(x.mul(y), ref_mul(x, y))
+            assert same_terms(x.mul(y, order_rng=random.Random(1)), ref_mul(x, y))
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    def test_act_equals_per_term_reference(self, maker):
+        alg = maker()
+        ctx = alg.ctx
+        rng = random.Random(31)
+        for _ in range(6):
+            x = self.shared_operand(alg, rng)
+            f = {tuple(rng.randrange(3) for _ in range(alg.m)):
+                 ctx.q_pow(rng.randrange(3)).reduce_prec(M=ctx.M - rng.randrange(2))
+                 for _ in range(3)}
+            got, ref = x.act(f), ref_act(x, f)
+            assert ({k: scalar_state(v) for k, v in got.items()}
+                    == {k: scalar_state(v) for k, v in ref.items()})
+
+    def test_one_piece_per_key(self, monkeypatch):
+        # two terms with (ne, b) = (0, 1): one partial pass per product,
+        # and one per term when the rule order is randomized
+        alg = make_absolute_algebra(3, 0, m=1, N=6, M=8)
+        x = alg.partial() + alg.T(0) * alg.partial()
+        y = alg.nabla(0) + alg.T(0)
+        calls = []
+        orig = ore._partial_times
+
+        def counted(alg_, piece, order_rng=None):
+            calls.append(order_rng)
+            return orig(alg_, piece, order_rng)
+
+        monkeypatch.setattr(ore, "_partial_times", counted)
+        x.mul(y)
+        assert len(calls) == 1
+        x.mul(y, order_rng=random.Random(0))
+        assert len(calls) == 3
+
+
 class TestAkj:
     def test_a11(self):
         table = akj_exact(3, 0, 1)
@@ -322,6 +413,43 @@ class TestAkj:
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (2, 0)])
     def test_operator_expansion_oracle(self, p, a):
         assert akj_operator_oracle(p, a, p ** (a + 1) + 1, nmax=8)
+
+    def test_oracle_sees_each_moved_coefficient(self, monkeypatch):
+        # p=3, alpha=1: a_{k,j} multiplies nabla^j(T^n), which vanishes for
+        # j > n, so the suite's n <= 8 sees the entries with j <= 8 and
+        # n <= k = 10 sees every entry
+        p, a, k = 3, 1, 10
+        orig = ore.akj_exact
+        table = orig(p, a, k)
+        for key in sorted(table):
+            def moved(p_, a_, kmax, key=key):
+                out = dict(orig(p_, a_, kmax))
+                out[key] = out[key] + 1
+                return out
+
+            monkeypatch.setattr(ore, "akj_exact", moved)
+            assert not akj_operator_oracle(p, a, k, nmax=k), key
+            if key[1] <= 8:
+                assert not akj_operator_oracle(p, a, k, nmax=8), key
+
+    @pytest.mark.parametrize("n,j", [(3, 2), (5, 4), (8, 8)])
+    def test_oracle_sees_a_moved_nabla_power(self, monkeypatch, n, j):
+        # nabla^j(T^n) moved by 1; its input nabla^(j-1)(T^n) has T-degree
+        # below n, so no value of the left-hand chain meets the change
+        p, a = 3, 1
+        orig = ore.akj_nabla
+        pres = RingPresentation(p, a, m=1, has_eps0=False,
+                                max_qdeg=1 << 30, max_tdeg=1 << 30)
+        source = pres.t_pow(0, n)
+        for _ in range(j - 1):
+            source = orig(pres, source)
+
+        def moved(pres_, f):
+            out = orig(pres_, f)
+            return out + 1 if f == source else out
+
+        monkeypatch.setattr(ore, "akj_nabla", moved)
+        assert not akj_operator_oracle(p, a, p ** (a + 1) + 1, nmax=8)
 
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1), (2, 0), (5, 1)])
     def test_dict_nabla_equals_product_form(self, p, a):
@@ -412,6 +540,46 @@ class TestMasterRelation:
     @pytest.mark.parametrize("p,a", [(3, 0), (2, 1)])
     def test_double_complex_rows(self, p, a):
         assert all(verify_double_complex_rows(p, a, bound=2, M=48).values())
+
+
+class TestMasterRelationCoverage:
+    """At p=3, alpha=1 (k = 10), the monomials q^a T^b with b <= 10 reach
+    nabla^(k-1) inside D, where the suite's bound 6 leaves c_7..c_10
+    unseen.  A unit error in c_j changes the two sides by a multiple of
+    nabla^j of a monomial, the product of j consecutive [i p]_{q^3}."""
+
+    P, ALPHA, BOUND = 3, 1, 10
+
+    def flipped(self, monkeypatch, j, M):
+        orig = scalars._QScalars.d_coeffs
+
+        def moved(ctx):
+            out = dict(orig(ctx))
+            out[j] = out[j] + ctx.one()
+            return out
+
+        monkeypatch.setattr(scalars._QScalars, "d_coeffs", moved)
+        checks = verify_master_relation(self.P, self.ALPHA, bound=self.BOUND, N=8, M=M)
+        return not all(checks.values())
+
+    def test_relation_holds_at_the_full_bound(self):
+        checks = verify_master_relation(self.P, self.ALPHA, bound=self.BOUND, N=8, M=48)
+        assert all(checks.values()), [c for c, ok in checks.items() if not ok]
+
+    @pytest.mark.parametrize("j", [
+        *range(2, 9),
+        *(pytest.param(j, marks=pytest.mark.xfail(strict=True, reason=(
+            "nabla^9 and nabla^10 vanish mod (3^8, t^48): nine consecutive "
+            "[3i]_{q^3} already multiply to 0 there, so no bound shows an "
+            "error in c_9 or c_10 at the suite's t-precision")))
+          for j in (9, 10)),
+    ])
+    def test_unit_error_in_c_j_flips_a_check(self, monkeypatch, j):
+        assert self.flipped(monkeypatch, j, M=48)
+
+    @pytest.mark.parametrize("j", [9, 10])
+    def test_c_9_and_c_10_show_at_t_precision_96(self, monkeypatch, j):
+        assert self.flipped(monkeypatch, j, M=96)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,37 @@ class TestPadicInt:
             PadicInt(3, 8, 5).divide_p_pow(1)
 
 
+class TestPadicIntNotHashable:
+    """``==`` compares at the smaller precision, so PadicInt has no hash;
+    the caches keyed by an exponent key on (prec, residue)."""
+
+    def test_equal_values_of_two_precisions(self):
+        a, b = PadicInt(3, 8, 1), PadicInt(3, 10, 1)
+        assert a == b
+        for x in (a, b):
+            with pytest.raises(TypeError):
+                hash(x)
+        with pytest.raises(TypeError):
+            {a, b}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_padic_exponents_give_the_integer_series(self, p):
+        # an exponent known to at least N + v_p((M-1)!) digits gives the
+        # series of any integer it is congruent to, at every precision
+        # and through the per-exponent substitution tables
+        rng = random.Random(p)
+        N, M = 6, 16
+        need = N + vp_factorial(p, M - 1)
+        f = TruncSeries(p, N, M, [rng.randrange(p**N) for _ in range(M)])
+        for r in (1, 2, p + 1, -1, 1 - p, p):
+            want_q, want_f = TruncSeries.q_power(p, N, M, r), f.gamma_u(r)
+            for prec in (need, need + 1, need + 5):
+                k = PadicInt(p, prec, r)
+                assert _same_series(TruncSeries.q_power(p, N, M, k), want_q)
+                assert _same_series(f.gamma_u(k), want_f)
+        assert _same_series(f.phi(), f.gamma_u(PadicInt(p, need, p)))
+
+
 class TestTeichmuller:
     def test_one(self):
         assert teichmuller(5, 1, 6).residue == 1
@@ -442,6 +473,12 @@ class TestSubstTable:
                 for k in exps:
                     image = TruncSeries.q_power(p, g.N, g.M, k)
                     assert _same_series(g.gamma_u(k), g.subst(image))
+
+    def test_derivative_needs_a_t_digit(self):
+        f = TruncSeries(3, 6, 4, [1, 2, 3, 4])
+        assert f.derivative_q().c == [2, 6, 12] and f.derivative_q().M == 3
+        with pytest.raises(PrecisionError):
+            f.reduce_prec(M=1).derivative_q()
 
     def test_gamma_u_exponent_below_need_raises(self):
         p, N, M = 3, 6, 20
@@ -1013,6 +1050,25 @@ def _sparse_matrix(rng, rows, cols, mod, density, lo=0, hi=None):
     hi = mod if hi is None else hi
     return [[rng.randrange(lo, hi) if rng.random() < density else 0
              for _ in range(cols)] for _ in range(rows)]
+
+
+class TestPackedOperands:
+    """A series keeps its packing for the last (N, M) it was multiplied
+    at; a product at a smaller joined N or M must repack it."""
+
+    @pytest.mark.parametrize("p,N,M", [(3, 8, 48), (3, 6, 8), (2, 4, 20), (5, 11, 30)])
+    def test_smaller_joined_precision_after_own(self, p, N, M):
+        rng = random.Random(p * N * M)
+        mod = p**N
+        f = TruncSeries(p, N, M, [rng.randrange(mod) for _ in range(M)])
+        g = TruncSeries(p, N, M, [rng.randrange(mod) for _ in range(M)])
+        assert (f * g).c == _poly_mul(f.c, g.c, mod, M)
+        for N2, M2 in [(N - 1, M), (N, M - 3), (N - 2, M - 1), (N, M), (1, 1)]:
+            h = g.reduce_prec(N=N2, M=M2)
+            for x, y in ((f, h), (h, f), (f, f)):
+                prod = x * y
+                assert (prod.N, prod.M) == (min(x.N, y.N), min(x.M, y.M))
+                assert prod.c == _poly_mul(x.c, y.c, p**prod.N, prod.M)
 
 
 class TestMatMulKernel:
