@@ -10,10 +10,12 @@ subring is the power series ring in ptilde.  The basic map is
 which carries Z_p[[ptilde]] into the submodule B of series vanishing at
 ptilde = p; B is the product of Z_p e_l with e_l = ptilde^l (ptilde - p).
 
-Everything is computed in certified ptilde-digit coordinates: a series
-is divided by d repeatedly (Weierstrass), each remainder is certified to
-be a Z_p-constant (the membership certificate for the invariant
-subring), and the unit ptilde/d is peeled off between steps.  The
+Everything is computed in certified ptilde-digit coordinates.  The
+first `count` digits of a series are found in A/d^count: one Weierstrass
+division reduces it mod d^count, then each step divides the polynomial
+by d, certifies the remainder is a Z_p-constant (the membership
+certificate for the invariant subring), and multiplies the quotient by
+the inverse of the unit ptilde/d mod d^count (``_digit_chain``).  The
 e-coordinates of an element of B are a_l = sum_m p^m c_(l+1+m), a
 p-adically convergent refolding of the digits c_j.
 
@@ -33,14 +35,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from operator import add, sub
+from operator import add, mul
 
 from .padic import (
     PadicInt,
     QuotientRing,
     TruncSeries,
+    _distinguished_inverse,
     _exponent_key,
+    _pack,
     _poly_mul,
+    _slot_bytes,
+    _unpack_mod,
     d_poly_t,
     d_prime_elem,
     howell_mod,
@@ -62,6 +68,7 @@ class DescentContext:
     w_poly_residuals: list = None  # indices > p+1 with nonzero digits
     M_work: int = 0
     gamma_powers: list = field(default_factory=list)  # see _gamma_powers
+    gamma_packed: dict = field(default_factory=dict)
 
     @property
     def ok(self):
@@ -73,24 +80,87 @@ class DescentContext:
         return 0
 
 
+def _floor_quotient(p: int, N: int, P: list, n: int) -> list:
+    """floor(t^n / P) mod p^N for a distinguished P of degree r <= n.
+
+    Expanded in t^-1, t^n / P is t^(n - r(N+1)) l, with l as in
+    ``_distinguished_inverse``, up to terms that vanish mod p^(N+1); the
+    floor is the part of t^(n - r(N+1)) l at t-degrees >= 0."""
+    l = _distinguished_inverse(p, N, tuple(P))
+    s = n - (len(P) - 1) * (N + 1)
+    return [0] * s + list(l) if s >= 0 else list(l[-s:])
+
+
+def _slots(x: int, w: int, lo: int, k: int, mod: int) -> list:
+    """Slots lo..lo+k-1 of the packed x, w bytes each, reduced mod `mod`."""
+    return _unpack_mod((x >> (8 * w * lo)) & ((1 << (8 * w * k)) - 1), w, k, mod)
+
+
 def _digit_chain(p: int, h: TruncSeries, u_inv: TruncSeries, d_t: list,
                  count: int) -> list:
-    """Extract ptilde-adic digits of an invariant series.
+    """The first `count` ptilde-adic digits (c_k, certified prec) of an
+    invariant series h, given u_inv = (ptilde/d)^(-1).
 
-    Each step Weierstrass-divides by d, certifies the remainder is a
-    Z_p-constant, and multiplies the quotient by (ptilde/d)^(-1).
+    They are the digits of the round chain cur_0 = h,
+    cur_k = c_k + d Q_k (Weierstrass division by d, whose remainder c_k
+    must be a Z_p-constant: the membership certificate for the invariant
+    subring), cur_(k+1) = Q_k u_inv, so that cur_k = c_k + ptilde cur_(k+1).
+
+    Here they are found in A/Phi, Phi = d^count (distinguished, of degree
+    n = r count, built mod p^N by squaring).  Two Weierstrass divisions
+    give S_0 = h mod Phi and u = u_inv mod Phi, each certified to
+    min(N, floor(M/n)) digits; then each step divides the polynomial
+    S_k (degree < n) by the monic d, certifies the remainder is a
+    constant, and sets S_(k+1) = Q u mod Phi.  The digits and the
+    certificate are the round chain's: S_k = cur_k mod d^(count-k).  For
+    k = 0 this is h = S_0 mod Phi.  If it holds for k, the two remainders
+    by d agree mod d, and both have degree < r, so they are equal; then
+    d (Q - Q_k) is divisible by d^(count-k), and as d is a non-zero-divisor
+    Q = Q_k mod d^(count-k-1), so S_(k+1) = cur_(k+1) mod d^(count-k-1),
+    as u = u_inv mod Phi.
+
+    The polynomial steps run on packed ints: the quotients by d and by
+    Phi are slices of products by floor(t^n/d) and floor(t^(2n)/Phi)
+    (``_floor_quotient``), exact for a monic divisor and a dividend of
+    degree < n and < 2n.
     """
+    if count <= 0:
+        return []
+    r, n = len(d_t) - 1, (len(d_t) - 1) * count
+    mod_in = p**max(h.N, u_inv.N)
+    phi, base, k = [1], list(d_t), count
+    while k:
+        if k & 1:
+            phi = _poly_mul(phi, base, mod_in)
+        k >>= 1
+        if k:
+            base = _poly_mul(base, base, mod_in)
+    _, S, cert_h = h.weierstrass_divmod(phi)
+    _, ubar, cert_u = u_inv.weierstrass_divmod(phi)
+    cert = min(cert_h, cert_u)
+    mod = p**cert
+    w = _slot_bytes(mod, n + 1)
+    d_red = [x % mod for x in d_t]
+    mu_d = _pack(_floor_quotient(p, cert, d_t, n), w)
+    mu_phi = _pack(_floor_quotient(p, cert, phi, 2 * n), w)
+    phi_low = _pack([x % mod for x in phi[:n]], w)
+    ubar = _pack([x % mod for x in ubar], w)
+    S = [x % mod for x in S]
     digits = []
-    cur = h
-    for _ in range(count):
-        Q, R, cert = cur.weierstrass_divmod(d_t)
-        c0 = R[0] % p**cert
-        if any(x % p**cert for x in R[1:]):
+    for k in range(count):
+        if k:  # S_k = Q u mod Phi, Q of degree < n - r
+            X = _slots(_pack(Q, w) * ubar, w, 0, 2 * n - r - 1, mod)
+            top = _slots(_pack(X[n:], w) * mu_phi, w, n, n - r - 1, mod)
+            low = _slots(_pack(top, w) * phi_low, w, 0, n, mod)
+            S = [(a - b) % mod for a, b in zip(X, low)]
+        Q = _slots(_pack(S[r:], w) * mu_d, w, n - r, n - r, mod)
+        R = [(S[i] - sum(d_red[i - j] * Q[j] for j in range(min(i + 1, n - r))))
+             % mod for i in range(r)]
+        if any(R[1:]):
             raise ArithmeticError(
                 "remainder is not a constant: input is not in the "
                 "invariant power-series ring at this precision")
-        digits.append((c0, cert))
-        cur = Q * u_inv  # joined at Q's smaller (N, M)
+        digits.append((R[0], cert))
     return digits
 
 
@@ -169,9 +239,10 @@ def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
 # ---------------------------------------------------------------------------
 
 
-def _gamma_powers(ctx: DescentContext, n: int) -> list:
-    """gamma(ptilde)^0 .. gamma(ptilde)^(n-1) as ptilde-coefficient
-    vectors, where gamma(ptilde) = ptilde + w.  The powers are kept on
+def _gamma_powers(ctx: DescentContext, n: int, w: int) -> list:
+    """gamma(ptilde)^0 .. gamma(ptilde)^(n-1), where gamma(ptilde) =
+    ptilde + w, packed in w-byte slots.  The ptilde-coefficient vectors
+    (``ctx.gamma_powers``) and their packings per slot width are kept on
     the context and extended on demand."""
     mod = ctx.p**ctx.w_prec
     pows = ctx.gamma_powers
@@ -181,19 +252,22 @@ def _gamma_powers(ctx: DescentContext, n: int) -> list:
         pows.extend(([1], base))
     while len(pows) < n:
         pows.append(_poly_mul(pows[-1], pows[1], mod))
-    return pows[:n]
+    packed = ctx.gamma_packed.setdefault(w, [])
+    packed.extend(_pack(x, w) for x in pows[len(packed):n])
+    return packed[:n]
 
 
 def f_map(ctx: DescentContext, coeffs: list) -> list:
-    """f of sum_j coeffs[j] ptilde^j in ptilde digit coordinates."""
+    """f of sum_j coeffs[j] ptilde^j in ptilde digit coordinates: one sum
+    of c_j gamma(ptilde)^j - c_j ptilde^j over packed ints, one unpack."""
     mod = ctx.p**ctx.w_prec
-    pows = _gamma_powers(ctx, len(coeffs))
-    out = [0] * (len(pows[-1]) if pows else 1)
-    for c, cur in zip(coeffs, pows):
-        if c:
-            out[:len(cur)] = map(add, out, [c * x for x in cur])
-    out[:len(coeffs)] = map(sub, out, coeffs)
-    return [x % mod for x in out]
+    if not coeffs:
+        return [0]
+    cs = [c % mod for c in coeffs]
+    w = _slot_bytes(mod, len(cs) + 1)
+    x = sum(map(mul, cs, _gamma_powers(ctx, len(cs), w)))
+    x += _pack([-c % mod for c in cs], w)
+    return _unpack_mod(x, w, len(ctx.gamma_powers[len(cs) - 1]), mod)
 
 
 def f_on_powers(ctx: DescentContext, kmax: int) -> list:
@@ -285,7 +359,12 @@ def wcart_h1_structure(ctx: DescentContext) -> WCartReport:
 
 def f_leibniz_check(ctx: DescentContext, rng, trials: int = 100,
                     deg: int = None) -> bool:
-    """f(xy) = f(x)y + x f(y) + f(x) f(y) on random ptilde-polynomials."""
+    """f(xy) = f(x)y + x f(y) + f(x) f(y) on random ptilde-polynomials.
+
+    The law holds for f = gamma - id whenever gamma is a ring map, and
+    gamma(ptilde) = ptilde + w defines one for any w.  So the check
+    certifies ``f_map`` (the sum of packed gamma-powers), not the digits
+    of w = f(ptilde): it passes on random digit vectors as well."""
     p = ctx.p
     mod = p**ctx.w_prec
     deg = deg if deg is not None else max(1, ctx.K // 2)

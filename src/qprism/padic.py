@@ -123,14 +123,18 @@ class PadicInt:
 def teichmuller(p: int, e: int, prec: int) -> PadicInt:
     """The unique (p-1)-st root of unity congruent to e mod p.
 
-    Computed by the contracting Frobenius iteration x -> x^p.
+    Hensel lifting of x^(p-1) = 1 from x = e mod p, doubling the
+    precision each step: the root is simple, as (p-1) x^(p-2) is a unit.
+    With y = x^(p-1) = 1 mod p^k, Newton's step x - x(y-1)/((p-1)y)
+    equals x - x(y-1)/(p-1) mod p^(2k).
     """
     if e % p == 0:
         raise ValueError("no multiplicative lift of 0")
-    mod = p**prec
-    x = e % mod
-    for _ in range(prec + 1):
-        x = pow(x, p, mod)
+    x, k = e % p, 1
+    while k < prec:
+        k = min(2 * k, prec)
+        mod = p**k
+        x = (x - x * (pow(x, p - 1, mod) - 1) * pow(p - 1, -1, mod)) % mod
     return PadicInt(p, prec, x)
 
 
@@ -582,9 +586,10 @@ class TruncSeries:
         Write P = t^r + pC.  The quotient is the part of f/P at t-degrees
         >= 0, with 1/P expanded in t^-1 (``_distinguished_inverse``), so it
         is read off one product: Q is the slice from t^(r(N+1)) of f*l,
-        and R = (f - P*Q) below t^r.  Precision accounting: a tail term t^j
-        reduces to a multiple of p^floor(j/r), so the unknown tail of f
-        contaminates the t-degree-j part of the quotient at level
+        and R = (f - P*Q) below t^r, from one more product.  Precision
+        accounting: a tail term t^j reduces to a multiple of p^floor(j/r),
+        so the unknown tail of f contaminates the t-degree-j part of the
+        quotient at level
         p^(ceil((M-j)/r) - 1) and the remainder at p^floor(M/r).  The
         quotient is returned on the largest uniform box holding
         N_q = min(N, floor(M/r) - 1) p-digits, which costs (N_q+1)*r
@@ -608,8 +613,8 @@ class TruncSeries:
         Q = _poly_mul(self.c[r:], _distinguished_inverse(p, N, tuple(P)),
                       mod, r * N + max(M_q, r))[r * N:]
         cert = min(N, M // r)
-        R = [(self.c[i] - sum(P[i - j] * Q[j] for j in range(i + 1))) % p**cert
-             for i in range(r)]
+        R = [(a - b) % p**cert
+             for a, b in zip(self.c, _poly_mul(P, Q[:r], mod, r))]
         return TruncSeries(p, N_q, M_q, Q[:M_q]), R, cert
 
     def weierstrass_divide_exact(self, P: Sequence[int]) -> "TruncSeries":

@@ -1,6 +1,7 @@
 """Unit-group descent: the invariant element, digit chains, and the
 leading-term structure of the invariant-ring self-map."""
 
+import dataclasses
 import random
 
 import pytest
@@ -18,7 +19,15 @@ from qprism.descent import (
     to_e_coords,
     wcart_h1_structure,
 )
-from qprism.padic import PadicInt, PrecisionError, TruncSeries, _poly_mul, teichmuller
+from qprism.padic import (
+    PadicInt,
+    PrecisionError,
+    TruncSeries,
+    _poly_mul,
+    d_poly_t,
+    teichmuller,
+    vp_factorial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +94,93 @@ class TestContext:
         assert hard == []  # every other invariant still certifies
 
 
+def reference_digit_chain(p, h, u_inv, d_t, count):
+    """The round chain that ``_digit_chain`` replaced: each round
+    Weierstrass-divides by d, certifies the remainder is a Z_p-constant
+    and multiplies the quotient by u_inv = (ptilde/d)^(-1)."""
+    digits = []
+    cur = h
+    for _ in range(count):
+        Q, R, cert = cur.weierstrass_divmod(d_t)
+        c0 = R[0] % p**cert
+        if any(x % p**cert for x in R[1:]):
+            raise ArithmeticError(
+                "remainder is not a constant: input is not in the "
+                "invariant power-series ring at this precision")
+        digits.append((c0, cert))
+        cur = Q * u_inv  # joined at Q's smaller (N, M)
+    return digits
+
+
+def chain_inputs(monkeypatch, p, N, K, digits=None):
+    """The (p, h, u_inv, d_t, count) that build_context gives the chain."""
+    seen = []
+    chain = descent._digit_chain
+
+    def spy(*args):
+        seen.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(descent, "_digit_chain", spy)
+    build_context(p, N, K, digits=digits)
+    monkeypatch.setattr(descent, "_digit_chain", chain)
+    return seen[0]
+
+
+def ptilde_series(p, N, M):
+    lifts = [teichmuller(p, u, N + vp_factorial(p, M) + 2) for u in range(1, p)]
+    out = TruncSeries.one(p, N, M)
+    for lift in lifts:
+        out = out + TruncSeries.q_power(p, N, M, lift)
+    return out
+
+
+class TestDigitChain:
+    """The digits of h in A/d^count equal those of the round chain."""
+
+    @pytest.mark.parametrize("p,N,K,digits", [
+        (2, 8, 5, None), (3, 8, 5, None), (5, 8, 5, None), (7, 8, 2, None),
+        (2, 1, 5, None), (3, 1, 5, None), (5, 1, 5, None), (7, 1, 2, None),
+        (2, 2, 5, None), (3, 2, 5, None), (5, 2, 5, None), (7, 2, 2, None),
+        (3, 8, 5, 6), (5, 8, 5, 12), (7, 2, 2, 60), (2, 8, 5, 4),
+    ])
+    def test_matches_round_chain(self, monkeypatch, p, N, K, digits):
+        args = chain_inputs(monkeypatch, p, N, K, digits)
+        got = descent._digit_chain(*args)
+        assert got == reference_digit_chain(*args)
+        assert len(got) == args[4] and {c for _, c in got} == {N}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_known_digits_come_back(self, p):
+        # h = sum_j c_j ptilde^j, with ptilde^count times a unit on top,
+        # which the first count digits do not see
+        N, count, r = 6, 9, p - 1
+        M = (N + 2) * r * (count + 3)
+        ptilde = ptilde_series(p, N, M)
+        d_t = d_poly_t(p, 0)
+        u_inv = ptilde.weierstrass_divmod(d_t)[0].unit_inverse()
+        rng = random.Random(p)
+        cs = [rng.randrange(-p**N, p**N) for _ in range(count)]
+        h = ptilde**count * TruncSeries.q_power(p, N, M, 5)
+        for c in reversed(cs):
+            h = h.reduce_prec(M=u_inv.M) * ptilde + c
+        assert descent._digit_chain(p, h, u_inv, d_t, count) == \
+            [(c % p**N, N) for c in cs]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("shift", [0, 2])
+    def test_non_invariant_input_raises_at_the_same_digit(self, monkeypatch, p, shift):
+        """Negative control: w + t ptilde^shift is not invariant; both
+        chains give its first shift digits and raise at the next one."""
+        _, w, u_inv, d_t, _ = chain_inputs(monkeypatch, p, 6, 2)
+        ptilde = ptilde_series(p, w.N, w.M)
+        h = w + TruncSeries.t_power(p, w.N, w.M, 1) * ptilde**shift
+        for chain in (descent._digit_chain, reference_digit_chain):
+            assert len(chain(p, h, u_inv, d_t, shift)) == shift
+            with pytest.raises(ArithmeticError):
+                chain(p, h, u_inv, d_t, shift + 1)
+
+
 def reference_f_map(ctx, coeffs):
     """f_map as it was first written: gamma(ptilde) and its powers rebuilt
     on every call, entries added one index at a time."""
@@ -131,6 +227,23 @@ class TestFMap:
 
     def test_leibniz(self, ctx3):
         assert f_leibniz_check(ctx3, random.Random(0), trials=40)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_leibniz_sees_f_map_but_not_the_digits(self, monkeypatch, ctx3, ctx5, p):
+        """Negative control: the law holds for gamma(ptilde) = ptilde + w
+        with any digits w, and fails once f_map drops its top power."""
+        ctx = {3: ctx3, 5: ctx5}[p]
+        rng = random.Random(p)
+        mod = p**ctx.w_prec
+        for _ in range(3):
+            digits = [(rng.randrange(mod), c) for _, c in ctx.digits]
+            assert f_leibniz_check(dataclasses.replace(
+                ctx, digits=digits, gamma_powers=[], gamma_packed={}),
+                random.Random(0), trials=10)
+        true_f = descent.f_map
+        monkeypatch.setattr(descent, "f_map",
+                            lambda ctx_, cs: true_f(ctx_, cs[:-1] or cs))
+        assert not f_leibniz_check(ctx, random.Random(0), trials=10)
 
     def test_images_vanish_at_p(self, ctx3):
         # every f-image g satisfies g(ptilde = p) = 0: the e-coordinate

@@ -114,6 +114,16 @@ class TestPadicIntNotHashable:
         assert _same_series(f.phi(), f.gamma_u(PadicInt(p, need, p)))
 
 
+def reference_teichmuller(p, e, prec):
+    """The contracting Frobenius iteration x -> x^p, prec + 1 times from
+    e: the reference for the Hensel lift of ``teichmuller``."""
+    mod = p**prec
+    x = e % mod
+    for _ in range(prec + 1):
+        x = pow(x, p, mod)
+    return x
+
+
 class TestTeichmuller:
     def test_one(self):
         assert teichmuller(5, 1, 6).residue == 1
@@ -131,8 +141,18 @@ class TestTeichmuller:
         assert teichmuller(3, 2, 4).residue == 80
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            teichmuller(3, 0, 4)
+        for p in (2, 3, 5, 7):
+            for e in (0, p, -p, 3 * p):
+                with pytest.raises(ValueError):
+                    teichmuller(p, e, 4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("prec", [1, 2, 40, 438])
+    def test_hensel_lift_equals_frobenius_loop(self, p, prec):
+        for e in [*range(1, p), p + 2, -1]:
+            if e % p:
+                got = teichmuller(p, e, prec)
+                assert (got.prec, got.residue) == (prec, reference_teichmuller(p, e, prec))
 
 
 class TestQPow:
@@ -323,6 +343,20 @@ class TestWeierstrassSlices:
                         assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
                         outcomes.add("short" if cert < N else "full")
         assert outcomes == {"raises", "short", "full"}
+
+    def test_division_by_a_power_of_d_matches_reference(self):
+        # the divisor d^40 (degree 160) of the p = 5 descent digit chain,
+        # whose remainder is one product
+        p, N, M = 5, 8, 1720
+        P = [1]
+        for _ in range(40):
+            P = _poly_mul(P, d_poly_t(p, 0), p**N)
+        rng = random.Random(40)
+        for m in (M, 321):
+            f = TruncSeries(p, N, m, [rng.randrange(p**N) for _ in range(m)])
+            Q, R, cert = f.weierstrass_divmod(P)
+            Qw, Rw, certw = reference_weierstrass_divmod(f, P)
+            assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
 
     def test_digit_chain_inputs_match_reference(self):
         # the invariant series the p = 3 descent chain divides
