@@ -166,16 +166,18 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = resolve_config(args)
+        # opened before any suite runs, so a bad path is a config error
+        out = open(cfg.out, "w") if cfg.out else sys.stdout
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    reports = run_suites(cfg)
-    text = render_json(cfg, reports) if cfg.report == "json" else render_text(cfg, reports)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        reports = run_suites(cfg)
+        print(render_json(cfg, reports) if cfg.report == "json" else render_text(cfg, reports),
+              file=out)
+    finally:
+        if cfg.out:
+            out.close()
     return 2 if any(r.failed for r in reports) else 0
 
 

@@ -16,20 +16,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import mul
 
 from .padic import (
     ModMat,
     QuotElem,
     QuotientRing,
-    _barrett,
-    _pack,
-    _row_slots,
     coker_invariants_mod,
     d_prime_elem,
     inv_mod,
     ker_basis_mod,
+    mat_mul_mod,
     subquotient_invariants,
     vp_factorial,
     vp_int,
@@ -42,46 +38,32 @@ from .padic import (
 
 
 class _Flattening:
-    """Flattening of rank x rank matrices over one ring A/d^n to packed
-    Z/p^N matrices, built once per (ring, rank) and shared by every module
-    of that shape (``_flattening``).
+    """Flattening of rank x rank matrices over one ring A/d^n to Z/p^N
+    matrices, built once per (ring, rank) and shared by every module of
+    that shape (``_flattening``).
 
-    The table holds, for each block column j and each q^k (k < deg), the
-    deg rows of the multiplication matrix of q^k placed in block column j,
-    packed end to end into one int, in the slots that a product by a
-    flattening (rank * deg rows) needs.  A block row of a matrix is then
-    sum(x_k * table[j][k]) over its entries x and their coefficients x_k:
-    one int, reduced by one Barrett step and read into its deg packed rows
-    once.  Flattened scalars and the block diagonal operators are kept
-    here too, keyed by their coefficients."""
+    The table has a row for each block column j and each q^k (k < deg):
+    the deg rows of the multiplication matrix of q^k placed in block
+    column j, end to end.  The block rows of a matrix are then one product
+    of its entries' coefficient rows by the table, each row of it split
+    into the deg rows of its block row.  Flattened scalars and the block
+    diagonal operators are kept here too, keyed by their coefficients."""
 
     def __init__(self, ring: QuotientRing, rank: int):
         self.ring, self.rank = ring, rank
         d = ring.deg
-        self.mod = mod = ring.p ** ring.N
-        self.w, _ = _row_slots(mod, rank * d)
+        self.mod = ring.p ** ring.N
         mats = [ring.mult_matrix(ring.q_power(k)) for k in range(d)]
         zero = (0,) * d
-        self.table = [_pack([x for row in M
-                             for blk in (zero,) * j + (row,) + (zero,) * (rank - 1 - j)
-                             for x in blk], self.w)
-                      for j in range(rank) for M in mats]
+        self.table = ModMat.of_reduced(
+            [[x for row in M for blk in (zero,) * j + (row,) + (zero,) * (rank - 1 - j)
+              for x in blk] for j in range(rank) for M in mats], self.mod)
         self.kept = {}
 
     def flatten(self, B) -> ModMat:
         """The flattening of a rank x rank matrix of QuotElem entries."""
-        d, w, mod, n = self.ring.deg, self.w, self.mod, self.rank * self.ring.deg
-        # a slot of a block row holds deg products of residues
-        s, c, mask, _ = _barrett(mod, w, d * n, (d * (mod - 1) ** 2).bit_length())
-        table, size = self.table, w * n
-        out = []
-        for Bi in B:
-            cs = [x for e in Bi for x in e.coeffs]
-            x = sum(map(mul, compress(cs, cs), compress(table, cs)))
-            buf = (x - mod * (x * c >> s & mask)).to_bytes(size * d, "little")
-            out += [int.from_bytes(buf[a:a + size], "little")
-                    for a in range(0, size * d, size)]
-        return ModMat.of_packed(out, mod, w, n)
+        coeffs = [[x for e in Bi for x in e.coeffs] for Bi in B]
+        return mat_mul_mod(coeffs, self.table, self.mod).split_rows(self.ring.deg)
 
     def scalar(self, x: QuotElem) -> ModMat:
         """Multiplication by x on rank copies of the ring, flattened."""
@@ -96,11 +78,10 @@ class _Flattening:
         """The block diagonal matrix with `rank` copies of base_mat."""
         key = ("kron", tuple(map(tuple, base_mat)))
         if key not in self.kept:
-            d, w = self.ring.deg, self.w
-            rows = [_pack([x % self.mod for x in row], w) for row in base_mat]
-            self.kept[key] = ModMat.of_packed(
-                [row << (8 * w * d * i) for i in range(self.rank) for row in rows],
-                self.mod, w, self.rank * d)
+            d, n = self.ring.deg, self.rank * self.ring.deg
+            base = ModMat(base_mat, self.mod)
+            self.kept[key] = ModMat.from_blocks(
+                n, n, self.mod, [(base, d * i, d * i) for i in range(self.rank)])
         return self.kept[key]
 
 
@@ -223,9 +204,10 @@ class QConnModule:
 
     # -- invariant certification ---------------------------------------------
 
-    def certify_leibniz(self, samples=None) -> bool:
-        """operator(s * v) = gamma(s) op(v) + der(s) v at the flat level."""
-        samples = samples or [self.ring.q_power(1), self.ring.q_power(2) + 3]
+    def certify_leibniz(self) -> bool:
+        """operator(s * v) = gamma(s) op(v) + der(s) v at the flat level,
+        for s = q and s = q^2 + 3."""
+        samples = [self.ring.q_power(1), self.ring.q_power(2) + 3]
         ok = True
         if self.D is not None:
             P = self.flat_partial()
@@ -425,37 +407,17 @@ def qdr_complex(mod: QConnModule) -> CochainComplex:
     n = mod.rank * mod.ring.deg
     m = mod.m
     flats = [mod.flat_nabla(i) for i in range(m)]
-    packed, w = _alike(flats + [-F for F in flats])
+    signed = (flats, [-F for F in flats])
     by_size = _subsets_by_size(m)
     ranks = [len(Ss) * n for Ss in by_size]
     diffs = []
     for t in range(m):
         src = {S: si for si, S in enumerate(by_size[t])}
-        D = []
-        for T in by_size[t + 1]:
-            # T minus its u-th index (u from 1) enters with sign (-1)^(u-1)
-            D += _side_by_side([(packed[i + m * (u % 2)], n * src[T[:u] + T[u + 1:]])
-                                for u, i in enumerate(T)], w)
-        diffs.append(ModMat.of_packed(D, mod.flat_mod, w, ranks[t]))
+        # T minus its u-th index (u from 1) enters with sign (-1)^(u-1)
+        blocks = [(signed[u % 2][i], n * ti, n * src[T[:u] + T[u + 1:]])
+                  for ti, T in enumerate(by_size[t + 1]) for u, i in enumerate(T)]
+        diffs.append(ModMat.from_blocks(ranks[t + 1], ranks[t], mod.flat_mod, blocks))
     return CochainComplex(p, N, ranks, diffs)
-
-
-def _alike(mats: list) -> tuple:
-    """The packed rows of each ModMat, all in the slots of the widest of
-    them, and that slot width."""
-    w = max((M.packed_at()[1] for M in mats), default=0)
-    return [M.packed_at(w)[0] for M in mats], w
-
-
-def _side_by_side(parts: list, w: int) -> list:
-    """The packed rows of blocks placed side by side: each part is (rows
-    packed in w-byte slots, slot offset), and the parts have as many rows."""
-    out = None
-    for rows, offset in parts:
-        shift = 8 * w * offset
-        out = ([x << shift for x in rows] if out is None
-               else [y + (x << shift) for y, x in zip(out, rows)])
-    return out
 
 
 def _subsets_by_size(m: int) -> list:
@@ -529,21 +491,16 @@ def double_complex(mod: QConnModule, scalars) -> dict:
                               for j in range(1, m + 1)] + [row.ranks[m]]
     diffs = []
     for j in range(m + 1):
-        src_a = row.ranks[j]
+        src_a, dst_a = row.ranks[j], row.ranks[j + 1] if j < m else 0
         src_b = row.ranks[j - 1] if j >= 1 else 0
         # d on the first block, then V on the first block and -d on the
         # second (no d at j = m, no second block at j = 0)
-        d_next = [row.diffs[j]] if j < m else []
-        neg_d = [-row.diffs[j - 1]] if j >= 1 else []
-        Vs = [columns[S] for S in by_size[j]]
-        packed, w = _alike(d_next + Vs + neg_d)
-        D = list(packed[0]) if d_next else []
-        for si in range(len(Vs)):
-            parts = [(packed[len(d_next) + si], si * n)]
-            if neg_d:
-                parts.append((packed[-1][si * n:(si + 1) * n], src_a))
-            D += _side_by_side(parts, w)
-        diffs.append(ModMat.of_packed(D, mod.flat_mod, w, src_a + src_b))
+        blocks = [(columns[S], dst_a + si * n, si * n) for si, S in enumerate(by_size[j])]
+        if j < m:
+            blocks.append((row.diffs[j], 0, 0))
+        if j >= 1:
+            blocks.append((-row.diffs[j - 1], dst_a, src_a))
+        diffs.append(ModMat.from_blocks(dst_a + src_a, src_a + src_b, mod.flat_mod, blocks))
     total = CochainComplex(p, N, ranks, diffs)
     return {"squares_ok": squares_ok, "row": row, "total": total,
             "columns": columns}

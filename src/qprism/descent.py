@@ -12,7 +12,7 @@ ptilde = p; B is the product of Z_p e_l with e_l = ptilde^l (ptilde - p).
 
 Everything is computed in certified ptilde-digit coordinates.  The
 first `count` digits of a series are found in A/d^count: one Weierstrass
-division reduces it mod d^count, then each step divides the polynomial
+remainder reduces it mod d^count, then each step divides the polynomial
 by d, certifies the remainder is a Z_p-constant (the membership
 certificate for the invariant subring), and multiplies the quotient by
 the inverse of the unit ptilde/d mod d^count (``_digit_chain``).  The
@@ -35,21 +35,20 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add
 
 from .padic import (
+    ModMat,
     PadicInt,
     QuotientRing,
     TruncSeries,
-    _distinguished_inverse,
     _exponent_key,
-    _pack,
     _poly_mul,
-    _slot_bytes,
-    _unpack_mod,
     d_poly_t,
     d_prime_elem,
+    distinguished_divmod,
     howell_mod,
+    mat_mul_mod,
     teichmuller,
     vp_factorial,
     vp_int,
@@ -67,8 +66,7 @@ class DescentContext:
     w_prec: int = 0
     w_poly_residuals: list = None  # indices > p+1 with nonzero digits
     M_work: int = 0
-    gamma_powers: list = field(default_factory=list)  # see _gamma_powers
-    gamma_packed: dict = field(default_factory=dict)
+    gamma_powers: ModMat = None  # see _gamma_powers
 
     @property
     def ok(self):
@@ -78,22 +76,6 @@ class DescentContext:
         if j < len(self.digits):
             return self.digits[j][0] % self.p**self.w_prec
         return 0
-
-
-def _floor_quotient(p: int, N: int, P: list, n: int) -> list:
-    """floor(t^n / P) mod p^N for a distinguished P of degree r <= n.
-
-    Expanded in t^-1, t^n / P is t^(n - r(N+1)) l, with l as in
-    ``_distinguished_inverse``, up to terms that vanish mod p^(N+1); the
-    floor is the part of t^(n - r(N+1)) l at t-degrees >= 0."""
-    l = _distinguished_inverse(p, N, tuple(P))
-    s = n - (len(P) - 1) * (N + 1)
-    return [0] * s + list(l) if s >= 0 else list(l[-s:])
-
-
-def _slots(x: int, w: int, lo: int, k: int, mod: int) -> list:
-    """Slots lo..lo+k-1 of the packed x, w bytes each, reduced mod `mod`."""
-    return _unpack_mod((x >> (8 * w * lo)) & ((1 << (8 * w * k)) - 1), w, k, mod)
 
 
 def _digit_chain(p: int, h: TruncSeries, u_inv: TruncSeries, d_t: list,
@@ -107,26 +89,21 @@ def _digit_chain(p: int, h: TruncSeries, u_inv: TruncSeries, d_t: list,
     subring), cur_(k+1) = Q_k u_inv, so that cur_k = c_k + ptilde cur_(k+1).
 
     Here they are found in A/Phi, Phi = d^count (distinguished, of degree
-    n = r count, built mod p^N by squaring).  Two Weierstrass divisions
-    give S_0 = h mod Phi and u = u_inv mod Phi, each certified to
-    min(N, floor(M/n)) digits; then each step divides the polynomial
-    S_k (degree < n) by the monic d, certifies the remainder is a
-    constant, and sets S_(k+1) = Q u mod Phi.  The digits and the
+    n = r count, built mod p^N by squaring).  Two remainders
+    (``weierstrass_rem``) give S_0 = h mod Phi and u = u_inv mod Phi, each
+    certified to min(N, floor(M/n)) digits; then each step divides the
+    polynomial S_k (degree < n) by the monic d, certifies the remainder is
+    a constant, and sets S_(k+1) = Q u mod Phi, all by
+    ``distinguished_divmod``, exact on polynomials.  The digits and the
     certificate are the round chain's: S_k = cur_k mod d^(count-k).  For
     k = 0 this is h = S_0 mod Phi.  If it holds for k, the two remainders
     by d agree mod d, and both have degree < r, so they are equal; then
     d (Q - Q_k) is divisible by d^(count-k), and as d is a non-zero-divisor
     Q = Q_k mod d^(count-k-1), so S_(k+1) = cur_(k+1) mod d^(count-k-1),
     as u = u_inv mod Phi.
-
-    The polynomial steps run on packed ints: the quotients by d and by
-    Phi are slices of products by floor(t^n/d) and floor(t^(2n)/Phi)
-    (``_floor_quotient``), exact for a monic divisor and a dividend of
-    degree < n and < 2n.
     """
     if count <= 0:
         return []
-    r, n = len(d_t) - 1, (len(d_t) - 1) * count
     mod_in = p**max(h.N, u_inv.N)
     phi, base, k = [1], list(d_t), count
     while k:
@@ -135,27 +112,15 @@ def _digit_chain(p: int, h: TruncSeries, u_inv: TruncSeries, d_t: list,
         k >>= 1
         if k:
             base = _poly_mul(base, base, mod_in)
-    _, S, cert_h = h.weierstrass_divmod(phi)
-    _, ubar, cert_u = u_inv.weierstrass_divmod(phi)
+    S, cert_h = h.weierstrass_rem(phi)
+    ubar, cert_u = u_inv.weierstrass_rem(phi)
     cert = min(cert_h, cert_u)
     mod = p**cert
-    w = _slot_bytes(mod, n + 1)
-    d_red = [x % mod for x in d_t]
-    mu_d = _pack(_floor_quotient(p, cert, d_t, n), w)
-    mu_phi = _pack(_floor_quotient(p, cert, phi, 2 * n), w)
-    phi_low = _pack([x % mod for x in phi[:n]], w)
-    ubar = _pack([x % mod for x in ubar], w)
-    S = [x % mod for x in S]
     digits = []
     for k in range(count):
-        if k:  # S_k = Q u mod Phi, Q of degree < n - r
-            X = _slots(_pack(Q, w) * ubar, w, 0, 2 * n - r - 1, mod)
-            top = _slots(_pack(X[n:], w) * mu_phi, w, n, n - r - 1, mod)
-            low = _slots(_pack(top, w) * phi_low, w, 0, n, mod)
-            S = [(a - b) % mod for a, b in zip(X, low)]
-        Q = _slots(_pack(S[r:], w) * mu_d, w, n - r, n - r, mod)
-        R = [(S[i] - sum(d_red[i - j] * Q[j] for j in range(min(i + 1, n - r))))
-             % mod for i in range(r)]
+        if k:
+            S = distinguished_divmod(p, cert, _poly_mul(Q, ubar, mod), phi, 0)[1]
+        Q, R = distinguished_divmod(p, cert, S, d_t)
         if any(R[1:]):
             raise ArithmeticError(
                 "remainder is not a constant: input is not in the "
@@ -164,8 +129,7 @@ def _digit_chain(p: int, h: TruncSeries, u_inv: TruncSeries, d_t: list,
     return digits
 
 
-def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
-                  M_small: int = 32) -> DescentContext:
+def build_context(p: int, N: int = 8, K: int = 5, digits: int = None) -> DescentContext:
     """Construct the descent data at alpha = 0 and certify its invariants."""
     count = digits if digits is not None else K * (p + 1) + N + 2
     r = p - 1
@@ -205,7 +169,7 @@ def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
         inv_ok = inv_ok and (img == ptilde)
     ctx.checks["gamma_u(ptilde) = ptilde (exponent permutation)"] = inv_ok
     series.clear()  # not held through the digit chain below
-    small = ptilde.reduce_prec(M=M_small)
+    small = ptilde.reduce_prec(M=32)
     subst_ok = True
     for u in range(1, min(p, 4)):
         gu = small.gamma_u(ctx.teich[u])
@@ -239,35 +203,33 @@ def build_context(p: int, N: int = 8, K: int = 5, digits: int = None,
 # ---------------------------------------------------------------------------
 
 
-def _gamma_powers(ctx: DescentContext, n: int, w: int) -> list:
-    """gamma(ptilde)^0 .. gamma(ptilde)^(n-1), where gamma(ptilde) =
-    ptilde + w, packed in w-byte slots.  The ptilde-coefficient vectors
-    (``ctx.gamma_powers``) and their packings per slot width are kept on
-    the context and extended on demand."""
-    mod = ctx.p**ctx.w_prec
-    pows = ctx.gamma_powers
-    if not pows:
-        base = [ctx.w_coeff(j) for j in range(len(ctx.digits))]
-        base[1] = (base[1] + 1) % mod
-        pows.extend(([1], base))
-    while len(pows) < n:
-        pows.append(_poly_mul(pows[-1], pows[1], mod))
-    packed = ctx.gamma_packed.setdefault(w, [])
-    packed.extend(_pack(x, w) for x in pows[len(packed):n])
-    return packed[:n]
+def _gamma_powers(ctx: DescentContext, n: int) -> ModMat:
+    """The rows gamma(ptilde)^j, j < n at least, in ptilde-coefficients
+    padded to one width, where gamma(ptilde) = ptilde + w.  They are kept
+    on the context (``ctx.gamma_powers``) and rebuilt for a larger n."""
+    if ctx.gamma_powers is None or len(ctx.gamma_powers) < n:
+        mod = ctx.p**ctx.w_prec
+        g = [ctx.w_coeff(j) for j in range(len(ctx.digits))]
+        g[1] = (g[1] + 1) % mod
+        pows = [[1]]
+        while len(pows) < n:
+            pows.append(_poly_mul(pows[-1], g, mod))
+        width = len(pows[-1])
+        ctx.gamma_powers = ModMat.of_reduced([x + [0] * (width - len(x)) for x in pows], mod)
+    return ctx.gamma_powers
 
 
 def f_map(ctx: DescentContext, coeffs: list) -> list:
-    """f of sum_j coeffs[j] ptilde^j in ptilde digit coordinates: one sum
-    of c_j gamma(ptilde)^j - c_j ptilde^j over packed ints, one unpack."""
+    """f of sum_j coeffs[j] ptilde^j in ptilde digit coordinates: one
+    product of the row of c_j by the rows gamma(ptilde)^j, minus the c_j."""
     mod = ctx.p**ctx.w_prec
     if not coeffs:
         return [0]
     cs = [c % mod for c in coeffs]
-    w = _slot_bytes(mod, len(cs) + 1)
-    x = sum(map(mul, cs, _gamma_powers(ctx, len(cs), w)))
-    x += _pack([-c % mod for c in cs], w)
-    return _unpack_mod(x, w, len(ctx.gamma_powers[len(cs) - 1]), mod)
+    out = list(mat_mul_mod([cs], _gamma_powers(ctx, len(cs)), mod)[0])
+    for j, c in enumerate(cs):
+        out[j] = (out[j] - c) % mod
+    return out[:1 + (len(cs) - 1) * (len(ctx.digits) - 1)]
 
 
 def f_on_powers(ctx: DescentContext, kmax: int) -> list:
@@ -357,8 +319,7 @@ def wcart_h1_structure(ctx: DescentContext) -> WCartReport:
     return WCartReport(p, K, ctx.w_prec, leading, residuals, free, checks)
 
 
-def f_leibniz_check(ctx: DescentContext, rng, trials: int = 100,
-                    deg: int = None) -> bool:
+def f_leibniz_check(ctx: DescentContext, rng, trials: int = 100) -> bool:
     """f(xy) = f(x)y + x f(y) + f(x) f(y) on random ptilde-polynomials.
 
     The law holds for f = gamma - id whenever gamma is a ring map, and
@@ -367,7 +328,7 @@ def f_leibniz_check(ctx: DescentContext, rng, trials: int = 100,
     of w = f(ptilde): it passes on random digit vectors as well."""
     p = ctx.p
     mod = p**ctx.w_prec
-    deg = deg if deg is not None else max(1, ctx.K // 2)
+    deg = max(1, ctx.K // 2)
     for _ in range(trials):
         x = [rng.randrange(mod) for _ in range(deg + 1)]
         y = [rng.randrange(mod) for _ in range(deg + 1)]
@@ -385,11 +346,11 @@ def f_leibniz_check(ctx: DescentContext, rng, trials: int = 100,
     return True
 
 
-def averaging_projector_check(p: int, N: int = 6, M: int = 24,
-                              rng=None, trials: int = 5) -> bool:
-    """Pi = (1/(p-1)) sum_u gamma_u is idempotent and fixes ptilde-powers."""
+def averaging_projector_check(p: int, N: int = 6, M: int = 24) -> bool:
+    """Pi = (1/(p-1)) sum_u gamma_u is idempotent and fixes ptilde-powers
+    (and five random series, seed 0)."""
     import random
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     n_t = N + vp_factorial(p, M) + 1
     lifts = [teichmuller(p, u, n_t) for u in range(1, p)]
     inv = pow(p - 1, -1, p**N)
@@ -406,7 +367,7 @@ def averaging_projector_check(p: int, N: int = 6, M: int = 24,
     for k in range(3):
         if not (proj(ptilde**k) == ptilde**k):
             return False
-    for _ in range(trials):
+    for _ in range(5):
         f = TruncSeries(p, N, M, [rng.randrange(p**N) for _ in range(M)])
         pf = proj(f)
         if not (proj(pf) == pf):

@@ -197,8 +197,8 @@ class OreElement:
 
     # -- multiplication -------------------------------------------------------
 
-    def __mul__(self, other, order_rng=None):
-        return self.mul(other, order_rng)
+    def __mul__(self, other):
+        return self.mul(other)
 
     def mul(self, other: "OreElement", order_rng=None) -> "OreElement":
         alg = self.alg
@@ -410,9 +410,9 @@ def make_absolute_algebra(p, alpha, m=1, N=8, M=32, tcap=64) -> OreAlgebra:
                       with_partial=True, tcap=tcap)
 
 
-def make_relative_algebra(p, m=1, N=8, M=32, tcap=64) -> OreAlgebra:
+def make_relative_algebra(p, m=1, N=8, M=32) -> OreAlgebra:
     return OreAlgebra(SeriesScalars(p, N, M, 0, "relative"), m,
-                      with_partial=False, tcap=tcap)
+                      with_partial=False)
 
 
 def verify_master_relation(p: int, alpha: int, bound: int = 6,
@@ -577,19 +577,18 @@ def commutator_mod_residue(p: int, alpha: int) -> "OreElement":
     return alg.partial() * alg.nabla(0) - alg.nabla(0) * alg.partial()
 
 
-def specialize_mod_d_checks(p: int, alpha: int, N: int = 8, n: int = 1) -> dict:
-    """The induced algebra over A/d^n: s0 and s1 take their specialized
+def specialize_mod_d_checks(p: int, alpha: int, N: int = 8) -> dict:
+    """The induced algebra over A/d: s0 and s1 take their specialized
     values and the rewrite rule matches the binomial form; the checks by
     case id."""
-    ring = QuotientRing(p, N, alpha, n)
+    ring = QuotientRing(p, N, alpha, 1)
     ctx = QuotScalars(ring)
     k = p ** (alpha + 1) + 1
     checks = {}
-    if n == 1:
-        # s0 = 1/k and s1 = -e on the quotient
-        kinv = ring.const(k).unit_inverse()
-        checks["s0 = 1/(p^(alpha+1)+1) mod d"] = ctx.s0() == kinv
-        checks["s1 = -d'(q) mod d"] = ctx.s1() == -d_prime_elem(ring)
+    # s0 = 1/k and s1 = -e on the quotient
+    kinv = ring.const(k).unit_inverse()
+    checks["s0 = 1/(p^(alpha+1)+1) mod d"] = ctx.s0() == kinv
+    checks["s1 = -d'(q) mod d"] = ctx.s1() == -d_prime_elem(ring)
     alg = OreAlgebra(ctx, m=1, with_partial=True, tcap=32)
     # the rewrite rule is internally consistent: partial*(nabla*x) == (partial*nabla)*x
     x = alg.T(0) + alg.const(2)

@@ -12,11 +12,11 @@ vanish at the certified precision, and a nonzero remainder raises.
 from __future__ import annotations
 
 import functools
-import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Sequence
 
 
@@ -207,10 +207,29 @@ def _poly_mul(a, b, mod: int, n: int = None) -> list:
     return out
 
 
-def _packed_product(x: int, y: int, w: int, k: int, mod: int) -> list:
-    """Slots 0..k-1 of x*y, for x and y packed in w-byte slots, each
-    reduced mod `mod`; the slots past k are dropped before they are read."""
-    return _unpack_mod((x * y) & ((1 << (8 * w * k)) - 1), w, k, mod)
+def _packed_product(x: int, y: int, w: int, k: int, mod: int, lo: int = 0) -> list:
+    """Slots lo..k-1 of x*y, for x and y packed in w-byte slots, each
+    reduced mod `mod`; the other slots are dropped before they are read."""
+    return _unpack_mod((x * y >> (8 * w * lo)) & ((1 << (8 * w * (k - lo))) - 1),
+                       w, k - lo, mod)
+
+
+def _q_poly_t(qcoeffs: dict, M: int) -> list:
+    """The exact t-coefficients below t^M of sum c * q^e, q = 1 + t, over
+    integer exponents e, unreduced.
+
+    The binomials come from the exact iteration
+    C(e, j+1) = C(e, j)(e - j)/(j + 1), which ends at j = e for e >= 0
+    and gives C(e, j) = (-1)^j C(j - e - 1, j) for e < 0; the products
+    c * C(e, j) are summed into one list."""
+    acc = [0] * M
+    for e, c in qcoeffs.items():
+        for j in range(M):
+            if not c:
+                break
+            acc[j] += c
+            c = c * (e - j) // (j + 1)
+    return acc
 
 
 def _exponent_key(k):
@@ -249,7 +268,9 @@ def _unit_part_inverses(p: int, N: int, M: int) -> tuple:
 
 @functools.cache
 def _distinguished_inverse(p: int, N: int, P: tuple) -> tuple:
-    """l = sum_(k=0..N) (-pC)^k t^(r(N-k)) mod p^N, for P = t^r + pC.
+    """(w, l, P_low) for P = t^r + pC: l = sum_(k=0..N) (-pC)^k t^(r(N-k))
+    and P below t^r, mod p^N, packed in w-byte slots that hold a sum of
+    rN + 1 products of residues.
 
     Expanded in t^-1, 1/P = sum_k (-pC)^k t^(-r(k+1)), and the terms
     k > N vanish mod p^(N+1); so l = t^(r(N+1))/P to that precision."""
@@ -260,7 +281,31 @@ def _distinguished_inverse(p: int, N: int, P: tuple) -> tuple:
         s = r * (N - k)
         out[s:s + len(y)] = map(add, out[s:s + len(y)], y)
         y = _poly_mul(y, minus_pC, mod)
-    return tuple(x % mod for x in out)
+    w = _slot_bytes(mod, r * N + 1)
+    return w, _pack([x % mod for x in out], w), _pack([x % mod for x in P[:r]], w)
+
+
+def distinguished_divmod(p: int, N: int, a: list, P: Sequence[int], k: int = None) -> tuple:
+    """(Q, R) mod p^N with a = Q*P + R and deg R < r, for the coefficient
+    list a and a distinguished P = t^r + pC.
+
+    Q is the part of a/P at t-degrees >= 0, with 1/P expanded in t^-1
+    (``_distinguished_inverse``): as the low part a[:r] has none, Q is
+    the slice from t^(rN) of a[r:] * l, where l below t^s meets no
+    coefficient of a[r:] in the slice.  R = a - P*Q below t^r needs Q
+    below t^r only.  Q is returned to k coefficients (default: all,
+    exact for a polynomial a); a caller that reads a as a truncated series
+    certifies the digits itself (``weierstrass_divmod``)."""
+    r, mod = len(P) - 1, p**N
+    k = max(len(a) - r, 0) if k is None else k
+    w, l, P_low = _distinguished_inverse(p, N, tuple(P))
+    s = min(max(r * N - len(a) + r + 1, 0), r * N)
+    lo, n = r * N - s, max(k, r)
+    hi = _pack([x % mod for x in a[r:r + lo + n]], w)
+    Q = _packed_product(hi, l >> (8 * w * s), w, lo + n, mod, lo)
+    R = _packed_product(P_low, _pack(Q[:r], w), w, r, mod)
+    low = list(a[:r]) + [0] * (r - len(a))
+    return Q[:k], [(x - y) % mod for x, y in zip(low, R)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +358,7 @@ class TruncSeries:
 
     @staticmethod
     def q_power(p, N, M, k):
-        """q^k = (1+t)^k for k an integer or PadicInt.
+        """q^k = (1+t)^k for k an integer (``from_q_poly``) or PadicInt.
 
         For a p-adic exponent, C(k, n) mod p^N is carried as p^e * u, with
         e its valuation and u a unit mod p^N (Granville, "Arithmetic
@@ -329,15 +374,8 @@ class TruncSeries:
         p^(k.prec - v_p((M-1)!)), so is 0 mod p^N.  The digit loss
         v_p((M-1)!) is checked against the precision of the exponent.
         """
-        if isinstance(k, int) and k >= 0:
-            cs = [math.comb(k, n) for n in range(min(M, k + 1))]
-            return TruncSeries(p, N, M, cs)
         if isinstance(k, int):
-            cs, c = [], 1
-            for n in range(M):
-                cs.append(c)
-                c = c * (k - n) // (n + 1)
-            return TruncSeries(p, N, M, cs)
+            return TruncSeries.from_q_poly(p, N, M, {k: 1})
         need = N + vp_factorial(p, max(M - 1, 1))
         if k.prec < need:
             raise PrecisionError(
@@ -370,33 +408,13 @@ class TruncSeries:
     @staticmethod
     def from_q_poly(p, N, M, qcoeffs: dict):
         """Sum of c * q^e over the (possibly huge or negative) integer
-        exponents e, in one pass.
-
-        The binomials come from the exact iteration
-        C(e, j+1) = C(e, j)(e - j)/(j + 1), which ends at j = e for
-        e >= 0 and gives C(e, j) = (-1)^j C(j - e - 1, j) for e < 0.  The
-        products c * C(e, j) are summed into one coefficient list, which
-        is reduced once.
-        """
-        acc = [0] * M
-        for e, c in qcoeffs.items():
-            for j in range(M):
-                if not c:
-                    break
-                acc[j] += c
-                c = c * (e - j) // (j + 1)
-        return TruncSeries(p, N, M, acc)
+        exponents e, reduced once (``_q_poly_t``)."""
+        return TruncSeries(p, N, M, _q_poly_t(qcoeffs, M))
 
     @staticmethod
     def q_analogue(p, N, M, n: int, base: int = 1):
-        """[n]_{q^base} as a series."""
-        mod = p**N
-        cs = [0] * M
-        for i in range(n):
-            k = base * i
-            for j in range(min(M, k + 1)):
-                cs[j] = (cs[j] + math.comb(k, j)) % mod
-        return TruncSeries(p, N, M, cs)
+        """[n]_{q^base} = sum_(i<n) q^(base i) as a series."""
+        return TruncSeries.from_q_poly(p, N, M, Counter(base * i for i in range(n)))
 
     @staticmethod
     def d_series(p, N, M, alpha: int):
@@ -581,41 +599,41 @@ class TruncSeries:
 
         P is given by exact integer t-coefficients: monic of degree r with
         all non-leading coefficients divisible by p.  Returns
-        (Q, R, r_prec): f = Q*P + R with deg_t R < r.
-
-        Write P = t^r + pC.  The quotient is the part of f/P at t-degrees
-        >= 0, with 1/P expanded in t^-1 (``_distinguished_inverse``), so it
-        is read off one product: Q is the slice from t^(r(N+1)) of f*l,
-        and R = (f - P*Q) below t^r, from one more product.  Precision
-        accounting: a tail term t^j reduces to a multiple of p^floor(j/r),
-        so the unknown tail of f contaminates the t-degree-j part of the
-        quotient at level
+        (Q, R, r_prec): f = Q*P + R with deg_t R < r, from one product
+        (``distinguished_divmod``).  Precision accounting: a tail term t^j
+        reduces to a multiple of p^floor(j/r), so the unknown tail of f
+        contaminates the t-degree-j part of the quotient at level
         p^(ceil((M-j)/r) - 1) and the remainder at p^floor(M/r).  The
         quotient is returned on the largest uniform box holding
         N_q = min(N, floor(M/r) - 1) p-digits, which costs (N_q+1)*r
         t-digits; the remainder is certified mod p^r_prec with
-        r_prec = min(N, floor(M/r)).
+        r_prec = min(N, floor(M/r)) (``weierstrass_rem``).
         """
         p, N, M = self.p, self.N, self.M
-        r = len(P) - 1
-        if P[r] != 1:
-            raise ValueError("distinguished polynomial must be monic in t")
-        if any(x % p for x in P[:r]):
-            raise ValueError("lower coefficients must be divisible by p")
-        if M <= r:
-            raise PrecisionError("t-precision does not reach the divisor degree")
+        r, cert = self._distinguished_cert(P)
         N_q = min(N, M // r - 1)
         if N_q < 1:
             raise PrecisionError("quotient would carry no certified digits")
         M_q = M - (N_q + 1) * r + 1
-        mod = p**N
-        # l has t-degree <= rN, so f below t^r does not reach the slice
-        Q = _poly_mul(self.c[r:], _distinguished_inverse(p, N, tuple(P)),
-                      mod, r * N + max(M_q, r))[r * N:]
-        cert = min(N, M // r)
-        R = [(a - b) % p**cert
-             for a, b in zip(self.c, _poly_mul(P, Q[:r], mod, r))]
-        return TruncSeries(p, N_q, M_q, Q[:M_q]), R, cert
+        Q, R = distinguished_divmod(p, N, self.c, P, M_q)
+        return TruncSeries(p, N_q, M_q, Q), [x % p**cert for x in R], cert
+
+    def weierstrass_rem(self, P: Sequence[int]) -> tuple:
+        """(R, r_prec) of ``weierstrass_divmod`` without the quotient past
+        t^r, worked mod p^r_prec."""
+        cert = self._distinguished_cert(P)[1]
+        return distinguished_divmod(self.p, cert, self.c, P, 0)[1], cert
+
+    def _distinguished_cert(self, P: Sequence[int]) -> tuple:
+        """(r, min(N, floor(M/r))) for a distinguished P of degree r < M."""
+        r = len(P) - 1
+        if P[r] != 1:
+            raise ValueError("distinguished polynomial must be monic in t")
+        if any(x % self.p for x in P[:r]):
+            raise ValueError("lower coefficients must be divisible by p")
+        if self.M <= r:
+            raise PrecisionError("t-precision does not reach the divisor degree")
+        return r, min(self.N, self.M // r)
 
     def weierstrass_divide_exact(self, P: Sequence[int]) -> "TruncSeries":
         """Certified exact division by a distinguished polynomial."""
@@ -638,19 +656,9 @@ class TruncSeries:
 # -- distinguished polynomial data and composite division -------------------
 
 
-def distinguished_poly_t(p: int, n: int, base_exp: int) -> list:
-    """Exact integer t-coefficients of [n]_{q^base_exp}."""
-    deg = base_exp * (n - 1)
-    cs = [0] * (deg + 1)
-    for i in range(n):
-        k = base_exp * i
-        for j in range(k + 1):
-            cs[j] += math.comb(k, j)
-    return cs
-
-
 def d_poly_t(p: int, alpha: int) -> list:
-    return distinguished_poly_t(p, p, p**alpha)
+    """Exact integer t-coefficients of d = [p]_{q^(p^alpha)}."""
+    return _q_poly_t(Counter(i * p**alpha for i in range(p)), (p - 1) * p**alpha + 1)
 
 
 def divide_by_q_power_minus_one(f: TruncSeries, alpha: int) -> TruncSeries:
@@ -971,6 +979,31 @@ class ModMat:
         return out
 
     @staticmethod
+    def from_blocks(rows: int, cols: int, mod: int, blocks) -> "ModMat":
+        """The rows x cols matrix over Z/mod holding each (B, i, j) of
+        blocks, a ModMat over mod, with its top left entry at (i, j), and
+        zero elsewhere.  The blocks must not overlap: their packed rows are
+        shifted and added, in the slots of the widest of them (8 bytes when
+        there is none)."""
+        blocks = list(blocks)
+        w = max([B.packed_at()[1] for B, _, _ in blocks], default=8)
+        out = [0] * rows
+        for B, i, j in blocks:
+            for k, x in enumerate(B.packed_at(w)[0], i):
+                out[k] += x << (8 * w * j)
+        return ModMat.of_packed(out, mod, w, cols)
+
+    def split_rows(self, k: int) -> "ModMat":
+        """Each row cut into k rows of cols/k entries, left to right."""
+        packed, w = self.packed_at()
+        size = w * self.cols // k
+        out = []
+        for x in packed:
+            buf = x.to_bytes(size * k, "little")
+            out += [int.from_bytes(buf[a:a + size], "little") for a in range(0, size * k, size)]
+        return ModMat.of_packed(out, self.mod, w, self.cols // k)
+
+    @staticmethod
     def identity(n: int, mod: int) -> "ModMat":
         return ModMat.of_reduced([(0,) * i + (1,) + (0,) * (n - 1 - i)
                                   for i in range(n)], mod)
@@ -1099,10 +1132,8 @@ def mat_identity(n: int) -> list:
 
 def d_poly_q(p: int, alpha: int) -> list:
     """Exact integer q-coefficients of [p]_{q^(p^alpha)}."""
-    deg = (p - 1) * p**alpha
-    cs = [0] * (deg + 1)
-    for i in range(p):
-        cs[i * p**alpha] += 1
+    cs = [0] * ((p - 1) * p**alpha + 1)
+    cs[::p**alpha] = [1] * p
     return cs
 
 
@@ -1112,28 +1143,11 @@ def d_prime_elem(ring: "QuotientRing") -> "QuotElem":
     return ring.from_q_poly({e - 1: c * e for e, c in enumerate(dq) if e and c})
 
 
-def _poly_mod(a, modulus, mod):
-    """a mod (modulus, mod) for a monic modulus, by schoolbook reduction
-    from the top: ``QuotientRing.reduce`` uses it for polynomials longer
-    than its table reaches."""
-    a = [x % mod for x in a]
-    dm = len(modulus) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * modulus[j]) % mod
-    return a[:dm] + [0] * max(0, dm - len(a))
-
-
 class QuotientRing:
     """A/d^n as a finite free Z/p^N-module with basis 1, q, ..., q^(deg-1)."""
 
     def __init__(self, p: int, N: int, alpha: int, n: int = 1):
-        self.p = p
-        self.N = N
-        self.alpha = alpha
-        self.n = n
+        self.p, self.N, self.alpha, self.n = p, N, alpha, n
         base = d_poly_q(p, alpha)
         modulus = [1]
         for _ in range(n):
@@ -1142,47 +1156,49 @@ class QuotientRing:
         modulus[-1] = 1
         self.modulus = modulus
         self.deg = deg = len(modulus) - 1
-        # The reduction table: q^k mod (d^n, p^N) for deg <= k <= 2 deg - 2,
-        # one packed int each.  Its slots hold a sum of 2 deg - 1 products
-        # of residues: a product of two reduced elements leaves at most deg
-        # in each slot, and folding its deg - 1 high coefficients back
-        # adds at most deg - 1 more.
+        # The reduction table: q^k mod (d^n, p^N) for deg <= k < 2 deg, one
+        # packed int each.  Its slots hold a sum of 2 deg products of
+        # residues: a product of two reduced elements leaves at most deg in
+        # each slot, and folding its deg high coefficients back adds at
+        # most deg more.
         mod = self._mod = p**N
-        w = self._slot = _slot_bytes(mod, 2 * deg - 1)
+        w = self._slot = _slot_bytes(mod, 2 * deg)
         self._low_bits = 8 * w * deg
         self._low_mask = (1 << self._low_bits) - 1
         row = [-c % mod for c in modulus[:deg]]  # q^deg
         rows = [row]
-        for _ in range(deg - 2):
+        for _ in range(deg - 1):
             # q^(k+1) = q * q^k: shift up, fold the top coefficient back
             top = rows[-1][-1]
             rows.append([(a + top * b) % mod for a, b in zip([0] + rows[-1], row)])
-        self._table = [_pack(r, w) for r in rows[:deg - 1]]  # none at deg = 1
+        self._table = [_pack(r, w) for r in rows]
 
     def _fold(self, x: int) -> list:
-        """The deg residues of the packed polynomial x of degree at most
-        2 deg - 2, whose slots hold at most deg products of residues:
-        its high coefficients are read and reduced, multiplied by the
-        table rows and added to its low slots, which are read once."""
+        """The deg residues of the packed polynomial x of degree below
+        2 deg, whose slots hold at most deg products of residues: its high
+        coefficients are read and reduced, multiplied by the table rows and
+        added to its low slots, which are read once."""
         hi = x >> self._low_bits
         if hi:
             x = (x & self._low_mask) + sum(map(
-                mul, _unpack_mod(hi, self._slot, self.deg - 1, self._mod), self._table))
+                mul, _unpack_mod(hi, self._slot, self.deg, self._mod), self._table))
         return _unpack_mod(x, self._slot, self.deg, self._mod)
 
     def reduce(self, coeffs) -> list:
         """The deg residues of sum c_k q^k mod (d^n, p^N) for integers c_k.
-        Up to deg coefficients need only the reduction mod p^N; up to
-        2 deg - 1, the shape of a product of two reduced elements, are
-        reduced by the table; a longer polynomial (from ``q_power`` or
-        ``from_series``, say) by ``_poly_mod``."""
+        Up to deg coefficients need only the reduction mod p^N; a longer
+        polynomial is folded by the table from the top, each fold taking
+        the reduced part above and the next deg coefficients below it."""
         mod, deg = self._mod, self.deg
         cs = [c % mod for c in coeffs]
         if len(cs) <= deg:
             return cs + [0] * (deg - len(cs))
-        if len(cs) > 2 * deg - 1:
-            return _poly_mod(cs, self.modulus, mod)
-        return self._fold(_pack(cs, self._slot))
+        i, acc = len(cs) - deg, cs[-deg:]
+        while i:
+            j = max(i - deg, 0)
+            acc = self._fold(_pack(cs[j:i] + acc, self._slot))
+            i = j
+        return acc
 
     def elem(self, coeffs, prec=None):
         return QuotElem(self, coeffs, self.N if prec is None else prec)
@@ -1197,11 +1213,8 @@ class QuotientRing:
         return self.elem([c])
 
     def q_power(self, k: int):
-        mod = self.p**self.N
         if k >= 0:
-            out = [0] * (k + 1)
-            out[k] = 1
-            return self.elem(_poly_mod(out, self.modulus, mod))
+            return self.elem([0] * k + [1])
         return self.q_power(1).unit_inverse() ** (-k)
 
     def from_q_poly(self, qcoeffs: dict):
@@ -1211,23 +1224,17 @@ class QuotientRing:
         return out
 
     def from_series(self, f: TruncSeries):
-        """Reduce a t-series; the unknown tail costs p-precision."""
+        """Reduce a t-series by Horner's rule in t = q - 1; the unknown tail,
+        a multiple of (q-1)^M, costs the p-precision of its image."""
         if f.p != self.p:
             raise ValueError("mixed primes")
-        mod = self.p ** min(self.N, f.N)
-        # t = q - 1
-        acc = [0] * self.deg
-        tpow = [1]
-        for c in f.c:
-            if c:
-                for i, x in enumerate(tpow):
-                    if i < self.deg:
-                        acc[i] = (acc[i] + c * x) % mod
-            tpow = _poly_mod(_poly_mul(tpow, [-1, 1], mod), self.modulus, mod)
-        vals = [vp_int(x, self.p) for x in tpow]
-        vals = [v for v in vals if v is not None]
-        tail_prec = min(vals) if vals else min(self.N, f.N)
-        return QuotElem(self, acc, min(self.N, f.N, max(tail_prec, 0) if vals else f.N))
+        acc = [0]
+        for c in reversed(f.c):
+            acc = self.reduce(list(map(sub, [0] + acc, acc + [0])))
+            acc[0] += c
+        N = min(self.N, f.N)
+        vals = [vp_int(x, self.p) for x in (self.elem([-1, 1]) ** f.M).coeffs if x]
+        return QuotElem(self, [x % self.p**N for x in acc], min([N] + vals))
 
     def mult_matrix(self, x: "QuotElem") -> list:
         """Matrix of multiplication by x: column i is x*q^i, x packed once,
@@ -1355,14 +1362,6 @@ class QuotElem:
     def is_zero(self) -> bool:
         mod = self.ring.p**self.prec
         return all(a % mod == 0 for a in self.coeffs)
-
-    def is_unit(self) -> bool:
-        """Units of the local ring: detectable from the mult matrix."""
-        try:
-            self.unit_inverse()
-            return True
-        except ZeroDivisionError:
-            return False
 
     def unit_inverse(self) -> "QuotElem":
         # the inverse applied to 1 is its first column

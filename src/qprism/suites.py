@@ -290,10 +290,10 @@ def suite_delta_power(cfg: RunConfig):
     return cases
 
 
-def _random_ore_element(alg, rng, nterms=2):
+def _random_ore_element(alg, rng):
     from . import ore
     terms = {}
-    for _ in range(nterms):
+    for _ in range(2):
         te = tuple(rng.randrange(2) for _ in range(alg.m))
         ne = tuple(rng.randrange(2) for _ in range(alg.m))
         key = (te, ne, rng.randrange(2) if alg.with_partial else 0)

@@ -12,9 +12,9 @@ not reduced back to N.  The exact bases (integer polynomial rings,
 possibly with an eps generator) have no precision to lose and certify
 identities on the nose.
 
-A base supplies the ring: const, phi, divide_p_pow, times_p_pow,
-is_zero, congruent_mod_p_pow and ``transport``, which carries an exact
-BigPoly into the base's elements.
+A base supplies the ring: const, phi (except ``QuotBase``),
+divide_p_pow, times_p_pow, is_zero and ``transport``, which carries an
+exact BigPoly into the base's elements.
 """
 
 from __future__ import annotations
@@ -161,7 +161,6 @@ class ExactPolyBase:
     def __init__(self, pres: RingPresentation):
         self.pres = pres
         self.p = pres.p
-        self.has_phi = True
 
     def const(self, c):
         return self.pres.const(c)
@@ -178,9 +177,6 @@ class ExactPolyBase:
     def is_zero(self, x) -> bool:
         return not x
 
-    def congruent_mod_p_pow(self, x, a: int) -> bool:
-        return x.coefficients_divisible_by(self.p**a)
-
     def transport(self, poly: BigPoly):
         return poly
 
@@ -190,7 +186,6 @@ class SeriesBase:
 
     def __init__(self, p: int, N_work: int, M: int):
         self.p, self.N, self.M = p, N_work, M
-        self.has_phi = True
 
     def const(self, c):
         return TruncSeries.const(self.p, self.N, self.M, c)
@@ -206,9 +201,6 @@ class SeriesBase:
 
     def is_zero(self, x) -> bool:
         return x.is_zero()
-
-    def congruent_mod_p_pow(self, x, a) -> bool:
-        return x.reduce_prec(N=min(a, x.N)).is_zero()
 
     def _sectors(self, poly: BigPoly, twisted: bool = False) -> dict:
         """The terms of ``poly`` grouped by eps sector (and, when twisted,
@@ -357,7 +349,6 @@ class QuotBase:
     def __init__(self, ring: QuotientRing):
         self.ring = ring
         self.p = ring.p
-        self.has_phi = False
 
     def const(self, c):
         return self.ring.const(c)
@@ -423,27 +414,21 @@ def witt_one(base, L: int) -> WittVector:
     return teich(base, base.const(1), L)
 
 
-def dwork_check(base, ghosts, strict=False) -> bool:
-    """phi(r_n) = r_(n+1) mod p^(n+1); with strict=True, exactly."""
-    if not base.has_phi:
-        return True
-    for n in range(len(ghosts) - 1):
-        diff = base.phi(ghosts[n]) - ghosts[n + 1]
-        if strict:
-            if not base.is_zero(diff):
-                return False
-        elif not base.congruent_mod_p_pow(diff, n + 1):
-            return False
-    return True
+def dwork_check(base, ghosts) -> bool:
+    """phi(r_n) = r_(n+1) exactly, which implies the Dwork congruence
+    mod p^(n+1)."""
+    return all(base.is_zero(base.phi(ghosts[n]) - ghosts[n + 1])
+               for n in range(len(ghosts) - 1))
 
 
-def from_ghost(base, ghosts, check_dwork=True, strict_dwork=False) -> WittVector:
+def from_ghost(base, ghosts, check_dwork=True) -> WittVector:
     """Solve ghost(x) = r by back-substitution with certified division.
 
     x_n = (r_n - sum_{i<n} p^i x_i^(p^(n-i))) / p^n; a division failure
     means the input is not a ghost sequence at the working precision.
+    With check_dwork, the ghosts must first pass ``dwork_check``.
     """
-    if check_dwork and not dwork_check(base, ghosts, strict=strict_dwork):
+    if check_dwork and not dwork_check(base, ghosts):
         raise GhostSolveError("Dwork congruence failed")
     p = base.p
     coords = []
@@ -513,7 +498,7 @@ def _multiply_back(name: str, base, ghost_polys, d_img, rhs_polys,
     """Solve x from its ghosts and certify phi^n(d)-tilde * x = rhs on
     coordinates; every ghost is transported into ``base`` once."""
     ghosts = [base.transport(g) for g in ghost_polys]
-    x = from_ghost(base, ghosts, check_dwork=True, strict_dwork=True)
+    x = from_ghost(base, ghosts, check_dwork=True)
     fd = from_ghost(base, [base.transport(g) for g in d_img], check_dwork=False)
     rhs = from_ghost(base, [base.transport(g) for g in rhs_polys], check_dwork=False)
     checks[check_name] = witt_mul(fd, x) == rhs
@@ -630,7 +615,7 @@ def construct_c_u(p: int, alpha: int, L: int, u, N: int = 8, M: int = 32):
             pres.q_pow(u_int * p**n) - pres.q_pow(p**n) == d_img[n] * ghosts[n]
             for n in range(L))
         base = ExactPolyBase(pres)
-        cw = from_ghost(base, ghosts, check_dwork=True, strict_dwork=True)
+        cw = from_ghost(base, ghosts, check_dwork=True)
         checks["r_0 = q (q^(p^alpha) - 1)"] = (
             ghosts[0] == pres.q_pow(1) * pres.beta()) if v == 1 else True
         return Construction(f"c_u(u={u_int})", cw, ghosts, checks)
@@ -658,7 +643,7 @@ def construct_c_u(p: int, alpha: int, L: int, u, N: int = 8, M: int = 32):
 
 
 def construct_c_psi(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
-                    backend: str = "series", tcap: int = None) -> Construction:
+                    backend: str = "series") -> Construction:
     """c_psi(T) with psi-tilde(T) - iota-tilde(T) = d-tilde * c_psi(T).
 
     Ghosts r_n = T^(p^n - 1) [p^n]_{q^(p^alpha)} * eps dT over the chart
@@ -683,8 +668,7 @@ def construct_c_psi(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
     if backend == "exact":
         base = ExactPolyBase(pres)
     else:
-        cap = tcap if tcap is not None else 2 * p ** (L - 1) + 2
-        base = TEpsSeriesBase(p, N + L - 1, M, alpha, cap)
+        base = TEpsSeriesBase(p, N + L - 1, M, alpha, 2 * p ** (L - 1) + 2)
     return _multiply_back("c_psi", base, ghost_polys, d_img, t_diff, checks,
                           "multiply-back d-tilde * c_psi = psi-tilde(T) - iota-tilde(T)")
 

@@ -75,6 +75,19 @@ class TestExitCodes:
         proc = run_cli(["--suite", "nope"])
         assert proc.returncode == 3
 
+    def test_unwritable_out_path_is_a_config_error(self, monkeypatch, tmp_path):
+        # checked before any suite runs: exit 3 and no traceback
+        out = tmp_path / "missing_dir" / "report.txt"
+        proc = run_cli(["--suite", "e-beta", "--out", str(out)])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("config error: ")
+        assert "Traceback" not in proc.stderr and not out.exists()
+        ran = []
+        spec = suites.REGISTRY["e-beta"]
+        monkeypatch.setitem(suites.REGISTRY, "e-beta", dataclasses.replace(
+            spec, runner=lambda cfg: ran.append(cfg) or []))
+        assert main(["--suite", "e-beta", "--out", str(out)]) == 3 and ran == []
+
     def test_failing_case_exits_two(self):
         # the p = 5 leading-term suite contains measured failures
         proc = run_cli(["--p", "5", "--suite", "wcart-h1"])

@@ -238,7 +238,7 @@ class TestFMap:
         for _ in range(3):
             digits = [(rng.randrange(mod), c) for _, c in ctx.digits]
             assert f_leibniz_check(dataclasses.replace(
-                ctx, digits=digits, gamma_powers=[], gamma_packed={}),
+                ctx, digits=digits, gamma_powers=None),
                 random.Random(0), trials=10)
         true_f = descent.f_map
         monkeypatch.setattr(descent, "f_map",

@@ -1,6 +1,9 @@
 """Capped-precision arithmetic, certified division, Z/p^N linear algebra."""
 
+import ast
 import itertools
+import math
+import pathlib
 import random
 
 import pytest
@@ -16,7 +19,6 @@ from qprism.padic import (
     QuotElem,
     TruncSeries,
     _mat_mul,
-    _poly_mod,
     _barrett,
     _pack,
     _poly_mul,
@@ -24,6 +26,7 @@ from qprism.padic import (
     _slot_bytes,
     coker_invariants_mod,
     d_poly_t,
+    distinguished_divmod,
     divide_by_q_power_minus_one,
     howell_mod,
     inv_mod,
@@ -270,9 +273,27 @@ class TestBinomialSeries:
                 qc[rng.randrange(-5, 5)] = 0
                 want = TruncSeries.zero(p, N, M)
                 for e, c in qc.items():
-                    want = want + TruncSeries.q_power(p, N, M, e) * c
+                    want = want + reference_q_power_int(p, N, M, e) * c
                 got = TruncSeries.from_q_poly(p, N, M, qc)
                 assert (got.N, got.M, got.c) == (N, M, want.c)
+            # q_power and q_analogue are from_q_poly calls; base 0 repeats
+            # the exponent 0, which counts once per term
+            for k in (-M - 3, -2, -1, 0, 1, M - 1, M, M + 5, 3 * M):
+                assert TruncSeries.q_power(p, N, M, k).c == reference_q_power_int(p, N, M, k).c
+            for base in (0, 1, p, p * p):
+                for n in (0, 1, 2, p + 1, M + 2):
+                    want = TruncSeries.zero(p, N, M)
+                    for i in range(n):
+                        want = want + reference_q_power_int(p, N, M, base * i)
+                    assert TruncSeries.q_analogue(p, N, M, n, base).c == want.c
+
+
+def reference_q_power_int(p, N, M, k):
+    """(1+t)^k by math.comb, with C(k, n) = (-1)^n C(n - k - 1, n) for
+    k < 0: the reference for ``TruncSeries.from_q_poly``."""
+    if k >= 0:
+        return TruncSeries(p, N, M, [math.comb(k, n) for n in range(min(M, k + 1))])
+    return TruncSeries(p, N, M, [(-1)**n * math.comb(n - k - 1, n) for n in range(M)])
 
 
 def reference_weierstrass_divmod(f, P):
@@ -341,6 +362,7 @@ class TestWeierstrassSlices:
                         Q, R, cert = f.weierstrass_divmod(P)
                         Qw, Rw, certw = want
                         assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
+                        assert f.weierstrass_rem(P) == (Rw, certw)
                         outcomes.add("short" if cert < N else "full")
         assert outcomes == {"raises", "short", "full"}
 
@@ -357,6 +379,7 @@ class TestWeierstrassSlices:
             Q, R, cert = f.weierstrass_divmod(P)
             Qw, Rw, certw = reference_weierstrass_divmod(f, P)
             assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
+            assert f.weierstrass_rem(P) == (Rw, certw)
 
     def test_digit_chain_inputs_match_reference(self):
         # the invariant series the p = 3 descent chain divides
@@ -369,7 +392,31 @@ class TestWeierstrassSlices:
             Q, R, cert = f.weierstrass_divmod(P)
             Qw, Rw, certw = reference_weierstrass_divmod(f, P)
             assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
+            assert f.weierstrass_rem(P) == (Rw, certw)
             f = Q
+
+
+class TestDistinguishedDivmod:
+    """On exact polynomials of any length, Q*P + R = a mod p^N."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_quotient_and_remainder_rebuild_the_dividend(self, p):
+        rng = random.Random(p)
+        d = d_poly_t(p, 0)
+        for P in (d, _poly_mul(d, _poly_mul(d, d, p**9), p**9), d_poly_t(p, 1)):
+            r = len(P) - 1
+            for N in (1, 4, 9):
+                mod = p**N
+                for length in (0, 1, r - 1, r, r + 1, 2 * r, 5 * r + 3, r * N + 7):
+                    a = [rng.randrange(-mod, 2 * mod) for _ in range(length)]
+                    Q, R = distinguished_divmod(p, N, a, P)
+                    assert len(Q) == max(length - r, 0) and len(R) == r
+                    back = _poly_mul(Q, P, mod) if Q else []
+                    back = [(x + y) % mod for x, y in itertools.zip_longest(
+                        back, R, fillvalue=0)]
+                    want = [x % mod for x in a] + [0] * (len(back) - length)
+                    assert back == want[:len(back)] and not any(want[len(back):])
+                    assert distinguished_divmod(p, N, a, P, 0) == ([], R)
 
 
 class TestWeierstrassCertificate:
@@ -1383,9 +1430,77 @@ class TestModMat:
         assert ModMat([[1, 0, 0]], mod) @ wide == [a[0]]
 
 
+def test_only_padic_knows_the_packed_format():
+    """crystal and descent reach the packed Z/p^N format only through
+    ModMat and the list-level padic routines: they import none of the
+    packing helpers and read no attribute of that name."""
+    import qprism
+    helpers = {"_pack", "_slot_bytes", "_row_slots", "_barrett", "_unpack_mod",
+               "_read_rows", "_distinguished_inverse"}
+    for name in ("crystal", "descent"):
+        tree = ast.parse(pathlib.Path(qprism.__file__).with_name(f"{name}.py").read_text())
+        used = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not used & helpers, (name, used & helpers)
+
+
+class TestBlockAssembly:
+    """``ModMat.from_blocks`` and ``ModMat.split_rows`` against the rows
+    concatenated entry by entry."""
+
+    @pytest.mark.parametrize("mod", [7, 3**8, 2**40, 5**30])
+    def test_blocks_and_split_match_row_concatenation(self, mod):
+        rng = random.Random(mod)
+        # products keep their packed rows, one of them in wider slots; a
+        # list-built block packs on demand, in the slots of a product
+        blocks = []
+        for rows, cols, inner in ((2, 3, 1), (3, 2, 4), (2, 2, 60), (1, 4, 2)):
+            A = _sparse_matrix(rng, rows, inner, mod, 0.8)
+            B = _sparse_matrix(rng, inner, cols, mod, 0.8)
+            blocks.append(_mat_mul(A, B, mod))
+        blocks.append(ModMat([[rng.randrange(mod) for _ in range(3)]], mod))
+        blocks.append(ModMat.zero(2, mod))
+        blocks[1].packed_at(2 * blocks[1].packed_at()[1])
+        widths = {B.packed_at()[1] for B in blocks}
+        assert len(widths) > 1
+        want = [[0] * 9 for _ in range(8)]
+        placed = [(blocks[0], 0, 0), (blocks[1], 2, 3), (blocks[2], 0, 5),
+                  (blocks[3], 5, 0), (blocks[4], 6, 4), (blocks[5], 2, 0)]
+        for B, i, j in placed:
+            for a, row in enumerate(B.rows):
+                want[i + a][j:j + len(row)] = row
+        got = ModMat.from_blocks(8, 9, mod, placed)
+        assert got == want and got.rows == tuple(map(tuple, want))
+        assert ModMat.from_blocks(8, 9, mod, []) == [[0] * 9] * 8
+        assert ModMat.from_blocks(3, 3, mod, [(ModMat.zero(3, mod), 0, 0)]).is_zero()
+        # splitting each row into k rows, packed or built from rows
+        wide = [[rng.randrange(mod) for _ in range(12)] for _ in range(3)]
+        for M in (ModMat(wide, mod), _mat_mul(wide, ModMat.identity(12, mod), mod)):
+            for k in (1, 2, 3, 4, 12):
+                c = 12 // k
+                assert M.split_rows(k) == [row[i:i + c] for row in wide
+                                           for i in range(0, 12, c)]
+        assert got.split_rows(3) == [row[i:i + 3] for row in want for i in (0, 3, 6)]
+
+
+def _poly_mod(a, modulus, mod):
+    """a mod (modulus, mod) for a monic modulus, by schoolbook reduction
+    from the top: the reference for ``QuotientRing.reduce``."""
+    a = [x % mod for x in a]
+    dm = len(modulus) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * modulus[j]) % mod
+    return a[:dm] + [0] * max(0, dm - len(a))
+
+
 class TestReductionTable:
-    """The packed table of q^k mod d^n (deg <= k <= 2 deg - 2) against the
-    schoolbook reduction, on every input length and on negative entries."""
+    """The packed table of q^k mod d^n (deg <= k < 2 deg) against the
+    schoolbook reduction, on every input length (folded from the top past
+    2 deg coefficients, also at deg = 1) and on negative entries."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("alpha", [0, 1])
@@ -1395,15 +1510,19 @@ class TestReductionTable:
         rng = random.Random(1000 * p + 100 * alpha + 10 * n + N)
         R = QuotientRing(p, N, alpha, n)
         mod, deg = p**N, R.deg
-        lengths = sorted({0, 1, max(deg - 1, 1), deg, 2 * deg - 1, 2 * deg, 3 * deg + 2})
+        lengths = sorted({0, 1, 2, max(deg - 1, 1), deg, 2 * deg - 1, 2 * deg,
+                          3 * deg + 2, 7 * deg + 1})
         for length in lengths:
             for lo, hi in [(0, mod), (-mod**2, mod**2)]:
                 c = [rng.randrange(lo, hi) for _ in range(length)]
                 want = _poly_mod(c, R.modulus, mod)
                 assert R.reduce(c) == want, (length, lo)
                 assert R.elem(c).coeffs == want
-        top = [mod - 1] * (2 * deg - 1)
-        assert R.reduce(top) == _poly_mod(top, R.modulus, mod)
+        for length in (2 * deg - 1, 2 * deg, 5 * deg):
+            top = [mod - 1] * length
+            assert R.reduce(top) == _poly_mod(top, R.modulus, mod)
+        for k in (0, 1, deg, 2 * deg, 7 * deg + 3):
+            assert R.q_power(k).coeffs == _poly_mod([0] * k + [1], R.modulus, mod)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("alpha", [0, 1])
