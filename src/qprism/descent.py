@@ -89,9 +89,11 @@ def _digit_chain(p: int, h: TruncSeries, u_inv: TruncSeries, d_t: list,
     subring), cur_(k+1) = Q_k u_inv, so that cur_k = c_k + ptilde cur_(k+1).
 
     Here they are found in A/Phi, Phi = d^count (distinguished, of degree
-    n = r count, built mod p^N by squaring).  Two remainders
-    (``weierstrass_rem``) give S_0 = h mod Phi and u = u_inv mod Phi, each
-    certified to min(N, floor(M/n)) digits; then each step divides the
+    n = r count, built mod p^N by squaring).  The remainders of two
+    Weierstrass divisions (``weierstrass_divmod``) give S_0 = h mod Phi and
+    u = u_inv mod Phi, each certified to min(N, floor(M/n)) digits
+    (``build_context`` keeps floor(M/n) >= N + 2, so the quotient those
+    divisions also form has digits); then each step divides the
     polynomial S_k (degree < n) by the monic d, certifies the remainder is
     a constant, and sets S_(k+1) = Q u mod Phi, all by
     ``distinguished_divmod``, exact on polynomials.  The digits and the
@@ -112,8 +114,8 @@ def _digit_chain(p: int, h: TruncSeries, u_inv: TruncSeries, d_t: list,
         k >>= 1
         if k:
             base = _poly_mul(base, base, mod_in)
-    S, cert_h = h.weierstrass_rem(phi)
-    ubar, cert_u = u_inv.weierstrass_rem(phi)
+    _, S, cert_h = h.weierstrass_divmod(phi)
+    _, ubar, cert_u = u_inv.weierstrass_divmod(phi)
     cert = min(cert_h, cert_u)
     mod = p**cert
     digits = []
@@ -385,9 +387,20 @@ class EpsilonAction:
     time: well-definedness on eps^2, equivariance of psi, and the
     invariant generator v = e*eps mod d.
 
-    X_u, with gamma_u(eps) = X_u * eps, is built once, on first use, and
-    shared by the checks.  Its division by t raises ``PrecisionError``
-    when no t-digit is left, and so does each check that reads it.
+    With x = q^(p^alpha), k = [u] and d = [p]_x: eps^2 = q (x - 1) eps,
+    gamma_u(q) = q^k and gamma_u(eps) = X_u eps, X_u = q^(k-1) [k]_x.
+    - Well defined: gamma_u(eps)^2 = gamma_u(eps^2) reads
+      X_u^2 q (x - 1) = q^k (x^k - 1) X_u; both are q^(2k-1) (x^k - 1) [k]_x.
+    - Equivariant: [p]_(x^k) [k]_x = [pk]_x, so q^(k-1) [pk]_x = gamma_u(d) X_u.
+    - Invariant: e q (x - 1) = p^(alpha+1) mod d for e = d'(q), the e-beta
+      identity (mod d, x is a primitive p-th root of unity z, and [p]_y has
+      derivative p / (z (z - 1)) at y = z).  gamma_u preserves (d), so
+      gamma_u(e) X_u q (x - 1) = gamma_u(e) q^k (x^k - 1) = e q (x - 1)
+      mod d; A/d is a domain where q (x - 1) is not 0.
+    At alpha = 0, x = q.  [n]_x is (q^n - 1)/(q - 1), one t-digit lost to
+    the division by t, then q -> x (``_analogue_x``).  X_u is built once,
+    on first use, and shared; with no t-digit left the division, and so
+    each check that reads X_u, raises ``PrecisionError``.
     """
 
     CHECKS = (("action well defined on eps^2", "well_defined"),
@@ -403,28 +416,33 @@ class EpsilonAction:
     def qpow(self, e) -> TruncSeries:
         return TruncSeries.q_power(self.p, self.N, self.M, e)
 
+    def _analogue_x(self, n) -> TruncSeries:
+        """[n]_x with x = q^(p^alpha), for an exponent n (int or PadicInt)."""
+        return (self.qpow(n) - self.one).divide_t_pow(1)._subst_q_power(self.p**self.alpha)
+
     @functools.cached_property
     def X(self) -> dict:
-        """X_u = q^([u]-1) (q^[u]-1)/(q-1) for each unit u."""
-        return {u: self.qpow(lift - 1) * (self.qpow(lift) - self.one).divide_t_pow(1)
+        """X_u = q^([u]-1) [[u]]_x for each unit u."""
+        return {u: self.qpow(lift - 1) * self._analogue_x(lift)
                 for u, lift in self.lifts.items()}
 
     @functools.cached_property
     def well_defined(self) -> bool:
-        q = self.qpow(1)
-        beta_ht = q * (q - self.one)
+        x = self.qpow(self.p**self.alpha)
+        eps_sq = self.qpow(1) * (x - self.one)
         ok = True
         for u, lift in self.lifts.items():
-            xu, qu = self.X[u], self.qpow(lift)
-            ok = ok and (xu * xu * beta_ht == qu * (qu - self.one) * xu)
+            xu = self.X[u]
+            rhs = self.qpow(lift) * (self.qpow(lift * self.p**self.alpha) - self.one) * xu
+            ok = ok and (xu * xu * eps_sq == rhs)
         return ok
 
     @functools.cached_property
     def equivariant(self) -> bool:
-        d = TruncSeries.d_series(self.p, self.N, self.M, 0)
+        d = TruncSeries.d_series(self.p, self.N, self.M, self.alpha)
         ok = True
         for u, lift in self.lifts.items():
-            lhs = (self.qpow(lift * self.p) - self.one).divide_t_pow(1) * self.qpow(lift - 1)
+            lhs = self._analogue_x(lift * self.p) * self.qpow(lift - 1)
             ok = ok and (lhs == d.gamma_u(lift) * self.X[u])
         return ok
 

@@ -239,6 +239,9 @@ class BigPoly:
     def __bool__(self):
         return bool(self.terms)
 
+    def is_zero(self) -> bool:
+        return not self.terms
+
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
@@ -304,6 +307,9 @@ class BigPoly:
         if not self.coefficients_divisible_by(n):
             raise ValueError(f"coefficients not divisible by {n}")
         return BigPoly(self.pres, {k: c // n for k, c in self.terms.items()})
+
+    def divide_p_pow(self, a: int) -> "BigPoly":
+        return self.divide_coefficients(self.pres.p**a)
 
     def q_coefficients(self) -> dict:
         """For pure q-polynomials, the map exponent -> coefficient."""

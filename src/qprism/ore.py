@@ -26,7 +26,7 @@ from operator import add
 
 from .exactcore import BigPoly, RingPresentation, q_analogue
 from .padic import QuotientRing, TruncSeries, d_prime_elem
-from .scalars import QuotScalars, ResidueScalars, SeriesScalars
+from .scalars import QuotScalars, ResidueScalars, SeriesScalars, akj_recursion
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +489,11 @@ def verify_double_complex_rows(p: int, alpha: int, bound: int = 4,
 
 
 def akj_exact(p: int, alpha: int, kmax: int) -> dict:
-    """The a_{k,j} recursion over exact Z[q]."""
+    """The a_{k,j} recursion (``akj_recursion``) over exact Z[q]."""
     pres = RingPresentation(p, alpha, m=0, has_eps0=True, max_qdeg=1 << 30)
     tw = p ** (alpha + 1)
-    bd = pres.q_pow(tw) - pres.one()
-    # 1 + beta d [j], once per j
-    factor = {j: pres.one() + bd * q_analogue(pres, j, tw) for j in range(1, kmax + 1)}
-    table = {(1, 1): pres.one()}
-    for k in range(1, kmax):
-        for j in range(1, k + 2):
-            prev = table.get((k, j), pres.zero())
-            prev_lower = table.get((k, j - 1), pres.one() if j == 1 else pres.zero())
-            table[(k + 1, j)] = prev * factor[j] + prev_lower
-    return table
+    return akj_recursion(kmax, pres.one(), pres.zero(), pres.q_pow(tw),
+                         lambda j: q_analogue(pres, j, tw))
 
 
 def akj_nabla(pres: RingPresentation, f: BigPoly) -> BigPoly:

@@ -120,6 +120,21 @@ class PadicInt:
         return f"{self.residue} + O({self.p}^{self.prec})"
 
 
+def ring_power(x, k: int, one):
+    """x^k by square and multiply, starting from ``one`` (which carries
+    the precision of the result); a negative k powers ``x.unit_inverse()``."""
+    if k < 0:
+        return ring_power(x.unit_inverse(), -k, one)
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
 def teichmuller(p: int, e: int, prec: int) -> PadicInt:
     """The unique (p-1)-st root of unity congruent to e mod p.
 
@@ -473,17 +488,7 @@ class TruncSeries:
         return self._packed[1]
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        out = TruncSeries.one(self.p, self.N, self.M)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return ring_power(self, k, TruncSeries.one(self.p, self.N, self.M))
 
     def __eq__(self, other):
         other, N, M = self._join(other)
@@ -607,33 +612,23 @@ class TruncSeries:
         quotient is returned on the largest uniform box holding
         N_q = min(N, floor(M/r) - 1) p-digits, which costs (N_q+1)*r
         t-digits; the remainder is certified mod p^r_prec with
-        r_prec = min(N, floor(M/r)) (``weierstrass_rem``).
+        r_prec = min(N, floor(M/r)).
         """
         p, N, M = self.p, self.N, self.M
-        r, cert = self._distinguished_cert(P)
+        r = len(P) - 1
+        if P[r] != 1:
+            raise ValueError("distinguished polynomial must be monic in t")
+        if any(x % p for x in P[:r]):
+            raise ValueError("lower coefficients must be divisible by p")
+        if M <= r:
+            raise PrecisionError("t-precision does not reach the divisor degree")
+        cert = min(N, M // r)
         N_q = min(N, M // r - 1)
         if N_q < 1:
             raise PrecisionError("quotient would carry no certified digits")
         M_q = M - (N_q + 1) * r + 1
         Q, R = distinguished_divmod(p, N, self.c, P, M_q)
         return TruncSeries(p, N_q, M_q, Q), [x % p**cert for x in R], cert
-
-    def weierstrass_rem(self, P: Sequence[int]) -> tuple:
-        """(R, r_prec) of ``weierstrass_divmod`` without the quotient past
-        t^r, worked mod p^r_prec."""
-        cert = self._distinguished_cert(P)[1]
-        return distinguished_divmod(self.p, cert, self.c, P, 0)[1], cert
-
-    def _distinguished_cert(self, P: Sequence[int]) -> tuple:
-        """(r, min(N, floor(M/r))) for a distinguished P of degree r < M."""
-        r = len(P) - 1
-        if P[r] != 1:
-            raise ValueError("distinguished polynomial must be monic in t")
-        if any(x % self.p for x in P[:r]):
-            raise ValueError("lower coefficients must be divisible by p")
-        if self.M <= r:
-            raise PrecisionError("t-precision does not reach the divisor degree")
-        return r, min(self.N, self.M // r)
 
     def weierstrass_divide_exact(self, P: Sequence[int]) -> "TruncSeries":
         """Certified exact division by a distinguished polynomial."""
@@ -1338,17 +1333,7 @@ class QuotElem:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        out, base = self.ring.one(), self
-        out = QuotElem(self.ring, out.coeffs, self.prec)
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return ring_power(self, k, self.ring.elem([1], self.prec))
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -13,6 +13,22 @@ from __future__ import annotations
 from .padic import PadicInt, QuotientRing, TruncSeries, _exponent_key, partial_arith
 
 
+def akj_recursion(kmax: int, one, zero, q_tw, analogue) -> dict:
+    """a_{k,j} for k <= kmax over any ring, given its one, zero, q^tw and
+    [j]_{q^tw} = analogue(j): a_{1,1} = 1, a_{k,0} = 1 and
+    a_{k+1,j} = a_{k,j}(1 + beta d [j]_{q^tw}) + a_{k,j-1}, where
+    beta d = q^tw - 1."""
+    bd = q_tw - one
+    factor = {j: one + bd * analogue(j) for j in range(1, kmax + 1)}  # once per j
+    table = {(1, 1): one}
+    for k in range(1, kmax):
+        for j in range(1, k + 2):
+            prev = table.get((k, j), zero)
+            prev_lower = table.get((k, j - 1), one if j == 1 else zero)
+            table[(k + 1, j)] = prev * factor[j] + prev_lower
+    return table
+
+
 class _QScalars:
     """The mixed-law scalars, written once over a ring of scalars.
 
@@ -72,17 +88,8 @@ class _QScalars:
         return self._cache["s1"]
 
     def akj_table(self, kmax: int) -> dict:
-        """a_{k,j}: a_{k+1,j} = a_{k,j}(1 + beta d [j]) + a_{k,j-1}."""
-        bd = self.q_pow(self.tw) - self.one()  # beta * d
-        factor = {j: self.one() + bd * self.q_analogue(j, self.tw)
-                  for j in range(1, kmax + 1)}
-        table = {(1, 1): self.one()}
-        for k in range(1, kmax):
-            for j in range(1, k + 2):
-                prev = table.get((k, j), self.zero())
-                prev_lower = table.get((k, j - 1), self.one() if j == 1 else self.zero())
-                table[(k + 1, j)] = prev * factor[j] + prev_lower
-        return table
+        return akj_recursion(kmax, self.one(), self.zero(), self.q_pow(self.tw),
+                             lambda j: self.q_analogue(j, self.tw))
 
     def d_coeffs(self) -> dict:
         """Coefficients c_j of D = sum_j c_j T^(j-1) nabla^(j-1), j = 2..k."""

@@ -781,7 +781,7 @@ _register("wcart-h1",
           suite_wcart)
 _register("epsilon-action",
           "unit-group action on the square-zero extension",
-          "gamma_u(eps) = eps q^([u]-1)(q^[u]-1)/(q-1) is well defined, psi-equivariant, and fixes e*eps",
+          "gamma_u(eps) = eps q^([u]-1)(x^[u]-1)/(x-1), x = q^(p^a), is well defined, psi-equivariant, and fixes e*eps mod d",
           suite_epsilon_action)
 _register("sen-qconn",
           "compatibility of the twist scalar with the exponential of the generator action",

@@ -12,9 +12,10 @@ not reduced back to N.  The exact bases (integer polynomial rings,
 possibly with an eps generator) have no precision to lose and certify
 identities on the nose.
 
-A base supplies the ring: const, phi (except ``QuotBase``),
-divide_p_pow, times_p_pow, is_zero and ``transport``, which carries an
-exact BigPoly into the base's elements.
+A base supplies what depends on the ring: const, phi (except
+``QuotBase``), times_p_pow (capped at the working precision) and
+``transport``, which carries an exact BigPoly into the base's elements.
+The values answer is_zero and divide_p_pow themselves.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .padic import (
     PrecisionError,
     QuotientRing,
     TruncSeries,
+    ring_power,
 )
 
 
@@ -168,14 +170,8 @@ class ExactPolyBase:
     def phi(self, x: BigPoly):
         return x.frobenius()
 
-    def divide_p_pow(self, x: BigPoly, a: int):
-        return x.divide_coefficients(self.p**a)
-
     def times_p_pow(self, x: BigPoly, a: int):
         return x * self.p**a
-
-    def is_zero(self, x) -> bool:
-        return not x
 
     def transport(self, poly: BigPoly):
         return poly
@@ -193,14 +189,8 @@ class SeriesBase:
     def phi(self, x: TruncSeries):
         return x.phi()
 
-    def divide_p_pow(self, x, a):
-        return x.divide_p_pow(a)
-
     def times_p_pow(self, x, a):
         return x.times_p_pow(a, self.N)
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero()
 
     def _sectors(self, poly: BigPoly, twisted: bool = False) -> dict:
         """The terms of ``poly`` grouped by eps sector (and, when twisted,
@@ -244,15 +234,13 @@ class EpsPair:
                        + self.base.eps_sq(self.g, other.g), self.base)
 
     def __pow__(self, k: int):
-        out = self.base.const(1)
-        x = self
-        while k:
-            if k & 1:
-                out = out * x
-            k >>= 1
-            if k:
-                x = x * x
-        return out
+        return ring_power(self, k, self.base.const(1))
+
+    def is_zero(self) -> bool:
+        return self.f.is_zero() and self.g.is_zero()
+
+    def divide_p_pow(self, a: int) -> "EpsPair":
+        return EpsPair(self.f.divide_p_pow(a), self.g.divide_p_pow(a), self.base)
 
 
 class EpsSeriesBase(SeriesBase):
@@ -285,14 +273,8 @@ class EpsSeriesBase(SeriesBase):
     def phi(self, x):
         return EpsPair(x.f.phi(), self.phi_unit * x.g.phi(), self)
 
-    def divide_p_pow(self, x, a):
-        return EpsPair(x.f.divide_p_pow(a), x.g.divide_p_pow(a), self)
-
     def times_p_pow(self, x, a):
         return EpsPair(x.f.times_p_pow(a, self.N), x.g.times_p_pow(a, self.N), self)
-
-    def is_zero(self, x):
-        return x.f.is_zero() and x.g.is_zero()
 
     def congruent_mod_p_pow(self, x, a):
         return (x.f.reduce_prec(N=min(a, x.f.N)).is_zero()
@@ -353,14 +335,8 @@ class QuotBase:
     def const(self, c):
         return self.ring.const(c)
 
-    def divide_p_pow(self, x, a):
-        return x.divide_p_pow(a)
-
     def times_p_pow(self, x, a):
         return x.times_p_pow(a)
-
-    def is_zero(self, x):
-        return x.is_zero()
 
     def transport(self, poly: BigPoly):
         return self.ring.from_q_poly(poly.q_coefficients())
@@ -396,8 +372,7 @@ class WittVector:
         return WittVector(self.base, (self.base.const(0),) + self.coords[:-1])
 
     def __eq__(self, other):
-        return all(self.base.is_zero(a - b)
-                   for a, b in zip(self.coords, other.coords))
+        return all((a - b).is_zero() for a, b in zip(self.coords, other.coords))
 
     def render(self) -> str:
         bits = []
@@ -417,7 +392,7 @@ def witt_one(base, L: int) -> WittVector:
 def dwork_check(base, ghosts) -> bool:
     """phi(r_n) = r_(n+1) exactly, which implies the Dwork congruence
     mod p^(n+1)."""
-    return all(base.is_zero(base.phi(ghosts[n]) - ghosts[n + 1])
+    return all((base.phi(ghosts[n]) - ghosts[n + 1]).is_zero()
                for n in range(len(ghosts) - 1))
 
 
@@ -437,7 +412,7 @@ def from_ghost(base, ghosts, check_dwork=True) -> WittVector:
         for i in range(n):
             acc = acc - base.times_p_pow(coords[i] ** (p ** (n - i)), i)
         try:
-            coords.append(base.divide_p_pow(acc, n) if n else acc)
+            coords.append(acc.divide_p_pow(n) if n else acc)
         except DivisionCertificateError as exc:
             raise GhostSolveError(f"coordinate {n}: {exc}") from exc
     return WittVector(base, coords)
@@ -493,15 +468,31 @@ def _phi_n_d(pres: RingPresentation, L: int) -> list:
     return [q_analogue(pres, p, p ** (n + alpha)) for n in range(L)]
 
 
-def _multiply_back(name: str, base, ghost_polys, d_img, rhs_polys,
-                   checks: dict, check_name: str) -> Construction:
-    """Solve x from its ghosts and certify phi^n(d)-tilde * x = rhs on
-    coordinates; every ghost is transported into ``base`` once."""
+def _certify(name: str, pres: RingPresentation, ghost_polys, targets,
+             identity: str, closed_form: tuple, base,
+             multiply_back: str = None) -> Construction:
+    """The certificate of x with ghosts r_n and target_n = phi^n(d) * r_n:
+    (i) phi(r_n) = r_(n+1) exactly, (ii) the ghost identity, stated as
+    ``identity`` = phi^n(d) * r_n, in exact Z[q], (iii) ``closed_form``,
+    a (case id, verdict) pair for a first ghost written out; then the
+    solve of x in ``base``, every ghost transported once, and with
+    ``multiply_back`` (a case id) the coordinate-level identity
+    phi^n(d)-tilde * x = target-tilde."""
+    L = len(ghost_polys)
+    d_img = _phi_n_d(pres, L)
+    checks = {
+        "phi(r_n) = r_(n+1) exactly": all(
+            ghost_polys[n].frobenius() == ghost_polys[n + 1] for n in range(L - 1)),
+        f"ghost identity {identity} = phi^n(d) * r_n": all(
+            targets[n] == d_img[n] * ghost_polys[n] for n in range(L)),
+        closed_form[0]: closed_form[1],
+    }
     ghosts = [base.transport(g) for g in ghost_polys]
     x = from_ghost(base, ghosts, check_dwork=True)
-    fd = from_ghost(base, [base.transport(g) for g in d_img], check_dwork=False)
-    rhs = from_ghost(base, [base.transport(g) for g in rhs_polys], check_dwork=False)
-    checks[check_name] = witt_mul(fd, x) == rhs
+    if multiply_back:
+        fd, rhs = (from_ghost(base, [base.transport(g) for g in polys], check_dwork=False)
+                   for polys in (d_img, targets))
+        checks[multiply_back] = witt_mul(fd, x) == rhs
     return Construction(name, x, ghosts, checks)
 
 
@@ -518,30 +509,18 @@ def construct_b(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
     """
     pres = _eps_pres(p, alpha)
     ghost_polys = [_ghost_b(pres, n) for n in range(L)]
-    d_img = _phi_n_d(pres, L)
-    psi_d = []
-    for n in range(L):
-        acc = pres.zero()
-        for e, cf in d_img[n].q_coefficients().items():
-            acc = acc + psi_q_power(pres, e) * cf
-        psi_d.append(acc)
-
-    checks = {}
-    checks["phi(r_n) = r_(n+1) exactly"] = all(
-        ghost_polys[n].frobenius() == ghost_polys[n + 1] for n in range(L - 1))
-    checks["ghost identity psi(phi^n(d)) = phi^n(d) * r_n"] = all(
-        psi_d[n] == d_img[n] * ghost_polys[n] for n in range(L))
+    psi_d = [sum((psi_q_power(pres, e) * cf for e, cf in d.q_coefficients().items()),
+                 pres.zero()) for d in _phi_n_d(pres, L)]
     # b_0 = 1 + eps sum_{i<p} q^(i p^alpha - 1) [i p^alpha]_{q^(p^(alpha+1))}
     b0 = pres.one()
     for i in range(1, p):
         b0 = b0 + (pres.eps(0) * pres.q_pow(i * p**alpha - 1)
                    * q_analogue(pres, i * p**alpha, p ** (alpha + 1)))
-    checks["b_0 closed form"] = ghost_polys[0] == b0
-
     base = (ExactPolyBase(pres) if backend == "exact"
             else EpsSeriesBase(p, N + L - 1, M, alpha))
-    return _multiply_back("b", base, ghost_polys, d_img, psi_d, checks,
-                          "multiply-back ftilde(d) * b = gtilde(d)")
+    return _certify("b", pres, ghost_polys, psi_d, "psi(phi^n(d))",
+                    ("b_0 closed form", ghost_polys[0] == b0), base,
+                    "multiply-back ftilde(d) * b = gtilde(d)")
 
 
 def b_is_unit(p: int, alpha: int, L: int, N: int = 8, M: int = 32) -> bool:
@@ -564,19 +543,11 @@ def construct_c(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
     pres = _eps_pres(p, alpha)
     ghost_polys = [_ghost_c(pres, n) for n in range(L)]
     q_diff = [psi_q_power(pres, p**n) - pres.q_pow(p**n) for n in range(L)]
-    d_img = _phi_n_d(pres, L)
-
-    checks = {}
-    checks["phi(r_n) = r_(n+1) exactly"] = all(
-        ghost_polys[n].frobenius() == ghost_polys[n + 1] for n in range(L - 1))
-    checks["ghost identity psi(q^(p^n)) - q^(p^n) = phi^n(d) * r_n"] = all(
-        q_diff[n] == d_img[n] * ghost_polys[n] for n in range(L))
-    checks["c_0 = eps"] = ghost_polys[0] == pres.eps(0)
-
     base = (ExactPolyBase(pres) if backend == "exact"
             else EpsSeriesBase(p, N + L - 1, M, alpha))
-    return _multiply_back("c", base, ghost_polys, d_img, q_diff, checks,
-                          "multiply-back ftilde(d) * c = gtilde(q) - ftilde(q)")
+    return _certify("c", pres, ghost_polys, q_diff, "psi(q^(p^n)) - q^(p^n)",
+                    ("c_0 = eps", ghost_polys[0] == pres.eps(0)), base,
+                    "multiply-back ftilde(d) * c = gtilde(q) - ftilde(q)")
 
 
 @dataclass
@@ -601,24 +572,13 @@ def construct_c_u(p: int, alpha: int, L: int, u, N: int = 8, M: int = 32):
     if u_int is not None and u_int % mod == 1 % mod and u_int >= 1:
         v = (u_int - 1) // mod
         pres = _eps_pres(p, alpha)
-        ghosts = []
-        for n in range(L):
-            g = (pres.q_pow(p**n)
-                 * (pres.q_pow(p ** (n + alpha)) - pres.one())
-                 * q_analogue(pres, v, p ** (n + alpha + 1)))
-            ghosts.append(g)
-        d_img = _phi_n_d(pres, L)
-        checks = {}
-        checks["phi(r_n) = r_(n+1) exactly"] = all(
-            ghosts[n].frobenius() == ghosts[n + 1] for n in range(L - 1))
-        checks["ghost identity q^(u p^n) - q^(p^n) = phi^n(d) * r_n"] = all(
-            pres.q_pow(u_int * p**n) - pres.q_pow(p**n) == d_img[n] * ghosts[n]
-            for n in range(L))
-        base = ExactPolyBase(pres)
-        cw = from_ghost(base, ghosts, check_dwork=True)
-        checks["r_0 = q (q^(p^alpha) - 1)"] = (
-            ghosts[0] == pres.q_pow(1) * pres.beta()) if v == 1 else True
-        return Construction(f"c_u(u={u_int})", cw, ghosts, checks)
+        ghosts = [pres.q_pow(p**n) * (pres.q_pow(p ** (n + alpha)) - pres.one())
+                  * q_analogue(pres, v, p ** (n + alpha + 1)) for n in range(L)]
+        q_diff = [pres.q_pow(u_int * p**n) - pres.q_pow(p**n) for n in range(L)]
+        r0 = ghosts[0] == pres.q_pow(1) * pres.beta() if v == 1 else True
+        return _certify(f"c_u(u={u_int})", pres, ghosts, q_diff,
+                        "q^(u p^n) - q^(p^n)", ("r_0 = q (q^(p^alpha) - 1)", r0),
+                        ExactPolyBase(pres))
 
     # non-congruent unit: witness the divisibility failure at n = 0;
     # the witness needs room for one distinguished division regardless
@@ -656,21 +616,11 @@ def construct_c_psi(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
         for n in range(L)
     ]
     t_diff = [psi_t_power(pres, 0, p**n) - pres.t_pow(0, p**n) for n in range(L)]
-    d_img = _phi_n_d(pres, L)
-
-    checks = {}
-    checks["phi(r_n) = r_(n+1) exactly"] = all(
-        ghost_polys[n].frobenius() == ghost_polys[n + 1] for n in range(L - 1))
-    checks["ghost identity psi(T^(p^n)) - T^(p^n) = phi^n(d) * r_n"] = all(
-        t_diff[n] == d_img[n] * ghost_polys[n] for n in range(L))
-    checks["r_0 = eps dT"] = ghost_polys[0] == pres.eps(0)
-
-    if backend == "exact":
-        base = ExactPolyBase(pres)
-    else:
-        base = TEpsSeriesBase(p, N + L - 1, M, alpha, 2 * p ** (L - 1) + 2)
-    return _multiply_back("c_psi", base, ghost_polys, d_img, t_diff, checks,
-                          "multiply-back d-tilde * c_psi = psi-tilde(T) - iota-tilde(T)")
+    base = (ExactPolyBase(pres) if backend == "exact"
+            else TEpsSeriesBase(p, N + L - 1, M, alpha, 2 * p ** (L - 1) + 2))
+    return _certify("c_psi", pres, ghost_polys, t_diff, "psi(T^(p^n)) - T^(p^n)",
+                    ("r_0 = eps dT", ghost_polys[0] == pres.eps(0)), base,
+                    "multiply-back d-tilde * c_psi = psi-tilde(T) - iota-tilde(T)")
 
 
 def d_as_V1(p: int, alpha: int, L: int, N: int = 8) -> Construction:

@@ -214,10 +214,11 @@ class TestGuardedChecks:
 SWEEP_SUITES = ["ht-regular-rep", "nilpotence", "ore-akj", "ore-assoc",
                 "ore-master-relation", "witt-b", "witt-c", "witt-cpsi", "witt-cu",
                 "witt-dv1", "delta-power", "bk-twists", "double-complex",
-                "koszul", "tensor", "sen-qconn", "e-beta"]
+                "koszul", "tensor", "sen-qconn", "e-beta", "epsilon-action",
+                "wcart-h1", "precision-monotonic", "q-identities"]
 
 
-@pytest.mark.parametrize("N,M", [(1, 2), (2, 4)])
+@pytest.mark.parametrize("N,M", [(1, 2), (2, 4), (2, 8), (3, 1), (3, 8)])
 @pytest.mark.parametrize("p,alpha", [(2, 0), (2, 1), (3, 0), (3, 1)])
 def test_low_precision_sweep_has_no_unregistered_failure(p, alpha, N, M):
     # a true identity may only pass or be not-certified at any precision;
@@ -379,12 +380,14 @@ def test_benchmark_boundaries_resolve():
     # the ungated workload that adds witt-b, whose exact cross-check runs
     # the BigPoly-to-series transport
     pytest.param("construction-p5", 0, id="construction-p5"),
+    # the default run: the report bytes the North star keeps fixed
+    pytest.param("default", 0, id="default"),
 ])
 def test_workload_matches_benchmark_golden(capsys, workload, seed):
     """Each gated benchmark workload at CLI seed 0 (and cohomology-a1 at
-    every seed of its cycle, construction-p5-lite also at seed 1000), and
-    construction-p5 at seed 0, run in-process, print the report recorded
-    in perfbench/golden.json."""
+    every seed of its cycle, construction-p5-lite also at seed 1000),
+    construction-p5 and the default run at seed 0, run in-process, print
+    the report recorded in perfbench/golden.json."""
     bench = os.path.join(os.path.dirname(SRC), "perfbench")
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", os.path.join(bench, "run.py"))

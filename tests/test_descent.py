@@ -296,11 +296,38 @@ class TestEpsilonAction:
 
     def test_alpha1_well_definedness(self):
         rep = EpsilonAction(3, 1, 6, 20)
-        # the alpha = 0 identities (well-definedness, equivariance) are
-        # checked at the alpha = 0 chart; the quotient-model invariance
-        # runs at the configured alpha
+        # well-definedness and equivariance at the alpha = 1 chart:
+        # x = q^3 in X_u, in eps^2 = q (x - 1) eps and in d = [3]_x
         assert rep.well_defined
         assert rep.equivariant
+
+    @pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+    def test_alpha_at_least_1(self, p, alpha):
+        for M in (24, 48):
+            rep = EpsilonAction(p, alpha, 8, M)
+            # [n]_x against the sum of the powers x^i, x = q^(p^alpha)
+            assert rep._analogue_x(7) == TruncSeries.q_analogue(p, 8, M, 7, p**alpha)
+            checks = epsilon_checks(p, alpha, 8, M)
+            assert all(checks.values()), (M, checks)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_alpha0_x_u_is_the_q_analogue(self, p):
+        rep = EpsilonAction(p, 0, 8, 20)
+        for u, lift in rep.lifts.items():
+            old = rep.qpow(lift - 1) * (rep.qpow(lift) - rep.one).divide_t_pow(1)
+            assert (rep.X[u].N, rep.X[u].M, rep.X[u].c) == (old.N, old.M, old.c)
+
+    def test_alpha0_factor_is_not_invariant_at_p5_alpha1(self):
+        # X_u = q^(k-1) [k]_q, right only at alpha = 0, passes the
+        # invariance mod d at M = 24, where d = [5]_(q^5) (t-degree 20)
+        # leaves one p-digit, and fails at M = 48; X_u = q^(k-1) [k]_x holds
+        p, alpha, N = 5, 1, 8
+        for M, old_holds in ((24, True), (48, False)):
+            rep, old = EpsilonAction(p, alpha, N, M), EpsilonAction(p, alpha, N, M)
+            old.X = {u: old.qpow(lift - 1) * (old.qpow(lift) - old.one).divide_t_pow(1)
+                     for u, lift in old.lifts.items()}
+            assert rep.invariant_mod_d
+            assert old.invariant_mod_d == old_holds
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_e_beta_needs_no_t_digit(self, p):

@@ -362,7 +362,6 @@ class TestWeierstrassSlices:
                         Q, R, cert = f.weierstrass_divmod(P)
                         Qw, Rw, certw = want
                         assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
-                        assert f.weierstrass_rem(P) == (Rw, certw)
                         outcomes.add("short" if cert < N else "full")
         assert outcomes == {"raises", "short", "full"}
 
@@ -379,7 +378,6 @@ class TestWeierstrassSlices:
             Q, R, cert = f.weierstrass_divmod(P)
             Qw, Rw, certw = reference_weierstrass_divmod(f, P)
             assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
-            assert f.weierstrass_rem(P) == (Rw, certw)
 
     def test_digit_chain_inputs_match_reference(self):
         # the invariant series the p = 3 descent chain divides
@@ -392,7 +390,6 @@ class TestWeierstrassSlices:
             Q, R, cert = f.weierstrass_divmod(P)
             Qw, Rw, certw = reference_weierstrass_divmod(f, P)
             assert (Q.N, Q.M, Q.c, R, cert) == (Qw.N, Qw.M, Qw.c, Rw, certw)
-            assert f.weierstrass_rem(P) == (Rw, certw)
             f = Q
 
 
@@ -612,7 +609,7 @@ class TestCertifiedDivision:
             pd = partial_arith(TruncSeries.d_series(p, 8, M, a), a)
             pd.weierstrass_divide_exact(d_poly_t(p, a))  # certifies, or raises
 
-    def test_multiply_back(self):
+    def test_divide_exact_recovers_the_factor(self):
         rng = random.Random(1)
         p, N, M = 3, 6, 48
         for _ in range(25):
