@@ -669,7 +669,7 @@ def tensor(a: QConnModule, b: QConnModule) -> QConnModule:
 
 class DividedPowerAlgebra:
     """Basis symbols a^[n] with a^[i] a^[j] = C(i+j, i) a^[i+j], several
-    variables, truncated at total degree Dmax.  Truncation is flagged."""
+    variables, truncated at total degree Dmax: terms above it are dropped."""
 
     def __init__(self, ring: QuotientRing, nvars: int, dmax: int):
         self.ring = ring
@@ -687,19 +687,17 @@ class DividedPowerAlgebra:
 
 
 class DPElement:
-    __slots__ = ("alg", "terms", "overflowed")
+    __slots__ = ("alg", "terms")
 
-    def __init__(self, alg, terms, overflowed=False):
+    def __init__(self, alg, terms):
         self.alg = alg
-        self.overflowed = overflowed
         clean = {}
         for k, v in terms.items():
             if sum(k) > alg.dmax:
-                self.overflowed = True
                 continue
             # a coefficient that vanishes only at reduced precision still
             # carries uncertainty and must stay, or sums forget the loss
-            if v.is_zero() and v.prec >= alg.ring.N:
+            if v.prec >= alg.ring.N and v.is_zero():
                 continue
             clean[k] = v
         self.terms = clean
@@ -708,40 +706,33 @@ class DPElement:
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out[k] + v if k in out else v
-        return DPElement(self.alg, out, self.overflowed or other.overflowed)
+        return DPElement(self.alg, out)
 
     def __neg__(self):
-        return DPElement(self.alg, {k: -v for k, v in self.terms.items()},
-                         self.overflowed)
+        return DPElement(self.alg, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scalar(self, s):
-        return DPElement(self.alg, {k: v * s for k, v in self.terms.items()},
-                         self.overflowed)
+        return DPElement(self.alg, {k: v * s for k, v in self.terms.items()})
 
     def __mul__(self, other):
         out = {}
-        overflow = self.overflowed or other.overflowed
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = tuple(x + y for x, y in zip(k1, k2))
                 if sum(k) > self.alg.dmax:
-                    overflow = True
                     continue
                 c = 1
                 for x, y in zip(k1, k2):
                     c *= math.comb(x + y, x)
                 v = v1 * v2 * c
                 out[k] = out[k] + v if k in out else v
-        return DPElement(self.alg, out, overflow)
+        return DPElement(self.alg, out)
 
     def __eq__(self, other):
         return all(v.is_zero() for v in (self - other).terms.values())
-
-    def is_zero(self):
-        return not self.terms
 
 
 def divided_beta_powers(ring: QuotientRing, kind: str, jmax: int):

@@ -88,12 +88,14 @@ class PadicInt:
         return PadicInt(self.p, self.prec, pow(self.residue, k, self.p**self.prec))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = PadicInt(self.p, self.prec, other)
-        n = min(self.prec, other.prec)
-        return (self.residue - other.residue) % self.p**n == 0
+        return (self - other).is_zero()
 
     __hash__ = None
+
+    def is_zero(self) -> bool:
+        if self.prec <= 0:
+            raise PrecisionError("p-adic comparison on zero p-digits")
+        return self.residue == 0
 
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
@@ -491,9 +493,7 @@ class TruncSeries:
         return ring_power(self, k, TruncSeries.one(self.p, self.N, self.M))
 
     def __eq__(self, other):
-        other, N, M = self._join(other)
-        mod = self.p**N
-        return all((self.c[i] - other.c[i]) % mod == 0 for i in range(M))
+        return (self - other).is_zero()
 
     def is_zero(self) -> bool:
         mod = self.p**self.N
@@ -1336,15 +1336,11 @@ class QuotElem:
         return ring_power(self, k, self.ring.elem([1], self.prec))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
-        pr = min(self.prec, other.prec)
-        if pr <= 0:
-            raise PrecisionError("quotient-ring comparison on zero p-digits")
-        mod = self.ring.p**pr
-        return all((a - b) % mod == 0 for a, b in zip(self.coeffs, other.coeffs))
+        return (self - other).is_zero()
 
     def is_zero(self) -> bool:
+        if self.prec <= 0:
+            raise PrecisionError("quotient-ring comparison on zero p-digits")
         mod = self.ring.p**self.prec
         return all(a % mod == 0 for a in self.coeffs)
 

@@ -34,7 +34,7 @@ class _QScalars:
 
     A subclass supplies the ring: ``zero``, ``one``, ``const``, ``q_pow``,
     ``q_analogue(n, base)`` ([n]_{q^base}), ``droppable``, ``gamma0`` and
-    ``partial``, and ``is_zero`` when its elements have no ``is_zero``.
+    ``partial``.
     """
 
     def __init__(self, p, alpha, convention):
@@ -181,7 +181,7 @@ class QuotScalars(_QScalars):
         return out
 
     def droppable(self, s):
-        return s.is_zero() and s.prec >= self.ring.N
+        return s.prec >= self.ring.N and s.is_zero()
 
     def gamma0(self, s):
         return s.apply_matrix(self._gamma_mat)
@@ -212,10 +212,8 @@ class ResidueScalars(_QScalars):
     def q_analogue(self, n, base):
         return self.const(n)
 
-    def is_zero(self, s):
-        return s.residue == 0
-
-    droppable = is_zero
+    def droppable(self, s):
+        return s.is_zero()
 
     def gamma0(self, s):
         return s

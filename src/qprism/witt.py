@@ -32,122 +32,6 @@ from .padic import (
 )
 
 
-# ---------------------------------------------------------------------------
-# TPoly: polynomials in one chart coordinate T over TruncSeries
-# ---------------------------------------------------------------------------
-
-
-class TPoly:
-    """Sum of T^j * (series in t), with a hard cap on the T-degree.
-
-    Exceeding the cap is an error, not silent truncation: the twists in
-    play only rescale T-degrees, so overflow indicates misuse.
-    """
-
-    __slots__ = ("p", "N", "M", "cap", "terms")
-
-    def __init__(self, p, N, M, cap, terms=None):
-        self.p, self.N, self.M, self.cap = p, N, M, cap
-        clean = {}
-        for j, s in (terms or {}).items():
-            if j > cap:
-                raise PrecisionError(f"T-degree {j} exceeds cap {cap}")
-            if j < 0:
-                raise ValueError("negative T-degree")
-            if not s.is_zero():
-                clean[j] = s
-        self.terms = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(p, N, M, cap):
-        return TPoly(p, N, M, cap)
-
-    @staticmethod
-    def scalar(p, N, M, cap, s: TruncSeries):
-        return TPoly(p, N, M, cap, {0: s})
-
-    @staticmethod
-    def const(p, N, M, cap, c: int):
-        return TPoly(p, N, M, cap, {0: TruncSeries.const(p, N, M, c)})
-
-    @staticmethod
-    def one(p, N, M, cap):
-        return TPoly.const(p, N, M, cap, 1)
-
-    @staticmethod
-    def t_power(p, N, M, cap, j: int, s: TruncSeries = None):
-        return TPoly(p, N, M, cap, {j: s if s is not None else TruncSeries.one(p, N, M)})
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return TPoly.const(self.p, self.N, self.M, self.cap, other)
-        if isinstance(other, TruncSeries):
-            return TPoly.scalar(self.p, self.N, self.M, self.cap, other)
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for j, s in other.terms.items():
-            out[j] = out[j] + s if j in out else s
-        return TPoly(self.p, self.N, self.M, self.cap, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TPoly(self.p, self.N, self.M, self.cap,
-                     {j: -s for j, s in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int) or isinstance(other, TruncSeries):
-            return TPoly(self.p, self.N, self.M, self.cap,
-                         {j: s * other for j, s in self.terms.items()})
-        out: dict = {}
-        for j1, s1 in self.terms.items():
-            for j2, s2 in other.terms.items():
-                j = j1 + j2
-                prod = s1 * s2
-                out[j] = out[j] + prod if j in out else prod
-        return TPoly(self.p, self.N, self.M, self.cap, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (self - self._coerce(other)).is_zero()
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.terms.values())
-
-    def map_terms(self, fn) -> "TPoly":
-        """Apply (j, series) -> (j', series') to every term."""
-        out: dict = {}
-        for j, s in self.terms.items():
-            j2, s2 = fn(j, s)
-            out[j2] = out[j2] + s2 if j2 in out else s2
-        return TPoly(self.p, self.N, self.M, self.cap, out)
-
-    def divide_p_pow(self, a: int) -> "TPoly":
-        return TPoly(self.p, max(self.N - a, 1), self.M, self.cap,
-                     {j: s.divide_p_pow(a) for j, s in self.terms.items()})
-
-    def times_p_pow(self, a: int, cap_prec: int) -> "TPoly":
-        return TPoly(self.p, min(self.N + a, cap_prec), self.M, self.cap,
-                     {j: s.times_p_pow(a, cap_prec) for j, s in self.terms.items()})
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"T^{j}*({s.render()})" for j, s in sorted(self.terms.items()))
-
-    def __repr__(self):
-        return f"TPoly({self.render()})"
-
-
 class GhostSolveError(Exception):
     """A ghost sequence failed the coordinate solve or the Dwork check."""
 
@@ -192,20 +76,21 @@ class SeriesBase:
     def times_p_pow(self, x, a):
         return x.times_p_pow(a, self.N)
 
-    def _sectors(self, poly: BigPoly, twisted: bool = False) -> dict:
-        """The terms of ``poly`` grouped by eps sector (and, when twisted,
-        by T-degree), each group made a series in one pass."""
+    def _sectors(self, poly: BigPoly) -> dict:
+        """The terms of ``poly`` grouped by eps sector and T-degree (0
+        without a chart coordinate), each group made a series in one pass;
+        each ``transport`` rejects the keys it has no place for."""
         sectors = {}  # (has eps, T-degree) -> {q-exponent: coefficient}
         for (qe, ee, te), cval in poly.terms.items():
-            qc = sectors.setdefault((any(ee), te[0] if twisted and te else 0), {})
+            qc = sectors.setdefault((any(ee), sum(te)), {})
             qc[qe] = qc.get(qe, 0) + cval
         return {key: TruncSeries.from_q_poly(self.p, self.N, self.M, qc)
                 for key, qc in sectors.items()}
 
     def transport(self, poly: BigPoly):
         series = self._sectors(poly)
-        if (True, 0) in series:
-            raise ValueError("eps term in a plain series base")
+        if set(series) - {(False, 0)}:
+            raise ValueError("eps or T term in a plain series base")
         return series.get((False, 0), TruncSeries.zero(self.p, self.N, self.M))
 
 
@@ -248,7 +133,6 @@ class EpsSeriesBase(SeriesBase):
 
     def __init__(self, p, N_work, M, alpha):
         super().__init__(p, N_work, M)
-        self.alpha = alpha
         self.sq = (TruncSeries.q_power(p, N_work, M, p**alpha + 1)
                    - TruncSeries.q_power(p, N_work, M, 1))
         # phi(eps) = q^(p-1) * d * eps
@@ -282,46 +166,33 @@ class EpsSeriesBase(SeriesBase):
 
     def transport(self, poly: BigPoly):
         series = self._sectors(poly)
+        if set(series) - {(False, 0), (True, 0)}:
+            raise ValueError("T term in an eps series base")
         zero = TruncSeries.zero(self.p, self.N, self.M)
         return EpsPair(series.get((False, 0), zero), series.get((True, 0), zero), self)
 
 
-class TEpsSeriesBase(EpsSeriesBase):
-    """A<T> + eps*dT * A<T> with (eps dT)^2 = (q^(p^alpha)-1) * T * eps dT."""
+class GradedEpsBase(EpsSeriesBase):
+    """The chart ring A<T> + eps dT * A<T>, (eps dT)^2 = (q^(p^alpha)-1) T eps dT,
+    on elements homogeneous in T and eps dT, each of degree 1: the pair
+    (a, b) stands for a T^k + b T^(k-1) eps dT.  The product
+    (ac, ad + bc + beta*b*d) and phi = (phi(a), d*phi(b)) do not depend
+    on k, so k is never stored; sums are only ever taken in one degree."""
 
-    def __init__(self, p, N_work, M, alpha, tcap):
+    def __init__(self, p, N_work, M, alpha):
         SeriesBase.__init__(self, p, N_work, M)
-        self.alpha = alpha
-        self.tcap = tcap
-        self.beta = (TruncSeries.q_power(p, N_work, M, p**alpha)
-                     - TruncSeries.one(p, N_work, M))
-        self.d = TruncSeries.d_series(p, N_work, M, alpha)
+        self.sq = (TruncSeries.q_power(p, N_work, M, p**alpha)
+                   - TruncSeries.one(p, N_work, M))
+        self.phi_unit = TruncSeries.d_series(p, N_work, M, alpha)
         self._certify_frobenius()
 
-    def const(self, c):
-        z = TPoly.zero(self.p, self.N, self.M, self.tcap)
-        return EpsPair(TPoly.const(self.p, self.N, self.M, self.tcap, c), z, self)
-
-    def eps_sq(self, g, h):
-        return (g * h).map_terms(lambda j, s: (j + 1, s * self.beta))
-
-    def phi(self, x):
-        fr = x.f.map_terms(lambda j, s: (j * self.p, s.phi()))
-        gr = x.g.map_terms(lambda j, s: (j * self.p + self.p - 1, s.phi() * self.d))
-        return EpsPair(fr, gr, self)
-
-    def congruent_mod_p_pow(self, x, a):
-        def ok(tp):
-            return all(s.reduce_prec(N=min(a, s.N)).is_zero()
-                       for s in tp.terms.values())
-        return ok(x.f) and ok(x.g)
-
     def transport(self, poly: BigPoly):
-        series = self._sectors(poly, twisted=True)
-        fr, gr = (TPoly(self.p, self.N, self.M, self.tcap,
-                        {te: s for (eps, te), s in series.items() if eps == side})
-                  for side in (False, True))
-        return EpsPair(fr, gr, self)
+        series = self._sectors(poly)
+        if len({te + eps for eps, te in series}) > 1:
+            raise ValueError("not homogeneous in T and eps dT")
+        parts = {eps: s for (eps, _), s in series.items()}
+        zero = TruncSeries.zero(self.p, self.N, self.M)
+        return EpsPair(parts.get(False, zero), parts.get(True, zero), self)
 
 
 class QuotBase:
@@ -617,7 +488,7 @@ def construct_c_psi(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
     ]
     t_diff = [psi_t_power(pres, 0, p**n) - pres.t_pow(0, p**n) for n in range(L)]
     base = (ExactPolyBase(pres) if backend == "exact"
-            else TEpsSeriesBase(p, N + L - 1, M, alpha, 2 * p ** (L - 1) + 2))
+            else GradedEpsBase(p, N + L - 1, M, alpha))
     return _certify("c_psi", pres, ghost_polys, t_diff, "psi(T^(p^n)) - T^(p^n)",
                     ("r_0 = eps dT", ghost_polys[0] == pres.eps(0)), base,
                     "multiply-back d-tilde * c_psi = psi-tilde(T) - iota-tilde(T)")

@@ -1606,3 +1606,13 @@ class TestQuotElemZeroDigits:
         # one digit decides
         y = R.elem([1, 2], 1)
         assert y == R.elem([4, 5], 4) and not (y == R.elem([2, 2], 4))
+
+    def test_is_zero_at_zero_digits_raises(self):
+        # ``==`` goes through ``is_zero``, on PadicInt as on QuotElem
+        R = QuotientRing(3, 4, 1, 1)
+        for x in (R.elem([3], 0), PadicInt(3, 0, 0)):
+            with pytest.raises(PrecisionError):
+                x.is_zero()
+        with pytest.raises(PrecisionError):
+            PadicInt(3, 2, 1) == PadicInt(3, 0, 1)
+        assert PadicInt(3, 1, 3).is_zero() and not PadicInt(3, 2, 3).is_zero()

@@ -12,10 +12,9 @@ from qprism.witt import (
     EpsSeriesBase,
     ExactPolyBase,
     GhostSolveError,
+    GradedEpsBase,
     NonexistenceWitness,
     SeriesBase,
-    TEpsSeriesBase,
-    TPoly,
     WittVector,
     construct_b,
     construct_c,
@@ -85,6 +84,18 @@ class TestTransport:
             SeriesBase(p, N, M).transport(eps_q)
         pair = EpsSeriesBase(p, N, M, 0).transport(poly + eps_q)
         assert pair.f == series and pair.g == TruncSeries.q_power(p, N, M, 1)
+
+    def test_graded_base_rejects_an_inhomogeneous_polynomial(self):
+        pres = RingPresentation(3, 0, m=1, has_eps0=False, max_qdeg=1 << 30,
+                                max_tdeg=1 << 30)
+        base = GradedEpsBase(3, 6, 12, 0)
+        # T and eps dT both have degree 1, so 2T + eps dT is the pair (2, 1);
+        # T^2 + eps dT and T + 1 mix two degrees
+        pair = base.transport(pres.t_pow(0, 1) * 2 + pres.eps(0))
+        assert pair.f == 2 and pair.g == 1
+        for mixed in (pres.t_pow(0, 2) + pres.eps(0), pres.t_pow(0, 1) + pres.one()):
+            with pytest.raises(ValueError):
+                base.transport(mixed)
 
 
 class TestGhost:
@@ -305,7 +316,7 @@ ACCEPT_TRIPLES = [(3, 0), (2, 1), (5, 0)]
 def _eps_base(kind, p, a):
     if kind == "eps":
         return EpsSeriesBase(p, 6, 12, a)
-    return TEpsSeriesBase(p, 6, 12, a, tcap=24)
+    return GradedEpsBase(p, 6, 12, a)
 
 
 def _rand_pair(base, rng):
@@ -313,13 +324,7 @@ def _rand_pair(base, rng):
         return TruncSeries(base.p, base.N, base.M,
                            [rng.randrange(base.p**base.N) for _ in range(base.M)])
 
-    def part():
-        if isinstance(base, TEpsSeriesBase):
-            return TPoly(base.p, base.N, base.M, base.tcap,
-                         {j: series() for j in range(2)})
-        return series()
-
-    return EpsPair(part(), part(), base)
+    return EpsPair(series(), series(), base)
 
 
 EPS_BASES = [(kind, p, a) for kind in ("eps", "teps") for p, a in ((3, 0), (2, 1))]
@@ -345,15 +350,10 @@ class TestEpsPair:
         N, M = base.N, base.M
         q = TruncSeries.q_power(p, N, M, 1)
         beta = TruncSeries.q_power(p, N, M, p**a) - TruncSeries.one(p, N, M)
-        if kind == "eps":
-            # eps^2 = q (q^(p^alpha) - 1) eps
-            eps = EpsPair(TruncSeries.zero(p, N, M), TruncSeries.one(p, N, M), base)
-            want = q * beta
-        else:
-            # (eps dT)^2 = (q^(p^alpha) - 1) T eps dT
-            eps = EpsPair(TPoly.zero(p, N, M, base.tcap),
-                          TPoly.one(p, N, M, base.tcap), base)
-            want = TPoly.t_power(p, N, M, base.tcap, 1, beta)
+        eps = EpsPair(TruncSeries.zero(p, N, M), TruncSeries.one(p, N, M), base)
+        # eps^2 = q (q^(p^alpha) - 1) eps; in the graded base
+        # (eps dT)^2 = (q^(p^alpha) - 1) T eps dT, the pair (0, beta)
+        want = q * beta if kind == "eps" else beta
         sq = eps * eps
         assert sq.f.is_zero() and (sq.g - want).is_zero()
 
@@ -414,6 +414,22 @@ class TestConstructions:
     def test_c_psi(self, p, a):
         res = construct_c_psi(p, a, 4, 8, 32)
         assert res.ok, res.checks
+
+    @pytest.mark.parametrize("p,a", [(7, 0), (7, 1), (11, 0), (11, 1)])
+    def test_c_psi_at_one_coordinate_large_p(self, p, a):
+        # at L = 1 the chart base's Frobenius certificate already works in
+        # T-degree p - 1
+        res = construct_c_psi(p, a, 1)
+        assert res.ok, res.checks
+
+    @pytest.mark.parametrize("p,a,L", [(2, 0, 3), (3, 0, 3), (3, 1, 2), (5, 0, 2),
+                                       (2, 1, 3), (7, 0, 1), (7, 1, 2)])
+    def test_c_psi_series_coordinates_match_exact(self, p, a, L):
+        series = construct_c_psi(p, a, L)
+        exact = construct_c_psi(p, a, L, backend="exact")
+        base = series.witt.base
+        for x, y in zip(series.witt.coords, exact.witt.coords):
+            assert (x - base.transport(y)).is_zero()
 
     def test_exact_backends(self):
         assert construct_b(3, 0, 3, backend="exact").ok
