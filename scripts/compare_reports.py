@@ -11,7 +11,9 @@ suites whose entries differ (``exit`` when only the exit status
 differs, ``report`` when the difference lies outside the suite
 entries), followed by the flags.  The exit status is 1 on any DIFF.
 ``--suite`` (repeatable) restricts every config to those suites; by
-default all suites run.  Stdlib only.
+default all suites run.  A config that names its own suites runs just
+those, and is left out when ``--suite`` names none of them.  Stdlib
+only.
 """
 
 import argparse
@@ -23,12 +25,14 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-# every suite at the default precision, then the low-precision corner
+# every suite at the default precision, then the low-precision corner,
+# then the exact identities at a prime whose q-degrees run past 10^4
 MATRIX = (
     [["--p", str(p), "--alpha", str(a)]
      for p, a in ((2, 0), (2, 1), (3, 0), (3, 1), (5, 0))]
     + [["--p", str(p), "--alpha", str(a), "--p-prec", str(N), "--t-prec", str(M)]
        for p in (2, 3) for a in (0, 1) for N, M in ((1, 2), (2, 4), (3, 8))]
+    + [["--p", "11", "--suite", "q-identities"]]
 )
 
 
@@ -73,7 +77,10 @@ def main() -> int:
     suite_flags = [f for s in args.suite for f in ("--suite", s)]
     any_diff = False
     for flags in MATRIX:
-        flags = flags + suite_flags
+        if "--suite" not in flags:
+            flags = flags + suite_flags
+        elif args.suite and not set(args.suite) & set(flags):
+            continue
         procs = [start(HERE, flags), start(other, flags)]
         results = [(proc.communicate()[0], proc.returncode) for proc in procs]
         names = differing(*results)

@@ -46,9 +46,6 @@ class _QScalars:
         self._cache = {}
         self.beta = self.q_pow(p**self.beta_alpha) - self.one()
 
-    def is_zero(self, s):
-        return s.is_zero()
-
     def nabla_factor(self, j: int):
         """nabla(T^j) / T^(j-1) = [jp]_{q^(p^alpha_eff)}."""
         key = ("nf", j)

@@ -346,7 +346,7 @@ def suite_ore_assoc(cfg: RunConfig):
             lhs = (x * y).act(r)
             rhs = x.act(y.act(r))
             diff = ore.base_add(alg, lhs, {k2: -v for k2, v in rhs.items()})
-            okm = okm and all(ctx.is_zero(v) for v in diff.values())
+            okm = okm and all(v.is_zero() for v in diff.values())
         verdict(okm)
     with cases.check("normal forms with no arithmetic letter represent the "
                      "cosets of the left ideal") as verdict:

@@ -328,11 +328,6 @@ def _ghost_c(pres: RingPresentation, n: int) -> BigPoly:
     return pres.eps(0) * pres.q_pow(p**n - 1) * q_analogue(pres, p**n, p**alpha)
 
 
-def _eps_pres(p, alpha):
-    return RingPresentation(p, alpha, m=0, has_eps0=True,
-                            max_qdeg=1 << 30)
-
-
 def _phi_n_d(pres: RingPresentation, L: int) -> list:
     """phi^n(d) = [p]_{q^(p^(n+alpha))} for n < L."""
     p, alpha = pres.p, pres.alpha
@@ -378,7 +373,7 @@ def construct_b(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
     form, and (iv) the coordinate-level multiply-back
     ftilde(d) * b = gtilde(d).
     """
-    pres = _eps_pres(p, alpha)
+    pres = RingPresentation(p, alpha)
     ghost_polys = [_ghost_b(pres, n) for n in range(L)]
     psi_d = [sum((psi_q_power(pres, e) * cf for e, cf in d.q_coefficients().items()),
                  pres.zero()) for d in _phi_n_d(pres, L)]
@@ -398,7 +393,7 @@ def b_is_unit(p: int, alpha: int, L: int, N: int = 8, M: int = 32) -> bool:
     """b * b^(-1) = 1 in the series model.  Each ghost of b is
     1 + eps*g, whose inverse is 1 - eps*g/(1 + sq*g) since eps^2 = sq*eps."""
     base = EpsSeriesBase(p, N + L - 1, M, alpha)
-    pres = _eps_pres(p, alpha)
+    pres = RingPresentation(p, alpha)
     ghosts = [base.transport(_ghost_b(pres, n)) for n in range(L)]
     one = TruncSeries.one(p, N + L - 1, M)
     inv_ghosts = [EpsPair(g.f, -(g.g * (one + base.sq * g.g).unit_inverse()), base)
@@ -411,7 +406,7 @@ def b_is_unit(p: int, alpha: int, L: int, N: int = 8, M: int = 32) -> bool:
 def construct_c(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
                 backend: str = "series") -> Construction:
     """c with gtilde(q) - ftilde(q) = ftilde(d) * c."""
-    pres = _eps_pres(p, alpha)
+    pres = RingPresentation(p, alpha)
     ghost_polys = [_ghost_c(pres, n) for n in range(L)]
     q_diff = [psi_q_power(pres, p**n) - pres.q_pow(p**n) for n in range(L)]
     base = (ExactPolyBase(pres) if backend == "exact"
@@ -442,7 +437,7 @@ def construct_c_u(p: int, alpha: int, L: int, u, N: int = 8, M: int = 32):
     u_int = u if isinstance(u, int) else None
     if u_int is not None and u_int % mod == 1 % mod and u_int >= 1:
         v = (u_int - 1) // mod
-        pres = _eps_pres(p, alpha)
+        pres = RingPresentation(p, alpha)
         ghosts = [pres.q_pow(p**n) * (pres.q_pow(p ** (n + alpha)) - pres.one())
                   * q_analogue(pres, v, p ** (n + alpha + 1)) for n in range(L)]
         q_diff = [pres.q_pow(u_int * p**n) - pres.q_pow(p**n) for n in range(L)]
@@ -480,8 +475,7 @@ def construct_c_psi(p: int, alpha: int, L: int, N: int = 8, M: int = 32,
     Ghosts r_n = T^(p^n - 1) [p^n]_{q^(p^alpha)} * eps dT over the chart
     ring with one coordinate.
     """
-    pres = RingPresentation(p, alpha, m=1, has_eps0=False,
-                            max_qdeg=1 << 30, max_tdeg=1 << 30)
+    pres = RingPresentation(p, alpha, m=1, has_eps0=False)
     ghost_polys = [
         pres.t_pow(0, p**n - 1) * q_analogue(pres, p**n, p**alpha) * pres.eps(0)
         for n in range(L)
@@ -499,7 +493,7 @@ def d_as_V1(p: int, alpha: int, L: int, N: int = 8) -> Construction:
     (0, p, p, ...) and coordinates V(1)."""
     ring = QuotientRing(p, N + L - 1, alpha, 1)
     base = QuotBase(ring)
-    imgs = [base.transport(g) for g in _phi_n_d(_eps_pres(p, alpha), L)]
+    imgs = [base.transport(g) for g in _phi_n_d(RingPresentation(p, alpha), L)]
     checks = {}
     expected = [ring.const(0)] + [ring.const(p)] * (L - 1)
     checks["ghost sequence is (0, p, p, ...)"] = all(
@@ -526,7 +520,7 @@ def delta_power_membership(n: int, k: int, p: int, N: int = 8, M: int = 30) -> b
         series_ok = True
     except DivisionCertificateError:
         series_ok = False
-    pres = _eps_pres(p, 0)
+    pres = RingPresentation(p, 0)
     g = (pres.q_pow(1) - pres.one()) ** n
     for _ in range(k):
         g = (g.frobenius() - g**p).divide_coefficients(p)

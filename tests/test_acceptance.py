@@ -41,7 +41,7 @@ def test_criterion_1_q_identities():
     ok = True
     for p in (2, 3, 5):
         for alpha in (0, 1):
-            pres = exactcore.RingPresentation(p, alpha, max_qdeg=1 << 22)
+            pres = exactcore.RingPresentation(p, alpha)
             acc = pres.one()
             step = exactcore.psi_q_power(pres, 1)
             for k in range(1, 51):
@@ -64,8 +64,8 @@ def test_criterion_2_witt_constructions():
         for builder in (witt.construct_b, witt.construct_c, witt.construct_c_psi):
             res = builder(p, a, 4, 8, 32)
             ok = ok and res.ok
-    b0 = witt._ghost_b(witt._eps_pres(3, 0), 0)
-    pres = witt._eps_pres(3, 0)
+    b0 = witt._ghost_b(exactcore.RingPresentation(3, 0), 0)
+    pres = exactcore.RingPresentation(3, 0)
     explicit = pres.one()
     for i in range(1, 3):
         explicit = explicit + (pres.eps(0) * pres.q_pow(i - 1)

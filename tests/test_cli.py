@@ -69,6 +69,12 @@ class TestExitCodes:
         proc = run_cli(["--suite", "e-beta", "--suite", "witt-dv1"])
         assert proc.returncode == 0, proc.stderr
 
+    def test_large_prime_q_identities_exit_zero(self):
+        # the exact identities need q-degree 13,310 at p=11
+        proc = run_cli(["--p", "11", "--suite", "q-identities"])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "4/4 pass" in proc.stdout
+
     def test_config_error_exits_three(self):
         proc = run_cli(["--p", "4"])
         assert proc.returncode == 3

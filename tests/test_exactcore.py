@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qprism.exactcore import (
-    DEFAULT_MAX_QDEG,
     BigPoly,
-    ExponentOverflow,
     NegativeQPower,
     RingPresentation,
     divides_exactly,
@@ -73,10 +71,8 @@ class TestQAnalogue:
                 assert q_analogue(P, n, b).terms == total.terms
 
     def test_keys_checked(self):
-        P = pres(3, 0, max_qdeg=10)
+        P = pres(3, 0)
         assert q_analogue(P, 6, 2) == q_analogue(P, 3, 4) * q_analogue(P, 2, 2)
-        with pytest.raises(ExponentOverflow):
-            q_analogue(P, 7, 2)
         with pytest.raises(NegativeQPower):
             q_analogue(P, 2, -1)
 
@@ -102,9 +98,17 @@ class TestPsi:
         checks = verify_psi_hom(3, 0, [0, 1, 2, 5, (1, (2,))], m=1)
         assert all(checks.values()), checks
 
+    @pytest.mark.parametrize("p,alpha", [(7, 1), (5, 2), (3, 3)])
+    def test_hom_report_at_high_degree(self, p, alpha):
+        # the q-identities suite's monomials; psi(q^50) has q-degree
+        # about 50 p^(alpha+1)
+        mono = list(range(0, 9)) + [25, 50] + [(2, (1,)), (1, (3,))]
+        checks = verify_psi_hom(p, alpha, mono, m=1)
+        assert all(checks.values()), checks
+
     @pytest.mark.parametrize("p,alpha", [(2, 0), (3, 0), (5, 0), (2, 1), (3, 1), (5, 1)])
     def test_closed_form_chain(self, p, alpha):
-        P = pres(p, alpha, max_qdeg=1 << 22)
+        P = pres(p, alpha)
         acc = P.one()
         step = psi_q_power(P, 1)
         for k in range(1, 13):
@@ -126,10 +130,28 @@ class TestFactorization:
     def test_i_zero(self):
         assert verify_q_factorization(3, 0, 1, 0)
 
+    def test_large_prime_every_suite_case(self):
+        # at i = 0 the right side still multiplies [p]_{q^(p^(alpha+n))},
+        # of q-degree (p-1) p^(alpha+n): 13,310 at p=11, n=3
+        assert all(verify_q_factorization(11, 0, n, i)
+                   for n in range(1, 4) for i in range(11))
+
+    @pytest.mark.parametrize("p,alpha", [(7, 1), (5, 2)])
+    def test_higher_level_high_degree(self, p, alpha):
+        for n in (1, 3):
+            for i in (0, 1, p - 1):
+                assert verify_q_factorization(p, alpha, n, i), (n, i)
+
 
 class TestGammaRelations:
     def test_report(self):
         checks = verify_gamma_relations(2, 0, 2)
+        assert all(checks.values()), checks
+
+    @pytest.mark.parametrize("p,alpha", [(5, 2), (3, 3)])
+    def test_report_at_high_degree(self, p, alpha):
+        # gamma_0 after gamma_i raises q to degree p^(alpha+1) (p^(alpha+1)+1)
+        checks = verify_gamma_relations(p, alpha, 2)
         assert all(checks.values()), checks
 
     def test_on_q_both_sides(self):
@@ -205,8 +227,6 @@ class TestReduction:
         P = pres(3, 0)
         with pytest.raises(NegativeQPower):
             P.q_pow(-1) * P.one()
-        P2 = pres(3, 0, q_invertible=True)
-        assert P2.q_pow(-1) * P2.q_pow(1) == P2.one()
 
 
 @st.composite
@@ -292,7 +312,7 @@ def reference_mul(x, y):
             for fq, ft, fc in reference_square_rule(P, idx):
                 pending.append((qe + fq, tuple(red), tuple(map(add, te, ft)), c * fc))
             continue
-        BigPoly._check_key(P, qe, te)
+        BigPoly._check_key(qe)
         key = (qe, ee, te)
         s = out.get(key, 0) + c
         if s:
@@ -305,12 +325,12 @@ def reference_mul(x, y):
 def outcome(fn, *args):
     try:
         result = fn(*args)
-    except (NegativeQPower, ExponentOverflow) as exc:
+    except NegativeQPower as exc:
         return type(exc)
     return result.terms if isinstance(result, BigPoly) else result
 
 
-def random_poly(P, rng, nterms, coeff_bits, qmin=0, qmax=8, tmax=4):
+def random_poly(P, rng, nterms, coeff_bits, qmax=8, tmax=4):
     terms = {}
     for _ in range(nterms):
         ee = [0] * P.n_eps
@@ -318,7 +338,7 @@ def random_poly(P, rng, nterms, coeff_bits, qmin=0, qmax=8, tmax=4):
             ee[rng.randrange(P.n_eps)] = 1
         te = tuple(rng.randint(0, tmax) for _ in range(P.m))
         c = rng.randint(1, 1 << coeff_bits) * rng.choice((1, -1))
-        terms[(rng.randint(qmin, qmax), tuple(ee), te)] = c
+        terms[(rng.randint(0, qmax), tuple(ee), te)] = c
     return BigPoly(P, terms)
 
 
@@ -328,23 +348,21 @@ class TestBigPolyKernel:
 
     PRESENTATIONS = [
         dict(p=3, alpha=0, m=0, has_eps0=True),
-        dict(p=2, alpha=1, m=0, has_eps0=True, q_invertible=True),
+        dict(p=2, alpha=1, m=0, has_eps0=True),
         dict(p=3, alpha=1, m=1, has_eps0=False),
-        dict(p=5, alpha=0, m=1, has_eps0=True, q_invertible=True),
-        dict(p=2, alpha=0, m=2, has_eps0=False, q_invertible=True),
+        dict(p=5, alpha=0, m=1, has_eps0=True),
+        dict(p=2, alpha=0, m=2, has_eps0=False),
         dict(p=3, alpha=0, m=2, has_eps0=True),
     ]
 
     @pytest.mark.parametrize("kw", PRESENTATIONS)
     def test_random_products_match_reference(self, kw):
         rng = random.Random(repr(sorted(kw.items())))
-        for bound in (DEFAULT_MAX_QDEG, 14):
-            P = RingPresentation(max_qdeg=bound, max_tdeg=bound // 2 + 1, **kw)
-            qmin = -6 if P.q_invertible else 0
-            for _ in range(60):
-                x = random_poly(P, rng, rng.randint(1, 7), rng.choice((3, 40, 130)), qmin)
-                y = random_poly(P, rng, rng.randint(1, 7), rng.choice((3, 40, 130)), qmin)
-                assert outcome(BigPoly.__mul__, x, y) == outcome(reference_mul, x, y)
+        P = RingPresentation(**kw)
+        for _ in range(60):
+            x = random_poly(P, rng, rng.randint(1, 7), rng.choice((3, 40, 130)))
+            y = random_poly(P, rng, rng.randint(1, 7), rng.choice((3, 40, 130)))
+            assert outcome(BigPoly.__mul__, x, y) == outcome(reference_mul, x, y)
 
     def test_every_sector_pair(self):
         P = pres(3, 1, m=2, has_eps0=True)
@@ -401,25 +419,23 @@ class TestBigPolyKernel:
             assert (term * poly).terms == reference_mul(term, poly)
 
     def test_sparse_high_degree(self):
-        P = pres(3, 0, max_qdeg=1 << 30)
+        P = pres(3, 0)
         x = P.one() + P.q_pow(1 << 20)
         assert x * x == P.one() + P.q_pow(1 << 20) * 2 + P.q_pow(1 << 21)
 
     def test_exceptions_match_reference(self):
-        P = pres(3, 0, m=1, max_qdeg=20, max_tdeg=5)
-        Pinv = pres(3, 0, m=1, max_qdeg=20, max_tdeg=5, q_invertible=True)
+        P = pres(3, 0, m=1)
         cases = [
             (P.q_pow(-1), P.one() + P.q_pow(3)),            # negative q
             (P.q_pow(-2) + P.q_pow(4), P.q_pow(1) + P.one()),
-            (P.q_pow(15) + P.one(), P.q_pow(6) + P.one()),  # q above bound
-            (P.q_pow(10) + P.one(), P.q_pow(10) + P.one()),  # q at bound
-            (P.t_pow(0, 3) + P.one(), P.t_pow(0, 3) + P.one()),  # T above bound
-            (P.eps(0) * P.q_pow(9), P.eps(0) * P.q_pow(9)),  # eps^2 pushes q over
-            (P.eps(1) * P.t_pow(0, 2), P.eps(1) * P.t_pow(0, 2)),  # and T over
+            (P.q_pow(-15) + P.one(), P.q_pow(-6) + P.one()),
+            (P.q_pow(-15), P.q_pow(-6)),                     # single term
+            (P.q_pow(15) + P.one(), P.q_pow(6) + P.one()),
+            (P.t_pow(0, 3) + P.one(), P.t_pow(0, 3) + P.one()),
+            (P.eps(0) * P.q_pow(9), P.eps(0) * P.q_pow(9)),  # eps^2 raises q
+            (P.eps(1) * P.t_pow(0, 2), P.eps(1) * P.t_pow(0, 2)),  # and T
             (P.eps(0) * P.q_pow(19), P.eps(1) * P.q_pow(19)),  # dropped pair
             (P.q_pow(20), P.q_pow(1)),                       # single term
-            (Pinv.q_pow(-15) + Pinv.one(), Pinv.q_pow(-6) + Pinv.one()),
-            (Pinv.q_pow(-15), Pinv.q_pow(-6)),
         ]
         seen = set()
         for x, y in cases:
@@ -427,7 +443,7 @@ class TestBigPolyKernel:
             assert got == outcome(reference_mul, x, y)
             assert got == outcome(BigPoly.__mul__, y, x)
             seen.add(got if isinstance(got, type) else dict)
-        assert seen == {NegativeQPower, ExponentOverflow, dict}
+        assert seen == {NegativeQPower, dict}
 
 
 def sequential_sum(P, pairs):
@@ -445,18 +461,15 @@ class TestSumOfProducts:
     @pytest.mark.parametrize("kw", TestBigPolyKernel.PRESENTATIONS)
     def test_random_sums_match_sequential(self, kw):
         rng = random.Random("sum" + repr(sorted(kw.items())))
-        for bound in (DEFAULT_MAX_QDEG, 14):
-            P = RingPresentation(max_qdeg=bound, max_tdeg=bound // 2 + 1, **kw)
-            qmin = -6 if P.q_invertible else 0
-            for _ in range(30):
-                # operands recur across pairs and within one pair
-                polys = [random_poly(P, rng, rng.randint(1, 6),
-                                     rng.choice((3, 40, 130)), qmin)
-                         for _ in range(4)]
-                pairs = [(rng.choice(polys), rng.choice(polys))
-                         for _ in range(rng.randint(1, 5))]
-                assert (outcome(BigPoly.sum_of_products, P, pairs)
-                        == outcome(sequential_sum, P, pairs))
+        P = RingPresentation(**kw)
+        for _ in range(30):
+            # operands recur across pairs and within one pair
+            polys = [random_poly(P, rng, rng.randint(1, 6), rng.choice((3, 40, 130)))
+                     for _ in range(4)]
+            pairs = [(rng.choice(polys), rng.choice(polys))
+                     for _ in range(rng.randint(1, 5))]
+            assert (outcome(BigPoly.sum_of_products, P, pairs)
+                    == outcome(sequential_sum, P, pairs))
 
     def test_eps_sectors_and_cancellation(self):
         P = pres(3, 1, m=2, has_eps0=True)
@@ -474,25 +487,23 @@ class TestSumOfProducts:
         assert not BigPoly.sum_of_products(P, [(P.zero(), x), (P.eps(1), P.eps(2))])
 
     def test_exceptions_at_the_degree_bounds(self):
-        P = pres(3, 0, m=1, max_qdeg=20, max_tdeg=5)
-        Pinv = pres(3, 0, m=1, max_qdeg=20, max_tdeg=5, q_invertible=True)
+        # q-degree 0 is the one bound: Z[q] has no q^-1
+        P = pres(3, 0, m=1)
         fine = (P.q_pow(2) + P.eps(0), P.one() + P.t_pow(0))
         cases = [
-            (P, [fine, (P.q_pow(-1), P.one() + P.q_pow(3))]),        # negative q
-            (P, [fine, (P.q_pow(15) + P.one(), P.q_pow(6) + P.one())]),  # q over
-            (P, [fine, (P.q_pow(10) + P.one(), P.q_pow(10) + P.one())]),  # q at bound
-            (P, [(P.t_pow(0, 3) + P.one(), P.t_pow(0, 3) + P.one()), fine]),  # T over
-            (P, [fine, (P.eps(0) * P.q_pow(9), P.eps(0) * P.q_pow(9))]),  # via eps^2
-            (P, [fine, (P.eps(0) * P.q_pow(19), P.eps(1) * P.q_pow(19))]),  # dropped
-            (Pinv, [(Pinv.q_pow(-15) + Pinv.one(), Pinv.q_pow(-6) + Pinv.one()),
-                    (Pinv.q_pow(3), Pinv.eps(1))]),
+            [fine, (P.q_pow(-1), P.one() + P.q_pow(3))],                 # negative q
+            [(P.q_pow(-15) + P.one(), P.q_pow(-6) + P.one()), (P.q_pow(3), P.eps(1))],
+            [fine, (P.q_pow(15) + P.one(), P.q_pow(6) + P.one())],
+            [(P.t_pow(0, 3) + P.one(), P.t_pow(0, 3) + P.one()), fine],
+            [fine, (P.eps(0) * P.q_pow(9), P.eps(0) * P.q_pow(9))],     # via eps^2
+            [fine, (P.eps(0) * P.q_pow(19), P.eps(1) * P.q_pow(19))],   # dropped
         ]
         seen = set()
-        for Q, pairs in cases:
-            got = outcome(BigPoly.sum_of_products, Q, pairs)
-            assert got == outcome(sequential_sum, Q, pairs)
+        for pairs in cases:
+            got = outcome(BigPoly.sum_of_products, P, pairs)
+            assert got == outcome(sequential_sum, P, pairs)
             seen.add(got if isinstance(got, type) else dict)
-        assert seen == {NegativeQPower, ExponentOverflow, dict}
+        assert seen == {NegativeQPower, dict}
 
     def test_split_kept_on_the_operand(self):
         P = pres(3, 0, m=1)

@@ -74,7 +74,7 @@ def rand_series(base, rng):
 class TestTransport:
     def test_each_base_carries_an_exact_polynomial(self):
         p, N, M = 3, 6, 12
-        pres = RingPresentation(p, 0, m=0, has_eps0=True, max_qdeg=1 << 30)
+        pres = RingPresentation(p, 0, m=0, has_eps0=True)
         poly = pres.q_pow(2) * 5 + pres.one()
         eps_q = pres.eps(0) * pres.q_pow(1)
         series = TruncSeries.from_q_poly(p, N, M, {2: 5, 0: 1})
@@ -86,8 +86,7 @@ class TestTransport:
         assert pair.f == series and pair.g == TruncSeries.q_power(p, N, M, 1)
 
     def test_graded_base_rejects_an_inhomogeneous_polynomial(self):
-        pres = RingPresentation(3, 0, m=1, has_eps0=False, max_qdeg=1 << 30,
-                                max_tdeg=1 << 30)
+        pres = RingPresentation(3, 0, m=1, has_eps0=False)
         base = GradedEpsBase(3, 6, 12, 0)
         # T and eps dT both have degree 1, so 2T + eps dT is the pair (2, 1);
         # T^2 + eps dT and T + 1 mix two degrees
@@ -248,7 +247,7 @@ def test_universal_polynomial_oracle(op):
     # evaluated on integer Witt vectors over the exact base
     p, L = 2, 3
     zs = universal_witt_polys(p, L, op)
-    pres = RingPresentation(p, 0, m=0, has_eps0=True, max_qdeg=1 << 20)
+    pres = RingPresentation(p, 0, m=0, has_eps0=True)
     base = ExactPolyBase(pres)
     rng = random.Random(5)
     for _ in range(12):
@@ -268,7 +267,7 @@ def test_v1_times_v1_matches_universal():
     zs = universal_witt_polys(p, L, "mul")
     env = {"x0": 0, "x1": 1, "x2": 0, "y0": 0, "y1": 1, "y2": 0}
     want = [z.subs(env) for z in zs]
-    pres = RingPresentation(p, 0, m=0, has_eps0=True, max_qdeg=1 << 20)
+    pres = RingPresentation(p, 0, m=0, has_eps0=True)
     base = ExactPolyBase(pres)
     v1 = witt_one(base, L).V()
     got = witt_mul(v1, v1)
@@ -377,9 +376,9 @@ class TestConstructions:
         # b_0 = 1 + eps sum_i q^(i p^a - 1) [i p^a]_{q^(p^(a+1))}; mod d the
         # bracket collapses to the integer i p^a
         from qprism.exactcore import divides_exactly
-        from qprism.witt import _eps_pres, _ghost_b
+        from qprism.witt import _ghost_b
         p, a = 3, 1
-        pres = _eps_pres(p, a)
+        pres = RingPresentation(p, a)
         b0 = _ghost_b(pres, 0)
         explicit = pres.one()
         for i in range(1, p):
@@ -406,8 +405,8 @@ class TestConstructions:
         assert res.ok, res.checks
 
     def test_c0_is_eps(self):
-        from qprism.witt import _eps_pres, _ghost_c
-        pres = _eps_pres(3, 0)
+        from qprism.witt import _ghost_c
+        pres = RingPresentation(3, 0)
         assert _ghost_c(pres, 0) == pres.eps(0)
 
     @pytest.mark.parametrize("p,a", ACCEPT_TRIPLES)
@@ -476,7 +475,7 @@ class TestDeltaPower:
     def test_base_case_formula(self):
         # delta(q-1) = ((q^p - 1) - (q-1)^p)/p lies in (q-1)
         p = 3
-        pres = RingPresentation(p, 0, m=0, has_eps0=True, max_qdeg=1 << 16)
+        pres = RingPresentation(p, 0, m=0, has_eps0=True)
         a = pres.q_pow(1) - pres.one()
         delta = (pres.q_pow(p) - pres.one() - a**p).divide_coefficients(p)
         from qprism.exactcore import divides_exactly
